@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Mapping
 
 from . import linalg, polytope
@@ -196,10 +197,16 @@ def validate(k: EuclideanComplex, check_pairs: bool = True) -> ValidityReport:
         if not linalg.affinely_independent(k.points(s)):
             issues.append(f"simplex {s} is not affinely independent")
     if not issues and check_pairs:
+        # homogeneous integer coordinates: all coordinates times their lcm
+        den = lcm(*[c.denominator for v in k.base.vertices for c in k.coords[v]])
+        icoords = {
+            v: tuple(c.numerator * (den // c.denominator) for c in k.coords[v]) + (1,)
+            for v in k.base.vertices
+        }
         fmemo: dict = {}
-        pairs = _uncertified_pairs(k, maximal, fmemo)
+        pairs = _uncertified_pairs(maximal, icoords, fmemo)
         for a, b in pairs:
-            if not _common_face_cached(k, a, b, fmemo):
+            if not _common_face_cached(k, a, b, icoords, fmemo):
                 issues.append(
                     f"intersection not a common face: simplices {a} and {b}"
                 )
@@ -207,24 +214,12 @@ def validate(k: EuclideanComplex, check_pairs: bool = True) -> ValidityReport:
     return ValidityReport(not issues, tuple(issues))
 
 
-def _common_face_cached(k: EuclideanComplex, a, b, fmemo) -> bool:
+def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
     """Exact common-face test by facet reduction over the integers.
 
-    Functionals are memoized per face across pairs (fmemo also carries the
-    integer coordinates under the key None).
+    icoords maps each vertex to its homogeneous integer coordinates;
+    functionals are memoized per face across pairs in fmemo.
     """
-    if None not in fmemo:
-        from math import lcm
-
-        den = 1
-        for v in k.base.vertices:
-            for c in k.coords[v]:
-                den = lcm(den, Fraction(c).denominator)
-        fmemo[None] = {
-            v: tuple(int(Fraction(c) * den) for c in k.coords[v]) + (1,)
-            for v in k.base.vertices
-        }
-    icoords = fmemo[None]
 
     def functionals(cur):
         if cur not in fmemo:
@@ -306,65 +301,41 @@ def _integer_functionals(ipts):
     the simplex) and a.x + b > 0 at off_vertex.  Equations appear with
     both signs.
     """
-    from fractions import Fraction as F
-    from math import gcd, lcm
-
     m = len(ipts)
     n = len(ipts[0])
-    width = n + 1 + m
-    # fraction-free Gauss-Jordan (Montante): rows [v_j 1 | e_j], all ints
+    # rows [v_j 1 | e_j]; eliminating the left block leaves E [V 1] = R in
+    # reduced form with the transform E on the right
     aug = [
         list(p) + [1] + [1 if j == i else 0 for j in range(m)]
         for i, p in enumerate(ipts)
     ]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    done_rows: set[int] = set()
-    prev = 1
-    for c in range(n + 1):
-        pr = next((i for i in range(m) if i not in done_rows and aug[i][c]), None)
-        if pr is None:
-            continue
-        pv = aug[pr][c]
-        for i in range(m):
-            if i == pr:
-                continue
-            f = aug[i][c]
-            row = aug[i]
-            aug[i] = [(pv * row[j] - f * aug[pr][j]) // prev for j in range(width)]
-        prev = pv
-        pivots.append((pr, c))
-        done_rows.add(pr)
-        if len(done_rows) == m:
-            break
+    pivots, _ = linalg.eliminate(aug, n + 1)
+    d = aug[0][pivots[0]]  # shared by all pivot rows; column n is never 0
 
     def primitive(vec):
-        den = lcm(*[f.denominator for f in vec])
-        ints = [int(f * den) for f in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        return [x // (g or 1) for x in ints]
+        # the primitive integer vector on the ray of vec / d
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        return [x // g for x in vec]
 
     out_rows, out_off = [], []
     for i in range(m):
-        sol = [F(0)] * (n + 1)
-        for r, c in pivots:
-            sol[c] = F(aug[r][n + 1 + i], aug[r][c])
-        vec = primitive(sol)
+        vec = [0] * (n + 1)
+        for r, c in enumerate(pivots):
+            vec[c] = aug[r][n + 1 + i]
+        vec = primitive(vec)
         if sum(x * y for x, y in zip(vec, ipts[i])) + vec[n] < 0:
             vec = [-x for x in vec]
         out_rows.append(vec)
         out_off.append(i)
     # affine-hull equations: nullspace of the same [v_j 1] matrix
-    pivot_cols = {c for _, c in pivots}
     for fc in range(n + 1):
-        if fc in pivot_cols:
+        if fc in pivots:
             continue
-        sol = [F(0)] * (n + 1)
-        sol[fc] = F(1)
-        for r, c in pivots:
-            sol[c] = -F(aug[r][fc], aug[r][c])
-        vec = primitive(sol)
+        vec = [0] * (n + 1)
+        vec[fc] = d
+        for r, c in enumerate(pivots):
+            vec[c] = -aug[r][fc]
+        vec = primitive(vec)
         out_rows.append(vec)
         out_off.append(-1)
         out_rows.append([-x for x in vec])
@@ -380,35 +351,26 @@ def _integer_functionals(ipts):
     return out_rows, out_off
 
 
-def _uncertified_pairs(k: EuclideanComplex, maximal, fmemo=None):
+def _uncertified_pairs(maximal, icoords, fmemo):
     """All pairs of maximal simplices, minus those certified to meet in a
     common face by the vectorized separating-wall test.
 
-    Integer coordinates and functionals are stored in fmemo for reuse by
-    _common_face_cached.
+    Functionals are stored in fmemo for reuse by _common_face_cached.
     """
     all_pairs = list(itertools.combinations(maximal, 2))
     sizes = {len(s) for s in maximal}
     if len(all_pairs) < _FAST_PAIR_THRESHOLD or len(sizes) != 1:
         return all_pairs
     import numpy as np
-    from math import lcm
 
-    verts = sorted(k.base.vertices)
+    verts = sorted(icoords)
     vindex = {v: i for i, v in enumerate(verts)}
-    den = 1
-    for v in verts:
-        for c in k.coords[v]:
-            den = lcm(den, Fraction(c).denominator)
-    icoords = [[int(Fraction(c) * den) for c in k.coords[v]] + [1] for v in verts]
-    if fmemo is not None:
-        fmemo[None] = {v: tuple(icoords[vindex[v]]) for v in verts}
+    icoords = [icoords[v] for v in verts]
 
     func_rows, func_off, func_owner = [], [], []
     for si, s in enumerate(maximal):
         rows, offs = _integer_functionals([icoords[vindex[v]][:-1] for v in s])
-        if fmemo is not None:
-            fmemo[tuple(s)] = (rows, offs)
+        fmemo[tuple(s)] = (rows, offs)
         for row, off in zip(rows, offs):
             func_rows.append(row)
             func_off.append(vindex[s[off]] if off >= 0 else -1)

@@ -120,18 +120,6 @@ def compose_maps(second: AffineSimplicialMap, first: AffineSimplicialMap) -> Aff
     return AffineSimplicialMap(first.source, second.target, images)
 
 
-def graph_of(f: AffineSimplicialMap) -> EuclideanComplex:
-    """The graph of f, triangulated by the source simplices."""
-    n = f.target.ambient_dim
-    coords = {
-        v: tuple(f.source.coords[v]) + tuple(f.vertex_images[v])
-        for v in f.source.base.vertices
-    }
-    return EuclideanComplex.build(
-        f.source.maximal_simplices(), coords, name=f"graph({f.source.name})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # polyhedral families
 # ---------------------------------------------------------------------------

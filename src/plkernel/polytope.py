@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from . import linalg, lp
 from .linalg import Vec, as_vec, dot, vec_sub
@@ -28,33 +28,6 @@ def hull_vertices(points) -> list[Vec]:
         if not lp.in_hull(p, others):
             out.append(p)
     return out
-
-
-def simplex_h_rep(points):
-    """H-representation of the simplex on affinely independent `points`.
-
-    Returns (equalities, inequalities) where equalities is a list of
-    (a, c) meaning a.x = c cutting out the affine hull, and inequalities
-    is a list of (a, c) meaning a.x >= c, one per facet: the i-th
-    inequality is the barycentric coordinate of the i-th point.
-    """
-    pts = [as_vec(p) for p in points]
-    if not pts:
-        raise ValueError("empty simplex")
-    n = len(pts[0])
-    diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    eqs = []
-    for a in linalg.nullspace(diffs) if diffs else [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n)]:
-        eqs.append((a, dot(a, pts[0])))
-    ineqs = []
-    for i in range(len(pts)):
-        # affine functional (a, c): a.v_j + c = delta_ij
-        rows = [list(p) + [Fraction(1)] for p in pts]
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(len(pts))]
-        sol = linalg.solve(rows, rhs)
-        a, c = sol[:-1], sol[-1]
-        ineqs.append((a, -c))  # a.x + c >= 0  <=>  a.x >= -c
-    return eqs, ineqs
 
 
 def barycentric_polytope_vertices(p_points, q_points) -> list[Vec]:
@@ -88,26 +61,11 @@ def barycentric_polytope_vertices(p_points, q_points) -> list[Vec]:
     return hull_vertices(pts)
 
 
-def _int_solve_square(aug):
-    """Solve an integer square system from augmented rows via fraction-free
-    Gauss-Jordan; returns Fractions or None when singular."""
-    a = [list(row) for row in aug]
-    r = len(a)
-    prev = 1
-    for k in range(r):
-        piv = next((i for i in range(k, r) if a[i][k] != 0), None)
-        if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        pv = a[k][k]
-        for i in range(r):
-            if i == k:
-                continue
-            f = a[i][k]
-            a[i] = [(pv * a[i][j] - f * a[k][j]) // prev for j in range(r + 1)]
-        prev = pv
-    return [Fraction(a[i][r], a[i][i]) for i in range(r)]
+def _row_basis(rows) -> list[int]:
+    """Indices of the lex-first maximal linearly independent set of rows:
+    the pivot columns of the transpose."""
+    transpose = [list(col) for col in zip(*rows)]
+    return linalg.eliminate(transpose, len(rows))[0]
 
 
 def enumerate_basic_solutions(a_rows, b) -> list[Vec]:
@@ -116,42 +74,25 @@ def enumerate_basic_solutions(a_rows, b) -> list[Vec]:
         return []
     n = len(a_rows[0])
     # clear denominators once; everything below is integer arithmetic
-    int_rows = []
-    for row, bv in zip(a_rows, b):
-        row = [Fraction(x) for x in row]
-        bv = Fraction(bv)
-        den = 1
-        for x in row + [bv]:
-            den = den * x.denominator // gcd(den, x.denominator)
-        int_rows.append(([int(x * den) for x in row], int(bv * den)))
-    # a row basis of the equation system, found by greedy elimination
-    r = linalg.rank([row for row, _ in int_rows])
-    pivot_rows: list[int] = []
-    cur_rank = 0
-    for i in range(len(int_rows)):
-        cand = [int_rows[j][0] for j in pivot_rows] + [int_rows[i][0]]
-        if linalg.rank(cand) > cur_rank:
-            pivot_rows.append(i)
-            cur_rank += 1
-        if cur_rank == r:
-            break
-    base_rows = [int_rows[i] for i in pivot_rows]
+    int_rows, _ = linalg.integer_rows([list(row) + [bv] for row, bv in zip(a_rows, b)])
+    base_rows = [int_rows[i] for i in _row_basis([row[:n] for row in int_rows])]
+    r = len(base_rows)
     sols = set()
     for basis in itertools.combinations(range(n), r):
-        aug = [[row[j] for j in basis] + [bv] for row, bv in base_rows]
-        sol = _int_solve_square(aug)
-        if sol is None or any(v < 0 for v in sol):
+        aug = [[row[j] for j in basis] + [row[n]] for row in base_rows]
+        if len(linalg.eliminate(aug, r)[0]) < r:
             continue
-        full = [Fraction(0)] * n
-        for j, c in zip(basis, sol):
-            full[j] = c
+        d = aug[0][0] if r else 1
+        if any(row[r] * d < 0 for row in aug):
+            continue
+        num = [0] * n
+        for j, row in zip(basis, aug):
+            num[j] = row[r]
         # verify against all equations (the solve used a row basis only)
-        ok = all(
-            sum(row[k] * full[k] for k in range(n) if full[k]) == bv
-            for row, bv in int_rows
-        )
-        if ok:
-            sols.add(tuple(full))
+        if all(
+            sum(row[k] * num[k] for k in basis) == row[n] * d for row in int_rows
+        ):
+            sols.add(tuple(Fraction(x, d) for x in num))
     return sorted(sols)
 
 
@@ -189,47 +130,6 @@ def h_polytope_vertices(eqs, ineqs) -> list[Vec]:
 def intersect_simplices(p_points, q_points) -> list[Vec]:
     """Vertex list of the intersection of two simplices (possibly empty)."""
     return barycentric_polytope_vertices(p_points, q_points)
-
-
-def is_common_face_intersection(p_points, q_points, shared_points) -> bool:
-    """Exact test that hull(P) ∩ hull(Q) equals hull(shared_points).
-
-    Uses a facet-reduction loop (cheap dot products) and falls back to
-    exact vertex enumeration when neither simplex can be reduced.
-    """
-    P = [as_vec(p) for p in p_points]
-    Q = [as_vec(q) for q in q_points]
-    shared = sorted(set(as_vec(s) for s in shared_points))
-
-    while True:
-        if not P or not Q:
-            return not shared
-        if sorted(P) == sorted(Q):
-            return sorted(P) == shared
-        reduced = False
-        for cur, other in ((P, Q), (Q, P)):
-            _, ineqs = simplex_h_rep(cur)
-            for i, (a, c) in enumerate(ineqs):
-                vals = [dot(a, q) for q in other]
-                # facet i is {x in cur : a.x = c}; cur lies in {a.x >= c}
-                if all(v <= c for v in vals):
-                    if all(v < c for v in vals):
-                        return not shared  # disjoint
-                    facet = [p for j, p in enumerate(cur) if j != i]
-                    on_wall = [q for q, v in zip(other, vals) if v == c]
-                    if cur is P:
-                        P, Q = facet, on_wall
-                    else:
-                        Q, P = facet, on_wall
-                    reduced = True
-                    break
-            if reduced:
-                break
-        if reduced:
-            continue
-        # Deep intersection: resolve by exact vertex enumeration.
-        verts = intersect_simplices(P, Q)
-        return verts == shared
 
 
 def chart_coordinates(points, basis_points) -> list[Vec]:

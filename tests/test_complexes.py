@@ -50,6 +50,30 @@ def test_validate_degenerate_simplex():
     assert any("affinely independent" in w for w in rep.issues)
 
 
+def test_validate_shared_edge_pair():
+    k = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (1, 2, 3)],
+        {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1)), 3: (F(1), F(1))},
+    )
+    assert complexes.validate(k).ok
+
+
+def test_validate_overlapping_pair_witness():
+    # two triangles without a shared vertex whose interiors overlap
+    k = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (3, 4, 5)],
+        {
+            0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(1), F(2)),
+            3: (F(1), F(0)), 4: (F(3), F(0)), 5: (F(2), F(2)),
+        },
+    )
+    rep = complexes.validate(k)
+    assert not rep.ok
+    assert rep.issues == (
+        "intersection not a common face: simplices (0, 1, 2) and (3, 4, 5)",
+    )
+
+
 def test_barycentric_subdivision_counts():
     sd = complexes.barycentric_subdivide(unit_triangle())
     assert sd.f_vector() == (7, 12, 6)

@@ -30,16 +30,6 @@ def test_intersect_simplices():
     assert polytope.intersect_simplices(a, c) == []
 
 
-def test_common_face_detection():
-    a = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    b = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    shared = [(F(1), F(0)), (F(0), F(1))]
-    assert polytope.is_common_face_intersection(a, b, shared)
-    c = [(F(0), F(0)), (F(2), F(0)), (F(1), F(2))]
-    d = [(F(1), F(0)), (F(3), F(0)), (F(2), F(2))]
-    assert not polytope.is_common_face_intersection(c, d, [])
-
-
 def test_placing_triangulation_square():
     tris = polytope.placing_triangulation(SQUARE)
     assert len(tris) == 2
