@@ -184,25 +184,34 @@ def validate(k: EuclideanComplex, check_pairs: bool = True) -> ValidityReport:
     common-face intersections.
 
     Affine independence and intersections are checked on maximal simplices
-    only; both properties are inherited by faces.  Large pure complexes go
-    through a vectorized separating-wall certificate first; pairs it cannot
-    certify fall back to the exact polytope test, so the verdict is always
-    exact.
+    only; both properties are inherited by faces.  Every test runs on the
+    vertex coordinates scaled to integers.  Pairwise intersections are
+    decided in up to three tiers, each exact:
+
+    1. a local certificate, for large pure complexes of full dimension:
+       matched interior ridges, boundary ridges on the hull, and one point
+       covered once prove the complex a triangulation of its hull;
+    2. a vectorized separating-wall certificate, for the pairs of large
+       pure complexes that tier 1 did not settle;
+    3. exact facet reduction (with vertex enumeration as its last resort)
+       for every pair still uncertified, which decides every rejection.
     """
     issues = []
     if not k.base.is_face_closed():
         issues.append("simplex set is not closed under faces")
     maximal = k.maximal_simplices()
+    # homogeneous integer coordinates: all coordinates times their lcm
+    den = lcm(*[c.denominator for v in k.base.vertices for c in k.coords[v]])
+    icoords = {
+        v: tuple(c.numerator * (den // c.denominator) for c in k.coords[v]) + (1,)
+        for v in k.base.vertices
+    }
     for s in maximal:
-        if not linalg.affinely_independent(k.points(s)):
+        x0 = icoords[s[0]]
+        diffs = [[a - b for a, b in zip(icoords[v], x0)] for v in s[1:]]
+        if diffs and len(linalg.eliminate(diffs)[0]) < len(diffs):
             issues.append(f"simplex {s} is not affinely independent")
     if not issues and check_pairs:
-        # homogeneous integer coordinates: all coordinates times their lcm
-        den = lcm(*[c.denominator for v in k.base.vertices for c in k.coords[v]])
-        icoords = {
-            v: tuple(c.numerator * (den // c.denominator) for c in k.coords[v]) + (1,)
-            for v in k.base.vertices
-        }
         fmemo: dict = {}
         pairs = _uncertified_pairs(maximal, icoords, fmemo)
         for a, b in pairs:
@@ -289,7 +298,7 @@ def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
 # The certificate is sound but incomplete; uncertified pairs are retested
 # exactly.
 
-_FAST_PAIR_THRESHOLD = 200  # minimum number of pairs to bother vectorizing
+_FAST_PAIR_THRESHOLD = 200  # minimum number of pairs to bother certifying
 
 
 def _integer_functionals(ipts):
@@ -351,30 +360,81 @@ def _integer_functionals(ipts):
     return out_rows, out_off
 
 
+def _locally_certified(maximal, icoords, fmemo) -> bool:
+    """True when the top simplices provably triangulate the convex hull of
+    the vertices, so that every pair meets in a common face.
+
+    Applies to pure complexes of full dimension d, whose facet functionals
+    are in fmemo; returns False otherwise, and whenever a condition fails.
+    The local characterization of triangulations (De Loera, Rambau &
+    Santos, *Triangulations*, 2010): every ridge lies in at
+    most two top simplices, and in two only with the second one's
+    opposite vertex strictly beyond the first one's facet; a ridge of one
+    simplex lies on a facet of the hull; and some point is covered exactly
+    once.  The first two keep the number of simplices covering a point
+    constant across the hull's interior, off the codimension-2 skeleton;
+    the barycenter of the first simplex is interior to it, so if any other
+    closed simplex misses it, that number is 1.
+    """
+    if not maximal or len(maximal[0]) != len(icoords[maximal[0][0]]):
+        return False
+
+    def value(row, x):
+        return sum(a * b for a, b in zip(row, x))
+
+    ridges: dict = {}
+    for s in maximal:
+        for i in range(len(s)):
+            ridges.setdefault(s[:i] + s[i + 1 :], []).append((s, i))
+    points = list(icoords.values())
+    hull_rows = set()
+    for owners in ridges.values():
+        if len(owners) > 2:
+            return False
+        s, i = owners[0]
+        row = fmemo[s][0][i]
+        if len(owners) == 2:
+            t, j = owners[1]
+            if value(row, icoords[t[j]]) >= 0:
+                return False
+        elif (key := tuple(row)) not in hull_rows:
+            if any(value(row, x) < 0 for x in points):
+                return False
+            hull_rows.add(key)
+    # integer barycenter of the first simplex, times d + 1
+    center = [sum(c) for c in zip(*(icoords[v] for v in maximal[0]))]
+    covering = sum(
+        all(value(row, center) >= 0 for row in fmemo[s][0]) for s in maximal
+    )
+    return covering == 1
+
+
 def _uncertified_pairs(maximal, icoords, fmemo):
     """All pairs of maximal simplices, minus those certified to meet in a
-    common face by the vectorized separating-wall test.
+    common face: none when the local certificate holds, else those the
+    vectorized separating-wall test leaves.
 
     Functionals are stored in fmemo for reuse by _common_face_cached.
     """
-    all_pairs = list(itertools.combinations(maximal, 2))
-    sizes = {len(s) for s in maximal}
-    if len(all_pairs) < _FAST_PAIR_THRESHOLD or len(sizes) != 1:
-        return all_pairs
+    nm = len(maximal)
+    if nm * (nm - 1) // 2 < _FAST_PAIR_THRESHOLD or len({len(s) for s in maximal}) != 1:
+        return list(itertools.combinations(maximal, 2))
+    for s in maximal:
+        fmemo[s] = _integer_functionals([icoords[v][:-1] for v in s])
+    if _locally_certified(maximal, icoords, fmemo):
+        return []
     import numpy as np
 
     verts = sorted(icoords)
     vindex = {v: i for i, v in enumerate(verts)}
     icoords = [icoords[v] for v in verts]
 
-    func_rows, func_off, func_owner = [], [], []
-    for si, s in enumerate(maximal):
-        rows, offs = _integer_functionals([icoords[vindex[v]][:-1] for v in s])
-        fmemo[tuple(s)] = (rows, offs)
+    func_rows, func_off = [], []
+    for s in maximal:
+        rows, offs = fmemo[s]
         for row, off in zip(rows, offs):
             func_rows.append(row)
             func_off.append(vindex[s[off]] if off >= 0 else -1)
-            func_owner.append(si)
 
     peak = max(max(abs(x) for x in row) for row in func_rows) * max(
         max(abs(x) for x in p) for p in icoords
@@ -384,7 +444,6 @@ def _uncertified_pairs(maximal, icoords, fmemo):
     fmat = np.array(func_rows, dtype=dtype)
     evals = fmat @ coords_arr.T  # functional value at every vertex
 
-    nm = len(maximal)
     width = len(maximal[0])
     vmat = np.array([[vindex[v] for v in s] for s in maximal], dtype=np.intp)
     member = np.zeros((nm, len(verts)), dtype=bool)

@@ -178,11 +178,4 @@ def barycentric_coordinates(point, simplex_points) -> Vec | None:
     rows = [[pts[j][i] for j in range(len(pts))] for i in range(n)]
     rows.append([Fraction(1)] * len(pts))
     rhs = list(p) + [Fraction(1)]
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    # solve() is exact, but double-check reconstruction for safety
-    for i in range(n):
-        if sum(sol[j] * pts[j][i] for j in range(len(pts))) != p[i]:
-            return None
-    return sol
+    return solve(rows, rhs)

@@ -64,7 +64,7 @@ def barycentric_polytope_vertices(p_points, q_points) -> list[Vec]:
 def _row_basis(rows) -> list[int]:
     """Indices of the lex-first maximal linearly independent set of rows:
     the pivot columns of the transpose."""
-    transpose = [list(col) for col in zip(*rows)]
+    transpose = [list(col) for col in zip(*linalg.integer_rows(rows)[0])]
     return linalg.eliminate(transpose, len(rows))[0]
 
 
@@ -149,13 +149,14 @@ def chart_coordinates(points, basis_points) -> list[Vec]:
 
 
 def affine_basis(points) -> list[Vec]:
-    """Greedy lex-first affinely independent subset spanning the points."""
+    """Lex-first affinely independent subset spanning the points: the
+    first point, then each point whose difference from it is independent
+    of the differences chosen before."""
     pts = sorted(set(as_vec(p) for p in points))
-    basis: list[Vec] = []
-    for p in pts:
-        if linalg.affinely_independent(basis + [p]):
-            basis.append(p)
-    return basis
+    if not pts:
+        return []
+    diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
+    return [pts[0]] + [pts[1 + i] for i in _row_basis(diffs)]
 
 
 def simplex_volume_in_chart(chart_pts) -> Fraction:
@@ -249,10 +250,7 @@ def _facet_normal(facet_diff_rows, facet_origin, span_pts):
     n = len(facet_origin)
     # want a with a.(facet directions) = 0, a in row space of span directions
     # solve within span: a = sum t_k * span_dir_k with a.(facet diffs) = 0
-    span_basis = []
-    for dvec in span_dirs:
-        if linalg.rank(span_basis + [dvec]) > len(span_basis):
-            span_basis.append(dvec)
+    span_basis = [span_dirs[i] for i in _row_basis(span_dirs)]
     if not span_basis:
         return None
     rows = []

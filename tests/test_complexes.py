@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from plkernel import complexes, delta
+from plkernel import complexes, delta, linalg, prism
 
 F = Fraction
 
@@ -137,3 +141,142 @@ def test_file_roundtrip(tmp_path):
     assert back.simplices == k.simplices
     assert back.coords == k.coords
     assert complexes.dumps(back) == complexes.dumps(k)
+
+
+# -- the local certificate against the pair path -----------------------------
+
+
+def unimodular_image(ec, seed, extra_dims=0):
+    """ec under a seeded vertex relabelling and x -> M x + t with M an
+    integer matrix of determinant ±1, after appending extra_dims zero
+    coordinates (a lower-dimensional copy when extra_dims > 0)."""
+    rng = random.Random(seed)
+    n = ec.ambient_dim + extra_dims
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n + 1 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        m[i] = [a + rng.choice((1, -1)) * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    ids = list(range(len(ec.base.vertices)))
+    rng.shuffle(ids)
+    relabel = dict(zip(sorted(ec.base.vertices), ids))
+    coords = {}
+    for v, x in ec.coords.items():
+        x = tuple(x) + (F(0),) * extra_dims
+        coords[relabel[v]] = tuple(
+            sum(a * b for a, b in zip(row, x)) + t for row, t in zip(m, shift)
+        )
+    tops = [tuple(sorted(relabel[v] for v in s)) for s in ec.maximal_simplices()]
+    return complexes.EuclideanComplex.build(tops, coords, name=ec.name)
+
+
+def with_tops(ec, tops, coords=None):
+    coords = dict(ec.coords) if coords is None else coords
+    return complexes.EuclideanComplex.build(
+        tops, {v: coords[v] for s in tops for v in s}, name=ec.name
+    )
+
+
+def overlapping(ec, seed):
+    """ec plus one more top-dimensional simplex on its vertices: ec already
+    covers the hull of its vertices in their affine span, so it overlaps."""
+    rng = random.Random(seed)
+    tops = ec.maximal_simplices()
+    while True:
+        extra = tuple(sorted(rng.sample(sorted(ec.base.vertices), ec.dimension + 1)))
+        if extra not in tops and linalg.affinely_independent(ec.points(extra)):
+            return with_tops(ec, tops + [extra]), extra
+
+
+def doubled(ec):
+    """ec and a copy of it on new vertex ids with the same coordinates."""
+    shift = 1 + max(ec.base.vertices)
+    coords = dict(ec.coords)
+    coords.update({v + shift: x for v, x in ec.coords.items()})
+    tops = ec.maximal_simplices()
+    return with_tops(ec, tops + [tuple(v + shift for v in s) for s in tops], coords)
+
+
+def certificate_reports(k):
+    """validate(k) with the local certificate on at every size, validate(k)
+    with it declining, and the certificate's verdicts."""
+    verdicts = []
+    certify = complexes._locally_certified
+
+    def spy(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    with mock.patch.object(complexes, "_FAST_PAIR_THRESHOLD", 0):
+        with mock.patch.object(complexes, "_locally_certified", spy):
+            with_cert = complexes.validate(k)
+        with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
+            pair_path = complexes.validate(k)
+    assert with_cert == pair_path
+    assert verdicts in ([], [False]) or pair_path.ok
+    return pair_path, verdicts
+
+
+KINDS = ("valid", "overlap", "doubled", "bottom-removed", "lower-dim", "lower-dim-overlap")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 4), st.integers(0, 2**32))
+@example("valid", 4, 0)
+@example("overlap", 4, 0)
+@example("doubled", 1, 0)
+@example("bottom-removed", 3, 0)
+@example("lower-dim", 2, 0)
+def test_local_certificate_matches_pair_path(kind, p, seed):
+    if kind in ("doubled", "lower-dim-overlap"):
+        p = min(p, 3)  # 2x the simplices or 1 more dimension: keep it quick
+    r = prism.build_R(p).complex
+    if kind == "bottom-removed":
+        # without the top simplex on the base Δ^p × 0 the support is not convex
+        r = with_tops(r, [s for s in r.maximal_simplices() if s[p] != p])
+    ec = unimodular_image(r, seed, extra_dims=1 if kind.startswith("lower-dim") else 0)
+    if kind == "valid":
+        report, verdicts = certificate_reports(ec)
+        assert report.ok and verdicts == [True]
+    elif kind in ("overlap", "lower-dim-overlap"):
+        bad, extra = overlapping(ec, seed)
+        report, verdicts = certificate_reports(bad)
+        assert not report.ok and str(extra) in report.issues[0]
+        assert verdicts == [False]
+    elif kind == "doubled":
+        # every ridge is matched or on the hull: only the covered point fails
+        report, verdicts = certificate_reports(doubled(ec))
+        assert not report.ok and verdicts == [False]
+    else:
+        report, verdicts = certificate_reports(ec)
+        assert report.ok and verdicts == [False]
+
+
+def test_local_certificate_small_cases():
+    empty = complexes.EuclideanComplex(complexes.OrderedComplex((), frozenset()), 2, {})
+    assert certificate_reports(empty) == (complexes.ValidityReport(True), [])
+    point = complexes.EuclideanComplex.build([(0,)], {0: (F(1), F(2))})
+    assert certificate_reports(point) == (complexes.ValidityReport(True), [False])
+    point0 = complexes.EuclideanComplex.build([(0,)], {0: ()})
+    assert certificate_reports(point0) == (complexes.ValidityReport(True), [True])
+    twice = doubled(unit_triangle())
+    report, verdicts = certificate_reports(twice)
+    assert not report.ok and verdicts == [False]
+    # a T-junction: the convex support is covered once, but the edge
+    # (0, 1) lies in one triangle and is not on the hull
+    tee = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (0, 3, 4), (1, 3, 4)],
+        {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(1), F(2)), 3: (F(1), F(0)), 4: (F(1), F(-2))},
+    )
+    report, verdicts = certificate_reports(tee)
+    assert not report.ok and verdicts == [False]
+    # on the line: [0,1] and [1,5] cover the hull once, while two paths
+    # from 2 to 4 meet at both ends from the same side; [0,1] is still
+    # covered once, so only the opposite-side condition fails
+    x = {0: 0, 1: 1, 2: 5, 3: 2, 4: 3, 5: F(7, 2), 6: 4}
+    folded = complexes.EuclideanComplex.build(
+        [(0, 1), (1, 2), (3, 4), (4, 6), (3, 5), (5, 6)], {v: (F(c),) for v, c in x.items()}
+    )
+    report, verdicts = certificate_reports(folded)
+    assert not report.ok and verdicts == [False]

@@ -51,6 +51,32 @@ def test_barycentric_coordinates_roundtrip():
     assert tuple(back) == (F(1), F(1, 2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_barycentric_coordinates_reconstruct(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, n + 1))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pts = [tuple(data.draw(coord) for _ in range(n)) for _ in range(m)]
+    assume(linalg.affinely_independent(pts))
+    inside = data.draw(st.booleans())
+    if inside:
+        weights = [data.draw(coord) for _ in range(m - 1)]
+        weights.insert(0, 1 - sum(weights))
+        point = tuple(sum(w * p[i] for w, p in zip(weights, pts)) for i in range(n))
+    else:
+        point = tuple(data.draw(coord) for _ in range(n))
+    lam = linalg.barycentric_coordinates(point, pts)
+    if lam is None:
+        # None only for a point off the affine hull
+        assert not inside and linalg.affinely_independent(pts + [point])
+        return
+    assert sum(lam) == 1
+    assert tuple(sum(l * p[i] for l, p in zip(lam, pts)) for i in range(n)) == point
+    if inside:
+        assert lam == tuple(weights)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_det_vanishes_iff_rank_deficient(m):
@@ -197,6 +223,7 @@ def test_row_basis_is_greedy(rows):
         if linalg.rank([ints[j] for j in greedy] + [ints[i]]) > len(greedy):
             greedy.append(i)
     assert polytope._row_basis(ints) == greedy
+    assert polytope._row_basis(rows) == greedy
 
 
 @settings(max_examples=100, deadline=None)

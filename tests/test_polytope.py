@@ -1,7 +1,10 @@
 from fractions import Fraction
 from math import factorial
 
-from plkernel import polytope
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plkernel import linalg, polytope
 
 F = Fraction
 
@@ -63,3 +66,25 @@ def test_h_polytope_vertices_cube_slice():
     ]
     verts = polytope.h_polytope_vertices(eqs, ineqs)
     assert sorted(verts) == [(F(0), F(1)), (F(1), F(0))]
+
+
+def greedy_affine_basis(points):
+    """Reference: scan the points in lex order, keep each one that is
+    affinely independent of those kept so far."""
+    basis = []
+    for p in sorted(set(points)):
+        if linalg.affinely_independent(basis + [p]):
+            basis.append(p)
+    return basis
+
+
+# few distinct values, so that repeated, collinear and coplanar points are common
+coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[coords] * n), max_size=7)
+))
+def test_affine_basis_is_greedy(points):
+    assert polytope.affine_basis(points) == greedy_affine_basis(points)
