@@ -71,7 +71,7 @@ def _load_amap(path, source: EuclideanComplex, target, check_carrier=True):
             if not line or line.startswith("#") or line.startswith("amap"):
                 continue
             parts = line.split()
-            if parts[0] != "v":
+            if parts[0] != "v" or len(parts) < 2:
                 raise FamilyError(f"unexpected line {line!r}")
             images[int(parts[1])] = tuple(complexes.parse_rational(t) for t in parts[2:])
     return families.AffineSimplicialMap(source, target, images, check_carrier=check_carrier)

@@ -670,6 +670,8 @@ def loads(text: str) -> EuclideanComplex:
         elif parts[0] == "v":
             if ambient is None:
                 raise ComplexStructureError(f"line {ln}: vertex before header")
+            if len(parts) < 2:
+                raise ComplexStructureError(f"line {ln}: vertex without id")
             vid = int(parts[1])
             vals = [parse_rational(t) for t in parts[2:]]
             if len(vals) != ambient:

@@ -5,8 +5,11 @@ with a stored subdivision of the base such that every simplex of W
 projects affinely into a single cell of that subdivision.  Pullbacks
 along affine simplicial maps, point slices, regular-value fibers, and
 horn filling by a stored PL retraction are all computed exactly on
-rational data; triangulations of intersection polytopes use placing
-triangulation in lexicographic order so every result is deterministic.
+rational data.  Each of them, like point-set comparison, reads one
+polytope per pair of simplices: the weights on both whose affine images
+agree, from `polytope.intersect_simplices`.  These polytopes are
+triangulated by placing in lexicographic order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from . import complexes, homology, linalg, polytope
+from . import complexes, homology, linalg, lp, polytope
 from .complexes import ComplexStructureError, EuclideanComplex
 from .linalg import Vec, as_vec
 
@@ -145,6 +148,11 @@ class PolyhedralFamily:
     def fiber_part(self, x) -> Vec:
         return tuple(x[self.base_dim :])
 
+    def split_points(self, sigma) -> tuple[list[Vec], list[Vec]]:
+        """Base and fiber parts of the vertices of a total simplex."""
+        pts = self.total.points(sigma)
+        return [self.project_point(x) for x in pts], [self.fiber_part(x) for x in pts]
+
     def is_empty(self) -> bool:
         return not self.total.base.vertices
 
@@ -266,65 +274,6 @@ def constant_family(base: EuclideanComplex, fiber: EuclideanComplex, name=None) 
 # ---------------------------------------------------------------------------
 
 
-def _map_piece_vertices(src_pts, img_pts, cell_pts):
-    """Vertices of {x in hull(src) : affine image of x in hull(cell)}.
-
-    The affine map sends src_pts[i] to img_pts[i]; computed by basic
-    feasible solutions in joint barycentric coordinates.
-    """
-    nl, nm = len(src_pts), len(cell_pts)
-    n = len(img_pts[0])
-    rows, rhs = [], []
-    for i in range(n):
-        rows.append(
-            [img_pts[j][i] for j in range(nl)] + [-cell_pts[j][i] for j in range(nm)]
-        )
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * nl + [Fraction(0)] * nm)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nl + [Fraction(1)] * nm)
-    rhs.append(Fraction(1))
-    out = set()
-    for sol in polytope.enumerate_basic_solutions(rows, rhs):
-        lam = sol[:nl]
-        x = tuple(
-            sum(lam[j] * src_pts[j][i] for j in range(nl))
-            for i in range(len(src_pts[0]))
-        )
-        out.add(x)
-    return polytope.hull_vertices(out)
-
-
-def _pullback_piece_vertices(src_pts, img_pts, total_pts, base_dim):
-    """Vertices of {(x, y) : x in hull(src), (f(x), y) in hull(total_pts)}."""
-    nl, nm = len(src_pts), len(total_pts)
-    nb = len(img_pts[0])
-    nf = len(total_pts[0]) - base_dim
-    assert nb == base_dim
-    rows, rhs = [], []
-    for i in range(nb):
-        rows.append(
-            [img_pts[j][i] for j in range(nl)] + [-total_pts[j][i] for j in range(nm)]
-        )
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * nl + [Fraction(0)] * nm)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nl + [Fraction(1)] * nm)
-    rhs.append(Fraction(1))
-    out = set()
-    for sol in polytope.enumerate_basic_solutions(rows, rhs):
-        lam, mu = sol[:nl], sol[nl:]
-        x = tuple(
-            sum(lam[j] * src_pts[j][i] for j in range(nl))
-            for i in range(len(src_pts[0]))
-        )
-        y = tuple(
-            sum(mu[j] * total_pts[j][base_dim + i] for j in range(nm)) for i in range(nf)
-        )
-        out.add(x + y)
-    return polytope.hull_vertices(out)
-
-
 class _ComplexAccumulator:
     """Collects simplices given by exact point tuples and numbers the
     vertices in lexicographic order at the end."""
@@ -363,23 +312,23 @@ def pullback(f: AffineSimplicialMap, w: PolyhedralFamily, name=None) -> Polyhedr
     if f.target.base.simplices != w.base.base.simplices:
         raise FamilyError("map target does not match the family base")
     p = f.source
-    base_dim = w.base_dim
     sub_acc = _ComplexAccumulator(p.ambient_dim)
     tot_acc = _ComplexAccumulator(p.ambient_dim + w.fiber_dim)
-    piece_of_cell: list[tuple[tuple, list[Vec]]] = []
+    cells = [w.subdivision.points(cell) for cell in w.subdivision.maximal_simplices()]
+    sigmas = [w.split_points(sigma) for sigma in w.total.maximal_simplices()]
     for s in p.maximal_simplices():
         src_pts = p.points(s)
         img_pts = [f.vertex_images[v] for v in s]
-        for cell in w.subdivision.maximal_simplices():
-            verts = _map_piece_vertices(src_pts, img_pts, w.subdivision.points(cell))
+        # the piece of s over each cell, read in source coordinates
+        for cell_pts in cells:
+            verts = polytope.intersect_simplices(img_pts, cell_pts, src_pts)
             if len(verts) > p.dimension:
                 sub_acc.add_polytope(verts)
-                piece_of_cell.append((cell, verts))
-        for sigma in w.total.maximal_simplices():
-            verts = _pullback_piece_vertices(
-                src_pts, img_pts, w.total.points(sigma), base_dim
+        # (x, y) with x in s and (f(x), y) in sigma
+        for base_pts, fiber_pts in sigmas:
+            tot_acc.add_polytope(
+                polytope.intersect_simplices(img_pts, base_pts, src_pts, fiber_pts)
             )
-            tot_acc.add_polytope(verts)
     sub = sub_acc.build(name=f"{p.name} refined")
     total = tot_acc.build(name=name or f"pullback({w.name})")
     if not total.base.vertices:
@@ -412,20 +361,8 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
         raise FamilyError("point lies outside the base")
     acc = _ComplexAccumulator(w.fiber_dim)
     for sigma in w.total.maximal_simplices():
-        pts = w.total.points(sigma)
-        rows = [
-            [pts[j][i] for j in range(len(pts))] for i in range(w.base_dim)
-        ]
-        rows.append([Fraction(1)] * len(pts))
-        rhs = list(q0) + [Fraction(1)]
-        fib = set()
-        for sol in polytope.enumerate_basic_solutions(rows, rhs):
-            y = tuple(
-                sum(sol[j] * pts[j][w.base_dim + i] for j in range(len(pts)))
-                for i in range(w.fiber_dim)
-            )
-            fib.add(y)
-        acc.add_polytope(polytope.hull_vertices(fib))
+        base_pts, fiber_pts = w.split_points(sigma)
+        acc.add_polytope(polytope.intersect_simplices([q0], base_pts, [()], fiber_pts))
     return acc.build(name=f"{w.name}|{'/'.join(map(str, q0))}")
 
 
@@ -465,10 +402,14 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         return not a.base.vertices and not b.base.vertices
     if a.ambient_dim != b.ambient_dim or a.dimension != b.dimension:
         return False
+    from .prism import delta_vertex
+
     d = a.dimension
     if _point_simplices(a, d) == _point_simplices(b, d):
         return True
     full = Fraction(1, factorial(d))
+    # intersections are read in the chart of s: its vertices go to those of Δ^d
+    chart = [delta_vertex(d, i) for i in range(d + 1)]
     for src, other in ((a, b), (b, a)):
         other_cells = {
             frozenset(map(as_vec, other.points(t))) for t in other.maximal_simplices()
@@ -483,10 +424,9 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
             for t, tbox in other_boxes.items():
                 if not _bbox_overlap(box, tbox):
                     continue
-                inter = polytope.intersect_simplices(pts, other.points(t))
+                inter = polytope.intersect_simplices(pts, other.points(t), chart)
                 if len(inter) >= d + 1:
-                    chart = polytope.chart_coordinates(inter, pts)
-                    covered += _chart_polytope_volume(chart, d)
+                    covered += _chart_polytope_volume(inter, d)
                 if covered == full:
                     break
             if covered != full:
@@ -511,19 +451,8 @@ def _fiber_at(f: AffineSimplicialMap, lam) -> tuple[EuclideanComplex, tuple]:
     acc = _ComplexAccumulator(f.source.ambient_dim)
     piece_shapes = []
     for s in f.source.maximal_simplices():
-        pts = f.source.points(s)
         imgs = [f.vertex_images[v] for v in s]
-        rows = [[imgs[j][i] for j in range(len(s))] for i in range(len(lam))]
-        rows.append([Fraction(1)] * len(s))
-        rhs = list(lam) + [Fraction(1)]
-        piece = set()
-        for sol in polytope.enumerate_basic_solutions(rows, rhs):
-            x = tuple(
-                sum(sol[j] * pts[j][i] for j in range(len(s)))
-                for i in range(f.source.ambient_dim)
-            )
-            piece.add(x)
-        verts = polytope.hull_vertices(piece)
+        verts = polytope.intersect_simplices([lam], imgs, [()], f.source.points(s))
         if verts:
             acc.add_polytope(verts)
             piece_shapes.append((s, len(verts)))
@@ -658,7 +587,7 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
         x = tri.coords[v]
         owner = None
         for i, cone_verts in cone_of:
-            if _in_poly(x, cone_verts):
+            if lp.in_hull(x, cone_verts):
                 owner = i
                 break
         if owner is None:
@@ -670,12 +599,6 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     r = AffineSimplicialMap(tri, horn, images)
     _verify_retraction(r, horn)
     return r
-
-
-def _in_poly(x, poly_verts) -> bool:
-    from . import lp
-
-    return lp.in_hull(x, poly_verts)
 
 
 def _verify_retraction(r: AffineSimplicialMap, horn: EuclideanComplex):
@@ -825,13 +748,12 @@ def transport_total(fam: PolyhedralFamily, chart_pts, base_ambient: int) -> Eucl
 
 def restrict_total(w: PolyhedralFamily, base_pts) -> EuclideanComplex:
     """The part of W's total space sitting over a simplex of |base|."""
-    base_pts = [as_vec(p) for p in base_pts]
     acc = _ComplexAccumulator(w.base.ambient_dim + w.fiber_dim)
     for sigma in w.total.maximal_simplices():
-        verts = _pullback_piece_vertices(
-            base_pts, base_pts, w.total.points(sigma), w.base_dim
+        sigma_base, sigma_fiber = w.split_points(sigma)
+        acc.add_polytope(
+            polytope.intersect_simplices(base_pts, sigma_base, q_out=sigma_fiber)
         )
-        acc.add_polytope(verts)
     return acc.build(name="restricted")
 
 

@@ -56,6 +56,13 @@ def chains_of(x: DeltaSet) -> ChainComplex:
 
 
 def chain_complex_of(x: DeltaSet) -> ChainComplex:
+    return _chains(x, x.face)
+
+
+def _chains(x, face) -> ChainComplex:
+    """Chain complex on the generators of x with d = Σ (-1)^i d_i, where
+    face(k, g, i) is the i-th face of g, or None when that face is
+    degenerate and contributes zero."""
     ranks = {}
     boundaries = {}
     index = {}
@@ -68,7 +75,10 @@ def chain_complex_of(x: DeltaSet) -> ChainComplex:
         for g in x.gens(k):
             col: dict[int, int] = {}
             for i in range(k + 1):
-                r = index[k - 1][x.face(k, g, i)]
+                tg = face(k, g, i)
+                if tg is None:
+                    continue
+                r = index[k - 1][tg]
                 col[r] = col.get(r, 0) + (-1) ** i
             col = {r: c for r, c in col.items() if c}
             if col:
@@ -403,28 +413,12 @@ def normalized_chains(x) -> ChainComplex:
     """Normalized chain complex of a simplicial set presented by its
     nondegenerate generators; faces landing on degenerate simplices
     contribute zero."""
-    ranks = {}
-    boundaries = {}
-    index = {}
-    for k in range(x.dimension + 1):
-        gs = x.gens(k)
-        ranks[k] = len(gs)
-        index[k] = {g: i for i, g in enumerate(gs)}
-    for k in range(1, x.dimension + 1):
-        cols = {}
-        for g in x.gens(k):
-            col: dict[int, int] = {}
-            for i in range(k + 1):
-                word, tg = x.faces[(k, g, i)]
-                if word:
-                    continue
-                r = index[k - 1][tg]
-                col[r] = col.get(r, 0) + (-1) ** i
-            col = {r: c for r, c in col.items() if c}
-            if col:
-                cols[index[k][g]] = col
-        boundaries[k] = cols
-    return ChainComplex(ranks, boundaries)
+
+    def face(k, g, i):
+        word, tg = x.faces[(k, g, i)]
+        return None if word else tg
+
+    return _chains(x, face)
 
 
 def homology_of_simplicial(x) -> HomologyProfile:

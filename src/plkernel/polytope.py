@@ -30,37 +30,6 @@ def hull_vertices(points) -> list[Vec]:
     return out
 
 
-def barycentric_polytope_vertices(p_points, q_points) -> list[Vec]:
-    """Vertices of hull(P) ∩ hull(Q), both given as simplex vertex lists.
-
-    Works in joint barycentric coordinates (lambda, mu) >= 0 with
-    sum(lambda) = sum(mu) = 1 and V.lambda = W.mu, enumerating basic
-    feasible solutions.
-    """
-    P = [as_vec(p) for p in p_points]
-    Q = [as_vec(q) for q in q_points]
-    if not P or not Q:
-        return []
-    n = len(P[0])
-    nl, nm = len(P), len(Q)
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([P[j][i] for j in range(nl)] + [-Q[j][i] for j in range(nm)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * nl + [Fraction(0)] * nm)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nl + [Fraction(1)] * nm)
-    rhs.append(Fraction(1))
-    sols = enumerate_basic_solutions(rows, rhs)
-    pts = []
-    for s in sols:
-        lam = s[:nl]
-        x = tuple(sum(lam[j] * P[j][i] for j in range(nl)) for i in range(n))
-        pts.append(x)
-    return hull_vertices(pts)
-
-
 def _row_basis(rows) -> list[int]:
     """Indices of the lex-first maximal linearly independent set of rows:
     the pivot columns of the transpose."""
@@ -127,9 +96,44 @@ def h_polytope_vertices(eqs, ineqs) -> list[Vec]:
     return sorted(verts)
 
 
-def intersect_simplices(p_points, q_points) -> list[Vec]:
-    """Vertex list of the intersection of two simplices (possibly empty)."""
-    return barycentric_polytope_vertices(p_points, q_points)
+def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]:
+    """Vertices of the polytope of weights on two simplices whose points agree.
+
+    Over lambda, mu >= 0 with sum(lambda) = sum(mu) = 1 and
+    sum(lambda_i p_i) = sum(mu_j q_j), returns the hull vertices of the
+    points sum(lambda_i p_out_i) ++ sum(mu_j q_out_j), enumerating basic
+    feasible solutions.  The defaults (p_out = p_points, q_out empty) give
+    hull(P) ∩ hull(Q); other outputs read the same polytope through the
+    affine maps that send p_i to p_out_i and q_j to q_out_j.
+    """
+    P = [as_vec(p) for p in p_points]
+    Q = [as_vec(q) for q in q_points]
+    if not P or not Q:
+        return []
+    p_out = P if p_out is None else [as_vec(x) for x in p_out]
+    q_out = [()] * len(Q) if q_out is None else [as_vec(x) for x in q_out]
+    # a one-point P has weight 1 and moves to the right-hand side
+    free = P if len(P) > 1 else []
+    nl = len(free)
+    rows = [[p[i] for p in free] + [-q[i] for q in Q] for i in range(len(P[0]))]
+    rhs = [Fraction(0) if free else -P[0][i] for i in range(len(P[0]))]
+    if free:
+        rows.append([Fraction(1)] * nl + [Fraction(0)] * len(Q))
+        rhs.append(Fraction(1))
+    rows.append([Fraction(0)] * nl + [Fraction(1)] * len(Q))
+    rhs.append(Fraction(1))
+    pts = set()
+    for sol in enumerate_basic_solutions(rows, rhs):
+        lam = sol[:nl] or (Fraction(1),)
+        pts.add(_combine(lam, p_out) + _combine(sol[nl:], q_out))
+    return hull_vertices(pts)
+
+
+def _combine(weights, points) -> Vec:
+    """The point sum(weights_i points_i)."""
+    return tuple(
+        sum(w * x[i] for w, x in zip(weights, points)) for i in range(len(points[0]))
+    )
 
 
 def chart_coordinates(points, basis_points) -> list[Vec]:

@@ -65,6 +65,24 @@ def test_missing_file_exit_1(capsys):
     assert "error" in err
 
 
+def test_vertex_without_id_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.cplx"
+    path.write_text("complex K ambient=1\nv\n")
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert "ComplexStructureError" in err
+
+
+def test_map_vertex_without_id_exit_1(tmp_path, capsys):
+    src = tmp_path / "seg.cplx"
+    complexes.dump(families.standard_simplex_complex(1), src)
+    amap = tmp_path / "f.amap"
+    amap.write_text("amap f\nv\n")
+    code, _, err = run_cli(["fiber", str(src), str(amap), "--at", "1/2"], capsys)
+    assert code == 1
+    assert "FamilyError" in err
+
+
 def test_unknown_subcommand_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -77,3 +77,30 @@ def test_euler_characteristic_agreement():
     for k in suite.corpus():
         h = homology.homology_of_complex(k)
         assert h.euler_characteristic() == k.euler_characteristic()
+
+
+def test_normalized_chains_of_a_delta_set_match():
+    # a Δ-set is a simplicial set whose faces are all nondegenerate
+    from plkernel.simplicial import SimplicialSetFP
+
+    x = complexes.delta_set_of(suite.torus_7())
+    faces = {key: ((), tg) for key, tg in x.faces.items()}
+    sset = SimplicialSetFP(x.generators, faces)
+    assert homology.normalized_chains(sset) == homology.chain_complex_of(x)
+
+
+def test_normalized_chains_drop_degenerate_faces():
+    # one vertex v, one loop e, one triangle with faces e, e, s_0 v: S^2 ∨ S^1
+    from plkernel.simplicial import SimplicialSetFP
+
+    sset = SimplicialSetFP(
+        {0: ("v",), 1: ("e",), 2: ("t",)},
+        {
+            (1, "e", 0): ((), "v"), (1, "e", 1): ((), "v"),
+            (2, "t", 0): ((), "e"), (2, "t", 1): ((), "e"), (2, "t", 2): ((0,), "v"),
+        },
+    )
+    cc = homology.normalized_chains(sset)
+    assert cc.ranks == {0: 1, 1: 1, 2: 1}
+    assert cc.boundaries == {1: {}, 2: {}}
+    assert homology.homology(cc).betti_vector() == (1, 1, 1)
