@@ -62,7 +62,7 @@ def _load_any(path):
     raise ComplexStructureError(f"unrecognized file header {head!r}")
 
 
-def _load_amap(path, source: EuclideanComplex, target, check_carrier=True):
+def _load_amap(path, source: EuclideanComplex, target):
     """Affine-map file: `amap <name>` then `v <id> <rat> ...` lines."""
     images = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -74,7 +74,7 @@ def _load_amap(path, source: EuclideanComplex, target, check_carrier=True):
             if parts[0] != "v" or len(parts) < 2:
                 raise FamilyError(f"unexpected line {line!r}")
             images[int(parts[1])] = tuple(complexes.parse_rational(t) for t in parts[2:])
-    return families.AffineSimplicialMap(source, target, images, check_carrier=check_carrier)
+    return families.AffineSimplicialMap(source, target, images)
 
 
 def _rational(text: str) -> Fraction:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Hashable, Mapping
 
 from . import linalg, polytope
@@ -179,7 +178,7 @@ class ValidityReport:
         return self.ok
 
 
-def validate(k: EuclideanComplex, check_pairs: bool = True) -> ValidityReport:
+def validate(k: EuclideanComplex) -> ValidityReport:
     """Geometric validity: face closure, affine independence, and pairwise
     common-face intersections.
 
@@ -201,17 +200,14 @@ def validate(k: EuclideanComplex, check_pairs: bool = True) -> ValidityReport:
         issues.append("simplex set is not closed under faces")
     maximal = k.maximal_simplices()
     # homogeneous integer coordinates: all coordinates times their lcm
-    den = lcm(*[c.denominator for v in k.base.vertices for c in k.coords[v]])
-    icoords = {
-        v: tuple(c.numerator * (den // c.denominator) for c in k.coords[v]) + (1,)
-        for v in k.base.vertices
-    }
+    ipts, _ = polytope._integer_points([k.coords[v] for v in k.base.vertices])
+    icoords = {v: x + (1,) for v, x in zip(k.base.vertices, ipts)}
     for s in maximal:
         x0 = icoords[s[0]]
         diffs = [[a - b for a, b in zip(icoords[v], x0)] for v in s[1:]]
         if diffs and len(linalg.eliminate(diffs)[0]) < len(diffs):
             issues.append(f"simplex {s} is not affinely independent")
-    if not issues and check_pairs:
+    if not issues:
         fmemo: dict = {}
         pairs = _uncertified_pairs(maximal, icoords, fmemo)
         for a, b in pairs:
@@ -232,7 +228,7 @@ def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
 
     def functionals(cur):
         if cur not in fmemo:
-            fmemo[cur] = _integer_functionals([icoords[v][:-1] for v in cur])
+            fmemo[cur] = polytope._integer_functionals([icoords[v][:-1] for v in cur])
         return fmemo[cur]
 
     shared = set(a) & set(b)
@@ -301,65 +297,6 @@ def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
 _FAST_PAIR_THRESHOLD = 200  # minimum number of pairs to bother certifying
 
 
-def _integer_functionals(ipts):
-    """Facet and affine-hull functionals of a simplex with integer vertices.
-
-    Returns (rows, off_vertex) where each row is an integer (a_1..a_n, b)
-    with a.x + b = 0 on a wall through all vertices except off_vertex
-    (off_vertex = -1 for affine-hull equations, where the wall is all of
-    the simplex) and a.x + b > 0 at off_vertex.  Equations appear with
-    both signs.
-    """
-    m = len(ipts)
-    n = len(ipts[0])
-    # rows [v_j 1 | e_j]; eliminating the left block leaves E [V 1] = R in
-    # reduced form with the transform E on the right
-    aug = [
-        list(p) + [1] + [1 if j == i else 0 for j in range(m)]
-        for i, p in enumerate(ipts)
-    ]
-    pivots, _ = linalg.eliminate(aug, n + 1)
-    d = aug[0][pivots[0]]  # shared by all pivot rows; column n is never 0
-
-    def primitive(vec):
-        # the primitive integer vector on the ray of vec / d
-        g = gcd(*vec) if d > 0 else -gcd(*vec)
-        return [x // g for x in vec]
-
-    out_rows, out_off = [], []
-    for i in range(m):
-        vec = [0] * (n + 1)
-        for r, c in enumerate(pivots):
-            vec[c] = aug[r][n + 1 + i]
-        vec = primitive(vec)
-        if sum(x * y for x, y in zip(vec, ipts[i])) + vec[n] < 0:
-            vec = [-x for x in vec]
-        out_rows.append(vec)
-        out_off.append(i)
-    # affine-hull equations: nullspace of the same [v_j 1] matrix
-    for fc in range(n + 1):
-        if fc in pivots:
-            continue
-        vec = [0] * (n + 1)
-        vec[fc] = d
-        for r, c in enumerate(pivots):
-            vec[c] = -aug[r][fc]
-        vec = primitive(vec)
-        out_rows.append(vec)
-        out_off.append(-1)
-        out_rows.append([-x for x in vec])
-        out_off.append(-1)
-    # safety net for the fraction-free elimination: verify the defining
-    # sign pattern of every functional before it is used in a predicate
-    for vec, off in zip(out_rows, out_off):
-        for j, p in enumerate(ipts):
-            val = sum(vec[t] * p[t] for t in range(n)) + vec[n]
-            ok = val > 0 if j == off else val == 0
-            if not ok:
-                raise ArithmeticError("functional verification failed")
-    return out_rows, out_off
-
-
 def _locally_certified(maximal, icoords, fmemo) -> bool:
     """True when the top simplices provably triangulate the convex hull of
     the vertices, so that every pair meets in a common face.
@@ -379,9 +316,7 @@ def _locally_certified(maximal, icoords, fmemo) -> bool:
     if not maximal or len(maximal[0]) != len(icoords[maximal[0][0]]):
         return False
 
-    def value(row, x):
-        return sum(a * b for a, b in zip(row, x))
-
+    value = polytope._value
     ridges: dict = {}
     for s in maximal:
         for i in range(len(s)):
@@ -420,7 +355,7 @@ def _uncertified_pairs(maximal, icoords, fmemo):
     if nm * (nm - 1) // 2 < _FAST_PAIR_THRESHOLD or len({len(s) for s in maximal}) != 1:
         return list(itertools.combinations(maximal, 2))
     for s in maximal:
-        fmemo[s] = _integer_functionals([icoords[v][:-1] for v in s])
+        fmemo[s] = polytope._integer_functionals([icoords[v][:-1] for v in s])
     if _locally_certified(maximal, icoords, fmemo):
         return []
     import numpy as np

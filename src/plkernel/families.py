@@ -14,6 +14,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,15 +200,15 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     return True
 
 
-def check_family(w: PolyhedralFamily, deep: bool = True) -> FamilyReport:
+def check_family(w: PolyhedralFamily) -> FamilyReport:
     issues = []
     if w.total.ambient_dim != w.base.ambient_dim + w.fiber_dim:
         issues.append("total ambient dimension does not split as base × fiber")
-    if deep and not complexes.validate(w.total).ok:
+    if not complexes.validate(w.total).ok:
         issues.append("total space is not a valid complex")
-    if deep and not complexes.validate(w.subdivision).ok:
+    if not complexes.validate(w.subdivision).ok:
         issues.append("stored base subdivision is not a valid complex")
-    if deep and not is_subdivision_of(w.subdivision, w.base):
+    if not is_subdivision_of(w.subdivision, w.base):
         issues.append("stored subdivision does not subdivide the base")
     for s in w.total.maximal_simplices():
         cell = w.projection.get(s)
@@ -514,26 +515,9 @@ def regular_fiber(f: AffineSimplicialMap, lam) -> FiberCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _hyperplane_through(points, positive_at):
-    """Integer-free rational functional (a, c): a·x = c on `points`,
-    a·positive_at > c."""
-    pts = [as_vec(p) for p in points]
-    n = len(pts[0])
-    diffs = [list(linalg.vec_sub(p, pts[0])) for p in pts[1:]]
-    for a in linalg.nullspace(diffs) if diffs else [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n)
-    ]:
-        c = linalg.dot(a, pts[0])
-        val = linalg.dot(a, as_vec(positive_at))
-        if val > c:
-            return a, c
-        if val < c:
-            return tuple(-x for x in a), -c
-    raise FamilyError("degenerate hyperplane data")
-
-
+@functools.cache
 def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
-    """A stored PL retraction Δ^p -> Λ^p_j.
+    """A stored PL retraction Δ^p -> Λ^p_j, built once per (p, j).
 
     Built from the viewpoint q obtained by reflecting the barycenter
     through the missing facet's barycenter (so q sees only that facet):
@@ -550,27 +534,26 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     missing = [i for i in range(p + 1) if i != j]
     bmiss = tuple(sum(verts[i][t] for i in missing) / p for t in range(p))
     q = tuple(2 * bmiss[t] - bary[t] for t in range(p))
+    (iq, *iverts), den = polytope._integer_points([q] + verts)
 
-    simplex_ineqs = []
-    for i in range(p + 1):
-        wall = [verts[t] for t in range(p + 1) if t != i]
-        a, c = _hyperplane_through(wall, verts[i])
-        simplex_ineqs.append((a, c))
+    def half_spaces(ipts):
+        # facet functional k of the simplex, as a.x >= c in unscaled coordinates
+        rows = polytope._integer_functionals(ipts)[0][: len(ipts)]
+        return [(row[:p], Fraction(-row[p], den)) for row in rows]
 
+    # half-space i holds Δ^p's facet opposite vertex i
+    simplex_ineqs = half_spaces(iverts)
     horn = horn_complex(p, j)
     acc = _ComplexAccumulator(p)
     cone_of: list[tuple[int, list[Vec]]] = []
     for i in range(p + 1):
         if i == j:
             continue
-        facet = [verts[t] for t in range(p + 1) if t != i]
-        ineqs = list(simplex_ineqs)
-        for walled_out in range(p + 1):
-            if walled_out in (i, j):
-                continue
-            ridge = [verts[t] for t in range(p + 1) if t not in (i, walled_out)]
-            a, c = _hyperplane_through([q] + ridge, verts[walled_out])
-            ineqs.append((a, c))
+        # in {q} ∪ (facet opposite i), the wall opposite vertex t runs
+        # through q and the ridge of Δ^p missing i and t
+        others = [t for t in range(p + 1) if t != i]
+        walls = half_spaces([iq] + [iverts[t] for t in others])[1:]
+        ineqs = simplex_ineqs + [w for t, w in zip(others, walls) if t != j]
         cone_verts = polytope.h_polytope_vertices([], ineqs)
         if len(cone_verts) > p:
             acc.add_polytope(cone_verts)
@@ -578,10 +561,6 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     tri = acc.build(name=f"cones({p},{j})")
 
     # vertex images: exit point of the ray q -> v through its cone's facet
-    facet_planes = {}
-    for i in range(p + 1):
-        wall = [verts[t] for t in range(p + 1) if t != i]
-        facet_planes[i] = _hyperplane_through(wall, verts[i])
     images = {}
     for v in tri.base.vertices:
         x = tri.coords[v]
@@ -592,7 +571,7 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
                 break
         if owner is None:
             raise FamilyError("triangulation vertex outside every cone")
-        a, c = facet_planes[owner]
+        a, c = simplex_ineqs[owner]
         denom = linalg.dot(a, linalg.vec_sub(x, q))
         t = (c - linalg.dot(a, q)) / denom
         images[v] = tuple(q[s] + t * (x[s] - q[s]) for s in range(p))
@@ -691,30 +670,16 @@ def manifold_check(k: EuclideanComplex, d: int) -> ManifoldReport:
 # ---------------------------------------------------------------------------
 
 
-def classify(w: PolyhedralFamily) -> dict:
-    """The classifying assignment of a family: each simplex σ of the base
-    receives the pullback of W along the affine map Δ^k -> |base| with
-    e_i ↦ i-th vertex of σ."""
-    out = {}
-    for s in sorted(w.base.base.simplices, key=lambda s: (len(s), s)):
-        k = len(s) - 1
-        std = standard_simplex_complex(k)
-        f = AffineSimplicialMap(
-            std, w.base, {i: w.base.coords[s[i]] for i in range(k + 1)}
-        )
-        out[s] = pullback(f, w, name=f"{w.name}|{s}")
-    return out
-
-
 def subdivision_lift(w: PolyhedralFamily, r: int = 1) -> tuple[dict, EuclideanComplex]:
     """Classifying assignment on sd^r(base): each flag simplex F of the
     subdivided base receives the pullback of W along e_i ↦ barycenter of
-    F_i.  Returns (assignment, subdivided base)."""
+    F_i.  With r = 0 this is the classifying assignment of W itself: each
+    simplex σ of the base receives the pullback along e_i ↦ i-th vertex
+    of σ.  Returns (assignment, subdivided base)."""
     sd_base = w.base
     for _ in range(r):
         sd_base = complexes.barycentric_subdivide(sd_base)
-    if r == 0:
-        return classify(w), sd_base
+    tag = f"{w.name}|sd|" if r else f"{w.name}|"
     out = {}
     for s in sorted(sd_base.base.simplices, key=lambda s: (len(s), s)):
         k = len(s) - 1
@@ -722,7 +687,7 @@ def subdivision_lift(w: PolyhedralFamily, r: int = 1) -> tuple[dict, EuclideanCo
         f = AffineSimplicialMap(
             std, w.base, {i: sd_base.coords[s[i]] for i in range(k + 1)}
         )
-        out[s] = pullback(f, w, name=f"{w.name}|sd|{s}")
+        out[s] = pullback(f, w, name=f"{tag}{s}")
     return out, sd_base
 
 

@@ -243,11 +243,12 @@ def _mat_mul(a, b):
     return out
 
 
-def smith_normal_form(matrix, check: bool = True) -> SmithForm:
+def smith_normal_form(matrix) -> SmithForm:
     """Smith normal form with unimodular certificate, U A V = D.
 
-    Pivots are chosen by minimum absolute value to limit growth.  With
-    check=True the identity U A V = D is verified by multiplication.
+    Pivots are chosen by minimum absolute value to limit growth.  The
+    identity U A V = D is verified by multiplication; ArithmeticError is
+    raised if it fails.
     """
     a = [list(map(int, row)) for row in matrix]
     n = len(a)
@@ -311,9 +312,8 @@ def smith_normal_form(matrix, check: bool = True) -> SmithForm:
             u[t] = [-x for x in u[t]]
         t += 1
     diag = tuple(a[i][i] for i in range(t))
-    if check:
-        lhs = _mat_mul(_mat_mul(u, [list(r) for r in matrix]), v)
-        assert lhs == a, "Smith certificate failed"
+    if _mat_mul(_mat_mul(u, [list(r) for r in matrix]), v) != a:
+        raise ArithmeticError("Smith certificate failed")
     return SmithForm(
         tuple(tuple(r) for r in a),
         tuple(tuple(r) for r in u),
@@ -385,10 +385,9 @@ def _dense(cols, nrows, ncols):
     return out
 
 
-def homology(cc: ChainComplex, reduce_first: bool = True) -> HomologyProfile:
+def homology(cc: ChainComplex) -> HomologyProfile:
     """Integral homology H_k = ker d_k / im d_{k+1} for all degrees."""
-    if reduce_first:
-        cc = reduce_chain_complex(cc)
+    cc = reduce_chain_complex(cc)
     top = cc.top_degree
     snf = {}
     for k in range(1, top + 1):

@@ -154,17 +154,6 @@ def affinely_independent(points) -> bool:
     return rank(diffs) == len(pts) - 1
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of the points (-1 for the empty set)."""
-    pts = [as_vec(p) for p in points]
-    if not pts:
-        return -1
-    if len(pts) == 1:
-        return 0
-    diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    return rank(diffs)
-
-
 def barycentric_coordinates(point, simplex_points) -> Vec | None:
     """Coordinates of `point` w.r.t. an affinely independent point tuple.
 

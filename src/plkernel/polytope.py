@@ -4,28 +4,44 @@ Polytopes show up here in two guises: as vertex lists (convex position) and
 as H-systems {x : E x = f, A x <= b}.  All predicates are exact; point
 order is always the lexicographic order on coordinate tuples so that every
 construction is deterministic.
+
+Which side of a simplex's facet a point lies on is decided by one routine,
+`_integer_functionals`: the integer facet functionals and affine-hull
+equations of a simplex with integer vertices.  Placing triangulations,
+hull vertices, the separating walls of `complexes.validate` and the cones
+of the horn retraction in `families` all read it, on points scaled to
+integers by `_integer_points`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from . import linalg, lp
-from .linalg import Vec, as_vec, dot, vec_sub
+from . import linalg
+from .linalg import Vec, as_vec, dot
 
 
 def hull_vertices(points) -> list[Vec]:
-    """Extreme points of the convex hull, sorted lexicographically."""
+    """Extreme points of the convex hull, sorted lexicographically.
+
+    A point is extreme exactly when the hull facets through it, together
+    with the equations of the hull's affine span, cut out that point alone;
+    the facets are read off the boundary of the placing triangulation.
+    """
     pts = sorted(set(as_vec(p) for p in points))
     # affinely independent point sets are entirely extreme
     if len(pts) <= 1 or linalg.affinely_independent(pts):
         return pts
+    _, boundary, equations, ipts = _place(pts)
+    facet_rows = {tuple(row) for row in boundary.values()}
+    n = len(pts[0])
     out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not lp.in_hull(p, others):
+    for p, x in zip(pts, ipts):
+        x = x + (1,)
+        tight = [list(row) for row in facet_rows if _value(row, x) == 0]
+        if len(linalg.eliminate(tight + [list(row) for row in equations])[0]) == n:
             out.append(p)
     return out
 
@@ -152,23 +168,13 @@ def chart_coordinates(points, basis_points) -> list[Vec]:
     return out
 
 
-def affine_basis(points) -> list[Vec]:
-    """Lex-first affinely independent subset spanning the points: the
-    first point, then each point whose difference from it is independent
-    of the differences chosen before."""
-    pts = sorted(set(as_vec(p) for p in points))
-    if not pts:
-        return []
-    diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-    return [pts[0]] + [pts[1 + i] for i in _row_basis(diffs)]
-
-
 def simplex_volume_in_chart(chart_pts) -> Fraction:
     """Volume of a full-dimensional simplex given by chart coordinates."""
     d = len(chart_pts) - 1
     if d == 0:
         return Fraction(1)
-    diffs = [list(vec_sub(p, chart_pts[0])) for p in chart_pts[1:]]
+    x0 = chart_pts[0]
+    diffs = [[a - b for a, b in zip(p, x0)] for p in chart_pts[1:]]
     return abs(linalg.det(diffs)) / factorial(d)
 
 
@@ -183,92 +189,114 @@ def relative_volume(simplex_points, chart_basis) -> Fraction:
 def placing_triangulation(points) -> list[tuple[int, ...]]:
     """Triangulate the hull of `points` by lexicographic placing.
 
-    `points` must be in convex position (each point a hull vertex); this is
-    exactly what hull_vertices / vertex enumeration produce.  Returns the
-    top-dimensional simplices as sorted index tuples into the lex-sorted
-    point list (callers should pass points already sorted; we sort again
-    defensively).
+    Returns the top-dimensional simplices as sorted index tuples into the
+    lex-sorted list of distinct points.  Every point is placed, so points
+    not in convex position (which hull_vertices / vertex enumeration never
+    produce) become vertices of the triangulation too.
     """
     pts = sorted(set(as_vec(p) for p in points))
     if not pts:
         return []
-    basis = affine_basis(pts)
-    d = len(basis) - 1
-    coords = {i: chart_coordinates([p], basis)[0] for i, p in enumerate(pts)}
-    if d == 0:
-        return [(0,)]
+    return sorted(_place(pts)[0])
 
-    simplices: list[tuple[int, ...]] = [(0,)]
-    placed = [0]
-    cur_dim = 0
+
+def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """The points times the lcm of all their coordinates' denominators,
+    and that lcm."""
+    den = lcm(*[c.denominator for p in points for c in p])
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
+
+
+def _value(row, x) -> int:
+    return sum(a * b for a, b in zip(row, x))
+
+
+def _place(pts):
+    """Lexicographic placing of the sorted distinct points `pts`, over
+    their integer scaling.
+
+    Each point in turn is coned over every simplex when an equation of
+    their affine span is nonzero at it, else over each boundary ridge
+    whose owner's facet functional is negative at it.  Returns (top
+    simplices, {boundary ridge: its owner's facet functional}, the
+    span's equations, the integer points); the functionals are integer
+    rows (a, b) read at x as a.x + b.
+    """
+    ipts, _ = _integer_points(pts)
+    simplices = {(0,): _integer_functionals(ipts[:1])[0]}
+    boundary: dict[tuple[int, ...], list[int]] = {}
     for idx in range(1, len(pts)):
-        placed_pts = [pts[i] for i in placed]
-        new_rank = linalg.affine_rank(placed_pts + [pts[idx]])
-        if new_rank > cur_dim:
-            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
-            cur_dim = new_rank
+        x = ipts[idx] + (1,)
+        first, rows = next(iter(simplices.items()))
+        if any(_value(row, x) for row in rows[len(first) :: 2]):
+            cones, simplices, boundary = list(simplices), {}, {}
         else:
-            # point lies in the current affine hull, strictly outside the
-            # current hull (convex position); cone over visible facets
-            visible = _visible_boundary_facets(simplices, placed, idx, coords, cur_dim)
-            for f in visible:
-                simplices.append(tuple(sorted(f + (idx,))))
-        placed.append(idx)
-    return sorted(simplices)
+            cones = [f for f, row in boundary.items() if _value(row, x) < 0]
+        for f in cones:
+            s = f + (idx,)
+            simplices[s] = rows = _integer_functionals([ipts[v] for v in s])[0]
+            for i, row in enumerate(rows[: len(s)]):
+                ridge = s[:i] + s[i + 1 :]
+                if boundary.pop(ridge, None) is None:
+                    boundary[ridge] = row
+    first, rows = next(iter(simplices.items()))
+    return list(simplices), boundary, rows[len(first) :: 2], ipts
 
 
-def _visible_boundary_facets(simplices, placed, new_idx, coords, dim):
-    """Boundary facets of the current triangulation visible from a point."""
-    count: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for s in simplices:
-        for f in itertools.combinations(s, dim):
-            count.setdefault(tuple(sorted(f)), []).append(s)
-    visible = []
-    for f, owners in sorted(count.items()):
-        if len(owners) != 1:
+def _integer_functionals(ipts):
+    """Facet and affine-hull functionals of a simplex with integer vertices.
+
+    Returns (rows, off_vertex) where each row is an integer (a_1..a_n, b)
+    with a.x + b = 0 on a wall through all vertices except off_vertex
+    (off_vertex = -1 for affine-hull equations, where the wall is all of
+    the simplex) and a.x + b > 0 at off_vertex.  Facet rows come first, in
+    vertex order; equations follow, each with both signs.
+    """
+    m = len(ipts)
+    n = len(ipts[0])
+    # rows [v_j 1 | e_j]; eliminating the left block leaves E [V 1] = R in
+    # reduced form with the transform E on the right
+    aug = [
+        list(p) + [1] + [1 if j == i else 0 for j in range(m)]
+        for i, p in enumerate(ipts)
+    ]
+    pivots, _ = linalg.eliminate(aug, n + 1)
+    d = aug[0][pivots[0]]  # shared by all pivot rows; column n is never 0
+
+    def primitive(vec):
+        # the primitive integer vector on the ray of vec / d
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        return [x // g for x in vec]
+
+    out_rows, out_off = [], []
+    for i in range(m):
+        vec = [0] * (n + 1)
+        for r, c in enumerate(pivots):
+            vec[c] = aug[r][n + 1 + i]
+        vec = primitive(vec)
+        if sum(x * y for x, y in zip(vec, ipts[i])) + vec[n] < 0:
+            vec = [-x for x in vec]
+        out_rows.append(vec)
+        out_off.append(i)
+    # affine-hull equations: nullspace of the same [v_j 1] matrix
+    for fc in range(n + 1):
+        if fc in pivots:
             continue
-        s = owners[0]
-        inner = [v for v in s if v not in f][0]
-        # hyperplane through facet f (within the span of the current hull)
-        fpts = [coords[i] for i in f]
-        sub_rows = [list(vec_sub(p, fpts[0])) for p in fpts[1:]]
-        # restrict to the affine span of the current point set
-        span_pts = [coords[i] for i in placed]
-        normals = _facet_normal(sub_rows, fpts[0], span_pts)
-        if normals is None:
-            continue
-        a, c = normals
-        side_inner = dot(a, coords[inner]) - c
-        side_new = dot(a, coords[new_idx]) - c
-        if side_inner == 0 or side_new == 0:
-            continue
-        if (side_inner > 0) != (side_new > 0):
-            visible.append(f)
-    return visible
-
-
-def _facet_normal(facet_diff_rows, facet_origin, span_pts):
-    """A linear functional vanishing on the facet, nonzero on the hull span."""
-    span_origin = span_pts[0]
-    span_dirs = [list(vec_sub(p, span_origin)) for p in span_pts[1:]]
-    n = len(facet_origin)
-    # want a with a.(facet directions) = 0, a in row space of span directions
-    # solve within span: a = sum t_k * span_dir_k with a.(facet diffs) = 0
-    span_basis = [span_dirs[i] for i in _row_basis(span_dirs)]
-    if not span_basis:
-        return None
-    rows = []
-    for fd in facet_diff_rows:
-        rows.append([dot(sb, fd) for sb in span_basis])
-    if rows:
-        null = linalg.nullspace(rows)
-    else:
-        null = [tuple(Fraction(1) if j == 0 else Fraction(0) for j in range(len(span_basis)))]
-    for t in null:
-        a = tuple(
-            sum(t[k] * Fraction(span_basis[k][i]) for k in range(len(span_basis)))
-            for i in range(n)
-        )
-        if any(x != 0 for x in a):
-            return a, dot(a, facet_origin)
-    return None
+        vec = [0] * (n + 1)
+        vec[fc] = d
+        for r, c in enumerate(pivots):
+            vec[c] = -aug[r][fc]
+        vec = primitive(vec)
+        out_rows.append(vec)
+        out_off.append(-1)
+        out_rows.append([-x for x in vec])
+        out_off.append(-1)
+    # safety net for the fraction-free elimination: verify the defining
+    # sign pattern of every functional before it is used in a predicate
+    for vec, off in zip(out_rows, out_off):
+        for j, p in enumerate(ipts):
+            val = sum(vec[t] * p[t] for t in range(n)) + vec[n]
+            ok = val > 0 if j == off else val == 0
+            if not ok:
+                raise ArithmeticError("functional verification failed")
+    return out_rows, out_off

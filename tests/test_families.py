@@ -126,6 +126,10 @@ def test_horn_retraction_small():
                 assert r.apply(rs, c) == c
 
 
+def test_horn_retraction_is_built_once():
+    assert families.horn_retraction(2, 1) is families.horn_retraction(2, 1)
+
+
 def test_horn_fill_family_restricts_back():
     w = suite.lift_fixtures()[6]  # point family over the triangle
     horn = families.horn_complex(2, 1)

@@ -16,9 +16,19 @@ def test_snf_zero_matrix():
 
 def test_snf_certifies_factorization():
     m = [[6, 4, 2], [4, 8, 6], [2, 6, 10]]
-    sf = homology.smith_normal_form(m, check=True)
+    sf = homology.smith_normal_form(m)
     for i in range(len(sf.diagonal) - 1):
         assert sf.diagonal[i + 1] % sf.diagonal[i] == 0
+
+
+def test_snf_wrong_certificate_raises(monkeypatch):
+    # a product that disagrees with D must fail loudly, also under python -O
+    real = homology._mat_mul
+    monkeypatch.setattr(
+        homology, "_mat_mul", lambda a, b: [[x + 1 for x in row] for row in real(a, b)]
+    )
+    with pytest.raises(ArithmeticError):
+        homology.smith_normal_form([[2, 0], [0, 3]])
 
 
 def test_chains_of_rejects_bad_identities():

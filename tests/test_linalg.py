@@ -5,7 +5,7 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, linalg, polytope
+from plkernel import linalg, polytope
 
 F = Fraction
 
@@ -40,7 +40,6 @@ def test_nullspace_dimension():
 def test_affine_independence():
     assert linalg.affinely_independent([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
     assert not linalg.affinely_independent([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
-    assert linalg.affine_rank([(F(0), F(0)), (F(2), F(2)), (F(5), F(5))]) == 1
 
 
 def test_barycentric_coordinates_roundtrip():
@@ -260,7 +259,7 @@ def integer_simplices(draw):
 @example([(1, 1, 1), (2, 3, 5)])
 @example([(3,)])
 def test_integer_functionals_sign_pattern(pts):
-    rows, offs = complexes._integer_functionals(pts)
+    rows, offs = polytope._integer_functionals(pts)
     n, m = len(pts[0]), len(pts)
     assert offs == list(range(m)) + [-1] * (2 * (n + 1 - m))
     for row, off in zip(rows, offs):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -69,26 +70,148 @@ def test_h_polytope_vertices_cube_slice():
     assert sorted(verts) == [(F(0), F(1)), (F(1), F(0))]
 
 
-def greedy_affine_basis(points):
-    """Reference: scan the points in lex order, keep each one that is
-    affinely independent of those kept so far."""
-    basis = []
-    for p in sorted(set(points)):
-        if linalg.affinely_independent(basis + [p]):
-            basis.append(p)
-    return basis
-
-
 # few distinct values, so that repeated, collinear and coplanar points are common
 coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.tuples(*[coords] * n), max_size=7)
-))
-def test_affine_basis_is_greedy(points):
-    assert polytope.affine_basis(points) == greedy_affine_basis(points)
+def hull_oracle(points):
+    """Reference: p is extreme iff it is not in the hull of the others."""
+    pts = sorted(set(points))
+    return [p for i, p in enumerate(pts) if not lp.in_hull(p, pts[:i] + pts[i + 1 :])]
+
+
+def _oracle_affine_rank(points):
+    if len(points) <= 1:
+        return len(points) - 1
+    return linalg.rank([list(linalg.vec_sub(p, points[0])) for p in points[1:]])
+
+
+def _oracle_affine_basis(pts):
+    diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    return [pts[0]] + [pts[1 + i] for i in polytope._row_basis(diffs)]
+
+
+def placing_oracle(points):
+    """Reference: lexicographic placing with a rational facet normal per
+    boundary facet and visible point, in the chart of the lex-first
+    affine basis."""
+    pts = sorted(set(linalg.as_vec(p) for p in points))
+    if not pts:
+        return []
+    basis = _oracle_affine_basis(pts)
+    d = len(basis) - 1
+    chart = {i: polytope.chart_coordinates([p], basis)[0] for i, p in enumerate(pts)}
+    if d == 0:
+        return [(0,)]
+
+    simplices = [(0,)]
+    placed = [0]
+    cur_dim = 0
+    for idx in range(1, len(pts)):
+        placed_pts = [pts[i] for i in placed]
+        new_rank = _oracle_affine_rank(placed_pts + [pts[idx]])
+        if new_rank > cur_dim:
+            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
+            cur_dim = new_rank
+        else:
+            visible = _oracle_visible_facets(simplices, placed, idx, chart, cur_dim)
+            for f in visible:
+                simplices.append(tuple(sorted(f + (idx,))))
+        placed.append(idx)
+    return sorted(simplices)
+
+
+def _oracle_visible_facets(simplices, placed, new_idx, chart, dim):
+    count = {}
+    for s in simplices:
+        for f in itertools.combinations(s, dim):
+            count.setdefault(tuple(sorted(f)), []).append(s)
+    visible = []
+    for f, owners in sorted(count.items()):
+        if len(owners) != 1:
+            continue
+        s = owners[0]
+        inner = [v for v in s if v not in f][0]
+        fpts = [chart[i] for i in f]
+        sub_rows = [list(linalg.vec_sub(p, fpts[0])) for p in fpts[1:]]
+        span_pts = [chart[i] for i in placed]
+        normals = _oracle_facet_normal(sub_rows, fpts[0], span_pts)
+        if normals is None:
+            continue
+        a, c = normals
+        side_inner = linalg.dot(a, chart[inner]) - c
+        side_new = linalg.dot(a, chart[new_idx]) - c
+        if side_inner == 0 or side_new == 0:
+            continue
+        if (side_inner > 0) != (side_new > 0):
+            visible.append(f)
+    return visible
+
+
+def _oracle_facet_normal(facet_diff_rows, facet_origin, span_pts):
+    span_origin = span_pts[0]
+    span_dirs = [list(linalg.vec_sub(p, span_origin)) for p in span_pts[1:]]
+    n = len(facet_origin)
+    span_basis = [span_dirs[i] for i in polytope._row_basis(span_dirs)]
+    if not span_basis:
+        return None
+    rows = [[linalg.dot(sb, fd) for sb in span_basis] for fd in facet_diff_rows]
+    if rows:
+        null = linalg.nullspace(rows)
+    else:
+        null = [tuple(F(1) if j == 0 else F(0) for j in range(len(span_basis)))]
+    for t in null:
+        a = tuple(
+            sum(t[k] * F(span_basis[k][i]) for k in range(len(span_basis)))
+            for i in range(n)
+        )
+        if any(x != 0 for x in a):
+            return a, linalg.dot(a, facet_origin)
+    return None
+
+
+@st.composite
+def point_sets(draw):
+    """Up to eight points in R^0..R^4: repeated, collinear, coplanar or
+    lower-dimensional by construction as often as in general position."""
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["any", "collinear", "coplanar", "flat"]))
+    size = draw(st.integers(1, 8))
+    if kind == "any" or n == 0:
+        return draw(st.lists(st.tuples(*[coords] * n), min_size=size, max_size=size))
+    # integer combinations of k generators through a base point
+    k = {"collinear": 1, "coplanar": 2, "flat": max(1, n - 1)}[kind]
+    base = draw(st.tuples(*[coords] * n))
+    gens = draw(st.lists(st.tuples(*[coords] * n), min_size=k, max_size=k))
+    weights = st.lists(st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2)]), min_size=k, max_size=k)
+    return [
+        tuple(b + sum(w * g[i] for w, g in zip(ws, gens)) for i, b in enumerate(base))
+        for ws in draw(st.lists(weights, min_size=size, max_size=size))
+    ]
+
+
+CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets())
+@example([()])
+@example([()] * 3)
+@example(SQUARE + [(F(1, 2), F(1, 2)), (F(1, 2), F(0))])
+@example([(F(0),), (F(1, 2),), (F(1),), (F(2),)])
+@example(CUBE + [(F(1, 2),) * 3])
+def test_hull_vertices_match_lp_oracle(pts):
+    assert polytope.hull_vertices(pts) == hull_oracle(pts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets())
+@example([()])
+@example(SQUARE + [(F(1, 2), F(1, 2)), (F(1, 2), F(0))])
+@example([(F(0),), (F(1, 2),), (F(1),), (F(2),)])
+@example(CUBE)
+def test_placing_triangulation_matches_oracle(pts):
+    assert polytope.placing_triangulation(pts) == placing_oracle(pts)
 
 
 def two_sided_oracle(p_points, q_points, p_out, q_out):
