@@ -103,7 +103,6 @@ class EuclideanComplex:
     @staticmethod
     def build(maximal, coords, labels=None, name="K") -> "EuclideanComplex":
         base = OrderedComplex.from_maximal(maximal, labels, name)
-        coords = {v: as_vec(c) for v, c in coords.items()}
         dims = {len(c) for c in coords.values()}
         ambient = dims.pop() if len(dims) == 1 else None
         if ambient is None:
@@ -200,7 +199,7 @@ def validate(k: EuclideanComplex) -> ValidityReport:
         issues.append("simplex set is not closed under faces")
     maximal = k.maximal_simplices()
     # homogeneous integer coordinates: all coordinates times their lcm
-    ipts, _ = polytope._integer_points([k.coords[v] for v in k.base.vertices])
+    ipts, _ = linalg.integer_points([k.coords[v] for v in k.base.vertices])
     icoords = {v: x + (1,) for v, x in zip(k.base.vertices, ipts)}
     for s in maximal:
         x0 = icoords[s[0]]

@@ -534,7 +534,7 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     missing = [i for i in range(p + 1) if i != j]
     bmiss = tuple(sum(verts[i][t] for i in missing) / p for t in range(p))
     q = tuple(2 * bmiss[t] - bary[t] for t in range(p))
-    (iq, *iverts), den = polytope._integer_points([q] + verts)
+    (iq, *iverts), den = linalg.integer_points([q] + verts)
 
     def half_spaces(ipts):
         # facet functional k of the simplex, as a.x >= c in unscaled coordinates

@@ -16,6 +16,9 @@ Vec = tuple[Fraction, ...]
 
 
 def as_vec(xs) -> Vec:
+    """xs as a tuple of Fractions; a tuple of Fractions is returned as it is."""
+    if type(xs) is tuple and all(type(x) is Fraction for x in xs):
+        return xs
     return tuple(Fraction(x) for x in xs)
 
 
@@ -39,6 +42,13 @@ def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
         out.append([x.numerator * (den // x.denominator) for x in row])
         scales.append(den)
     return out, scales
+
+
+def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """The points times the lcm of all their coordinates' denominators,
+    and that lcm."""
+    den = lcm(*[c.denominator for p in points for c in p])
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
 
 
 def eliminate(m: list[list[int]], ncols: int | None = None) -> tuple[list[int], int]:
@@ -147,11 +157,11 @@ def nullspace(rows) -> list[Vec]:
 
 def affinely_independent(points) -> bool:
     """True iff the given points span a simplex of dimension len(points)-1."""
-    pts = [as_vec(p) for p in points]
-    if len(pts) <= 1:
+    if len(points) <= 1:
         return True
-    diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    return rank(diffs) == len(pts) - 1
+    ipts, _ = integer_points([as_vec(p) for p in points])
+    diffs = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
+    return len(eliminate(diffs)[0]) == len(diffs)
 
 
 def barycentric_coordinates(point, simplex_points) -> Vec | None:

@@ -10,7 +10,14 @@ Which side of a simplex's facet a point lies on is decided by one routine,
 equations of a simplex with integer vertices.  Placing triangulations,
 hull vertices, the separating walls of `complexes.validate` and the cones
 of the horn retraction in `families` all read it, on points scaled to
-integers by `_integer_points`.
+integers by `linalg.integer_points`.
+
+Every simplex-pair polytope comes from `intersect_simplices`.  When one
+of the two simplices is affinely independent, the polytope is the other
+one's weight simplex clipped by its pulled-back facet functionals, by
+double description over integer weights (`_clip_simplex`); when both
+are dependent, the basic feasible solutions of the joint system are
+enumerated (`enumerate_basic_solutions`).
 """
 
 from __future__ import annotations
@@ -117,10 +124,19 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
 
     Over lambda, mu >= 0 with sum(lambda) = sum(mu) = 1 and
     sum(lambda_i p_i) = sum(mu_j q_j), returns the hull vertices of the
-    points sum(lambda_i p_out_i) ++ sum(mu_j q_out_j), enumerating basic
-    feasible solutions.  The defaults (p_out = p_points, q_out empty) give
-    hull(P) ∩ hull(Q); other outputs read the same polytope through the
-    affine maps that send p_i to p_out_i and q_j to q_out_j.
+    points sum(lambda_i p_out_i) ++ sum(mu_j q_out_j).  The defaults
+    (p_out = p_points, q_out empty) give hull(P) ∩ hull(Q); other outputs
+    read the same polytope through the affine maps that send p_i to
+    p_out_i and q_j to q_out_j.
+
+    When Q is affinely independent, mu is a function of the point
+    x = sum(lambda_i p_i): mu_j = f_j(x) / f_j(q_j) for Q's facet
+    functional f_j, and x lies in hull(Q) exactly when every f_j is >= 0
+    and every equation of Q's affine hull is 0 at x.  The polytope is then
+    the weight simplex of P clipped by those functionals pulled back to
+    lambda (`_clip_simplex`), with no solve.  When only P is independent
+    the roles swap.  When neither is, the basic feasible solutions of the
+    joint system are enumerated.
     """
     P = [as_vec(p) for p in p_points]
     Q = [as_vec(q) for q in q_points]
@@ -128,20 +144,99 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
         return []
     p_out = P if p_out is None else [as_vec(x) for x in p_out]
     q_out = [()] * len(Q) if q_out is None else [as_vec(x) for x in q_out]
-    # a one-point P has weight 1 and moves to the right-hand side
-    free = P if len(P) > 1 else []
-    nl = len(free)
-    rows = [[p[i] for p in free] + [-q[i] for q in Q] for i in range(len(P[0]))]
-    rhs = [Fraction(0) if free else -P[0][i] for i in range(len(P[0]))]
-    if free:
-        rows.append([Fraction(1)] * nl + [Fraction(0)] * len(Q))
-        rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nl + [Fraction(1)] * len(Q))
-    rhs.append(Fraction(1))
-    pts = set()
-    for sol in enumerate_basic_solutions(rows, rhs):
-        lam = sol[:nl] or (Fraction(1),)
-        pts.add(_combine(lam, p_out) + _combine(sol[nl:], q_out))
+    ipts, _ = linalg.integer_points(P + Q)
+    ipts = [x + (1,) for x in ipts]
+    ip, iq = ipts[: len(P)], ipts[len(P) :]
+    sides = ((ip, p_out, iq, q_out), (iq, q_out, ip, p_out))
+    for swap, (clip, clip_out, walls, walls_out) in enumerate(sides):
+        functionals = _integer_functionals([x[:-1] for x in walls])
+        if functionals is not None:
+            break
+    else:
+        return _enumerate_intersection(ip, iq, p_out, q_out)
+    rows, k = functionals[0], len(walls)
+    # row j of `values` is walls' facet functional j (then each hull
+    # equation, one sign) at the clipped side's points
+    values = [[_value(row, x) for x in clip] for row in rows[:k] + rows[k::2]]
+    # outputs as integer columns over one denominator: the clipped side's
+    # weights are w / sum(w), the other side's are mu_j = f_j(x) / f_j(walls_j)
+    own, own_den = linalg.integer_points(clip_out)
+    own = list(zip(*own))
+    scale = [_value(row, x) for row, x in zip(rows, walls)]
+    big = lcm(*scale)
+    other, other_den = linalg.integer_points(walls_out)
+    other = [[x * (big // f) for x, f in zip(col, scale)] for col in zip(*other)]
+    other_den *= big
+    pts = []
+    for w in _clip_simplex(values[:k], values[k:]):
+        total = sum(w)
+        a = tuple(Fraction(_value(col, w), total * own_den) for col in own)
+        if other:
+            mu = [_value(vals, w) for vals in values[:k]]
+            b = tuple(Fraction(_value(col, mu), total * other_den) for col in other)
+        else:
+            b = ()
+        pts.append(b + a if swap else a + b)
+    # an affine map that is one-to-one on the weights keeps the vertices apart
+    if linalg.affinely_independent(clip_out):
+        return sorted(pts)
+    return hull_vertices(pts)
+
+
+def _clip_simplex(facets, equations) -> list[tuple[int, ...]]:
+    """Vertices of {lambda in the standard simplex : c.lambda >= 0 for c in
+    facets, c.lambda = 0 for c in equations}, each as the primitive
+    integer vector on its ray.
+
+    Double description (Fukuda & Prodon, "Double description method
+    revisited", 1996) on the cone lambda >= 0: each vertex carries the
+    bitmask of the constraints tight at it, bit i for lambda_i >= 0 and
+    one bit per facet cut.  A cut keeps the vertices on its side and adds
+    the crossing of each pair on opposite sides that is adjacent: no
+    third vertex is tight on every constraint tight at both.
+    """
+    m = len(facets[0])
+    verts = [
+        (tuple(int(i == j) for j in range(m)), ((1 << m) - 1) ^ (1 << i))
+        for i in range(m)
+    ]
+    cuts = [(c, 0) for c in equations] + [(c, 1 << (m + j)) for j, c in enumerate(facets)]
+    for c, bit in cuts:
+        kept, pos, neg = [], [], []
+        for w, tight in verts:
+            v = _value(c, w)
+            if v == 0:
+                kept.append((w, tight | bit))
+            elif v > 0:
+                pos.append((v, w, tight))
+                if bit:
+                    kept.append((w, tight))
+            else:
+                neg.append((v, w, tight))
+        for vu, wu, tu in pos:
+            for vx, wx, tx in neg:
+                common = tu & tx
+                if sum((t & common) == common for _, t in verts) > 2:
+                    continue
+                ray = [vu * b - vx * a for a, b in zip(wu, wx)]
+                g = gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | bit))
+        verts = kept
+    return [w for w, _ in verts]
+
+
+def _enumerate_intersection(ip, iq, p_out, q_out) -> list[Vec]:
+    """intersect_simplices for two affinely dependent sides, by basic
+    feasible solutions of the joint system over the homogeneous integer
+    points ip and iq."""
+    nl = len(ip)
+    rows = [[p[i] for p in ip] + [-q[i] for q in iq] for i in range(len(ip[0]))]
+    rows.append([1] * nl + [0] * len(iq))
+    rhs = [0] * (len(rows) - 1) + [1]
+    pts = {
+        _combine(sol[:nl], p_out) + _combine(sol[nl:], q_out)
+        for sol in enumerate_basic_solutions(rows, rhs)
+    }
     return hull_vertices(pts)
 
 
@@ -200,13 +295,6 @@ def placing_triangulation(points) -> list[tuple[int, ...]]:
     return sorted(_place(pts)[0])
 
 
-def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
-    """The points times the lcm of all their coordinates' denominators,
-    and that lcm."""
-    den = lcm(*[c.denominator for p in points for c in p])
-    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
-
-
 def _value(row, x) -> int:
     return sum(a * b for a, b in zip(row, x))
 
@@ -222,7 +310,7 @@ def _place(pts):
     span's equations, the integer points); the functionals are integer
     rows (a, b) read at x as a.x + b.
     """
-    ipts, _ = _integer_points(pts)
+    ipts, _ = linalg.integer_points(pts)
     simplices = {(0,): _integer_functionals(ipts[:1])[0]}
     boundary: dict[tuple[int, ...], list[int]] = {}
     for idx in range(1, len(pts)):
@@ -246,7 +334,8 @@ def _place(pts):
 def _integer_functionals(ipts):
     """Facet and affine-hull functionals of a simplex with integer vertices.
 
-    Returns (rows, off_vertex) where each row is an integer (a_1..a_n, b)
+    Returns None when the vertices are affinely dependent, else
+    (rows, off_vertex) where each row is an integer (a_1..a_n, b)
     with a.x + b = 0 on a wall through all vertices except off_vertex
     (off_vertex = -1 for affine-hull equations, where the wall is all of
     the simplex) and a.x + b > 0 at off_vertex.  Facet rows come first, in
@@ -261,6 +350,8 @@ def _integer_functionals(ipts):
         for i, p in enumerate(ipts)
     ]
     pivots, _ = linalg.eliminate(aug, n + 1)
+    if len(pivots) < m:
+        return None
     d = aug[0][pivots[0]]  # shared by all pivot rows; column n is never 0
 
     def primitive(vec):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plkernel import complexes, families, homology, suite
+from plkernel import complexes, families, homology, polytope, suite
 
 F = Fraction
 
@@ -95,6 +97,65 @@ def test_same_point_set():
     )
     assert families.same_point_set(a, b)
     assert not families.same_point_set(a, c)
+
+
+coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
+
+
+def placed(points, name="K"):
+    """The placing triangulation of a point set, as a complex."""
+    pts = sorted(set(points))
+    return complexes.EuclideanComplex.build(
+        polytope.placing_triangulation(pts), dict(enumerate(pts)), name=name
+    )
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to six points in R^1..R^3, drawn freely or on a line or a plane
+    through a base point, often coincident."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    if k == 0:
+        return draw(st.lists(st.tuples(*[coords] * n), min_size=size, max_size=size))
+    base = draw(st.tuples(*[coords] * n))
+    gens = draw(st.lists(st.tuples(*[coords] * n), min_size=k, max_size=k))
+    weights = st.lists(coords, min_size=k, max_size=k)
+    return [
+        tuple(b + sum(w * g[i] for w, g in zip(ws, gens)) for i, b in enumerate(base))
+        for ws in draw(st.lists(weights, min_size=size, max_size=size))
+    ]
+
+
+def moved(k, f, name):
+    return complexes.EuclideanComplex.build(
+        k.maximal_simplices(), {v: f(x) for v, x in k.coords.items()}, name=name
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_clouds(), point_clouds())
+def test_same_point_set_properties(pts, other_pts):
+    k = placed(pts)
+    hull = placed(polytope.hull_vertices(pts), "hull")
+    other = placed(other_pts, "L")
+    sd = complexes.barycentric_subdivide(k)
+    assert families.same_point_set(k, k)
+    # another triangulation of the same polyhedron, and its subdivision
+    assert families.same_point_set(k, hull) and families.same_point_set(hull, k)
+    assert families.same_point_set(k, sd) and families.same_point_set(sd, k)
+    assert families.same_point_set(k, other) == families.same_point_set(other, k)
+    assert families.same_point_set(sd, other) == families.same_point_set(k, other)
+    shift = (F(1, 3),) + (F(0),) * (k.ambient_dim - 1)
+    shifted = moved(k, lambda x: tuple(a + b for a, b in zip(x, shift)), "shifted")
+    assert not families.same_point_set(k, shifted)
+    assert not families.same_point_set(shifted, k)
+    if k.dimension >= 1:
+        x0 = k.coords[0]
+        shrunk = moved(k, lambda x: tuple((a + b) / 2 for a, b in zip(x, x0)), "shrunk")
+        assert not families.same_point_set(k, shrunk)
+        assert not families.same_point_set(shrunk, k)
 
 
 def test_regular_fiber_certificate():

@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import linalg, lp, polytope
+from plkernel import linalg, lp, polytope, suite
 from plkernel.prism import delta_vertex
 
 F = Fraction
@@ -264,6 +265,22 @@ HALF = F(1, 2)
 @example(([(F(0),), (F(1),)], [(HALF,)], None, [(F(2),)]))
 @example((SQUARE[:3], [(x + 2, y) for x, y in SQUARE[:3]], None, None))
 @example((SQUARE[:3], SQUARE[2::-1], None, None))
+# degenerate P, degenerate Q, both degenerate
+@example(([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))], SQUARE[:3], None, None))
+@example((SQUARE[:3], [(F(0), F(0)), (HALF, HALF), (F(2), F(2)), (F(1), F(1))], SQUARE[:3], [(F(1),)] * 4))
+@example((
+    [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))],
+    [(F(0), F(2)), (F(1), F(1)), (F(2), F(0)), (HALF, HALF)],
+    [(F(0),), (F(1),), (F(2),)],
+    [(F(0), F(1)), (F(1), F(0)), (F(2), F(2)), (F(0), F(0))],
+))
+# P inside Q, a lower-dimensional P across Q, and a pair touching along a facet
+@example(([(F(1, 4), F(1, 4)), (HALF, F(1, 4)), (F(1, 4), HALF)], SQUARE[:3], None, [(F(1),)] * 3))
+@example(([(F(-1), HALF), (F(2), HALF)], SQUARE[:3], [(F(0),), (F(1),)], None))
+@example((SQUARE[:3], SQUARE[1:], None, None))
+@example((CUBE[:3] + CUBE[4:5], CUBE[1:3] + CUBE[4:5] + CUBE[7:], None, None))
+# a cut with a pair on opposite sides that is not an edge of the clipped polytope
+@example(([(HALF, HALF), (F(-1), F(2)), (F(2), F(1))], [(HALF, F(1)), (F(2), F(1)), (F(1), F(2))], None, None))
 def test_intersect_simplices_matches_two_sided_system(case):
     p, q, p_out, q_out = case
     got = polytope.intersect_simplices(p, q, p_out, q_out)
@@ -284,3 +301,43 @@ def test_intersect_simplices_in_chart_of_p(case):
     in_chart = polytope.intersect_simplices(s, t, chart)
     charted = polytope.chart_coordinates(polytope.intersect_simplices(s, t), s)
     assert in_chart == sorted(charted)
+
+
+@st.composite
+def pullback_pieces(draw):
+    """The systems `families.pullback` builds: a simplex of a seeded affine
+    map's source over a cell of a lift fixture's subdivision, read in source
+    coordinates, or over a total simplex, with its fiber coordinates."""
+    w = draw(st.sampled_from(LIFT_FIXTURES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dp = draw(st.integers(0, 3))
+    src = [delta_vertex(dp, i) for i in range(dp + 1)]
+    img = []
+    for _ in src:
+        s = rng.choice(w.base.maximal_simplices())
+        # weights may vanish, so images land on faces and coincide
+        weights = [rng.randint(0, 2) for _ in s]
+        weights[rng.randrange(len(s))] += 1
+        pts = w.base.points(s)
+        img.append(tuple(
+            sum(c * p[t] for c, p in zip(weights, pts)) / sum(weights)
+            for t in range(w.base.ambient_dim)
+        ))
+    if draw(st.booleans()):
+        cell = draw(st.sampled_from(w.subdivision.maximal_simplices()))
+        return img, w.subdivision.points(cell), src, None
+    sigma = draw(st.sampled_from(w.total.maximal_simplices()))
+    base_pts, fiber_pts = w.split_points(sigma)
+    return img, base_pts, src, fiber_pts
+
+
+# the lift fixtures of the `pointset` benchmark workload, which leaves out I-over-D2
+LIFT_FIXTURES = [w for w in suite.lift_fixtures() if w.name != "I-over-D2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pullback_pieces())
+def test_intersect_simplices_matches_oracle_on_pullback_pieces(case):
+    p, q, p_out, q_out = case
+    got = polytope.intersect_simplices(p, q, p_out, q_out)
+    assert got == two_sided_oracle(p, q, p_out, q_out or [()] * len(q))
