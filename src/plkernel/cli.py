@@ -269,15 +269,13 @@ def cmd_nerve(args):
 
 
 def cmd_verify_suite(args):
-    report, ok = suite.run_suite()
+    rows = suite.run_suite()
+    ok = all(row_ok for _, row_ok, _ in rows)
     if getattr(args, "json", False):
-        rows = [
-            {"criterion": line.split()[0], "ok": " PASS " in f" {line} "}
-            for line in report.strip().splitlines()[:-1]
-        ]
-        print(json.dumps({"command": "verify-suite", "ok": ok, "rows": rows}, sort_keys=True))
+        table = [{"criterion": name, "ok": row_ok} for name, row_ok, _ in rows]
+        print(json.dumps({"command": "verify-suite", "ok": ok, "rows": table}, sort_keys=True))
     else:
-        sys.stdout.write(report)
+        sys.stdout.write(suite.render_report(rows))
     return 0 if ok else 2
 
 

@@ -183,16 +183,18 @@ def validate(k: EuclideanComplex) -> ValidityReport:
 
     Affine independence and intersections are checked on maximal simplices
     only; both properties are inherited by faces.  Every test runs on the
-    vertex coordinates scaled to integers.  Pairwise intersections are
-    decided in up to three tiers, each exact:
+    vertex coordinates scaled to integers, and reads each maximal
+    simplex's integer facet functionals, computed once.  Pairwise
+    intersections are decided in up to three tiers, each exact:
 
     1. a local certificate, for large pure complexes of full dimension:
        matched interior ridges, boundary ridges on the hull, and one point
        covered once prove the complex a triangulation of its hull;
     2. a vectorized separating-wall certificate, for the pairs of large
        pure complexes that tier 1 did not settle;
-    3. exact facet reduction (with vertex enumeration as its last resort)
-       for every pair still uncertified, which decides every rejection.
+    3. for every pair still uncertified, one simplex's weight simplex
+       clipped by the other's facet functionals (`polytope._clip_simplex`),
+       which decides every rejection.
     """
     issues = []
     if not k.base.is_face_closed():
@@ -201,16 +203,14 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     # homogeneous integer coordinates: all coordinates times their lcm
     ipts, _ = linalg.integer_points([k.coords[v] for v in k.base.vertices])
     icoords = {v: x + (1,) for v, x in zip(k.base.vertices, ipts)}
+    functionals = {}
     for s in maximal:
-        x0 = icoords[s[0]]
-        diffs = [[a - b for a, b in zip(icoords[v], x0)] for v in s[1:]]
-        if diffs and len(linalg.eliminate(diffs)[0]) < len(diffs):
+        functionals[s] = polytope._integer_functionals([icoords[v][:-1] for v in s])
+        if functionals[s] is None:
             issues.append(f"simplex {s} is not affinely independent")
     if not issues:
-        fmemo: dict = {}
-        pairs = _uncertified_pairs(maximal, icoords, fmemo)
-        for a, b in pairs:
-            if not _common_face_cached(k, a, b, icoords, fmemo):
+        for a, b in _uncertified_pairs(maximal, icoords, functionals):
+            if not _common_face(a, b, icoords, functionals[b]):
                 issues.append(
                     f"intersection not a common face: simplices {a} and {b}"
                 )
@@ -218,68 +218,18 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     return ValidityReport(not issues, tuple(issues))
 
 
-def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
-    """Exact common-face test by facet reduction over the integers.
+def _common_face(a, b, icoords, b_functionals) -> bool:
+    """Whether hull(a) ∩ hull(b) is the common face hull(a ∩ b).
 
-    icoords maps each vertex to its homogeneous integer coordinates;
-    functionals are memoized per face across pairs in fmemo.
+    The intersection is the weight simplex of a clipped by b's facet
+    functionals and hull equations, evaluated at a's homogeneous integer
+    coordinates; it is the common face exactly when its vertices are the
+    unit vectors of the shared vertices.
     """
-
-    def functionals(cur):
-        if cur not in fmemo:
-            fmemo[cur] = polytope._integer_functionals([icoords[v][:-1] for v in cur])
-        return fmemo[cur]
-
-    shared = set(a) & set(b)
-    p, q = tuple(a), tuple(b)
-    while True:
-        if set(p) == set(q):
-            return set(p) == shared
-        progress = False
-        for cur, other in ((p, q), (q, p)):
-            rows, offs = functionals(cur)
-            for row, off in zip(rows, offs):
-                if off >= 0 and cur[off] in shared:
-                    continue  # its value at the shared vertex is positive
-                vals = []
-                positive = False
-                for v in other:
-                    hv = icoords[v]
-                    val = sum(row[j] * hv[j] for j in range(len(hv)))
-                    if val > 0:
-                        positive = True
-                        break
-                    vals.append(val)
-                if positive:
-                    continue
-                wall = tuple(v for v, val in zip(other, vals) if val == 0)
-                if not wall:
-                    return not shared  # strictly separated
-                if off < 0:
-                    if len(wall) == len(other):
-                        continue  # no progress from an affine-hull equation
-                    new_cur = cur
-                else:
-                    new_cur = cur[:off] + cur[off + 1 :]
-                    if not new_cur:
-                        return not shared  # a point off its own wall
-                if set(wall) == shared and shared <= set(new_cur):
-                    return True
-                if cur is p:
-                    p, q = new_cur, wall
-                else:
-                    q, p = new_cur, wall
-                progress = True
-                break
-            if progress:
-                break
-        if progress:
-            continue
-        # deep intersection: fall back to exact vertex enumeration
-        verts = polytope.intersect_simplices(
-            [k.coords[v] for v in p], [k.coords[v] for v in q]
-        )
-        return verts == sorted({linalg.as_vec(k.coords[v]) for v in shared})
+    rows, m = b_functionals[0], len(b)
+    clipped = polytope._clip_simplex([icoords[v] for v in a], rows[:m], rows[m::2])
+    units = [tuple(int(u == v) for u in a) for v in a if v in b]
+    return sorted(clipped) == sorted(units)
 
 
 # -- vectorized certificate for the pairwise intersection test --------------
@@ -296,12 +246,12 @@ def _common_face_cached(k: EuclideanComplex, a, b, icoords, fmemo) -> bool:
 _FAST_PAIR_THRESHOLD = 200  # minimum number of pairs to bother certifying
 
 
-def _locally_certified(maximal, icoords, fmemo) -> bool:
+def _locally_certified(maximal, icoords, functionals) -> bool:
     """True when the top simplices provably triangulate the convex hull of
     the vertices, so that every pair meets in a common face.
 
     Applies to pure complexes of full dimension d, whose facet functionals
-    are in fmemo; returns False otherwise, and whenever a condition fails.
+    are given; returns False otherwise, and whenever a condition fails.
     The local characterization of triangulations (De Loera, Rambau &
     Santos, *Triangulations*, 2010): every ridge lies in at
     most two top simplices, and in two only with the second one's
@@ -326,7 +276,7 @@ def _locally_certified(maximal, icoords, fmemo) -> bool:
         if len(owners) > 2:
             return False
         s, i = owners[0]
-        row = fmemo[s][0][i]
+        row = functionals[s][0][i]
         if len(owners) == 2:
             t, j = owners[1]
             if value(row, icoords[t[j]]) >= 0:
@@ -338,24 +288,19 @@ def _locally_certified(maximal, icoords, fmemo) -> bool:
     # integer barycenter of the first simplex, times d + 1
     center = [sum(c) for c in zip(*(icoords[v] for v in maximal[0]))]
     covering = sum(
-        all(value(row, center) >= 0 for row in fmemo[s][0]) for s in maximal
+        all(value(row, center) >= 0 for row in functionals[s][0]) for s in maximal
     )
     return covering == 1
 
 
-def _uncertified_pairs(maximal, icoords, fmemo):
+def _uncertified_pairs(maximal, icoords, functionals):
     """All pairs of maximal simplices, minus those certified to meet in a
     common face: none when the local certificate holds, else those the
-    vectorized separating-wall test leaves.
-
-    Functionals are stored in fmemo for reuse by _common_face_cached.
-    """
+    vectorized separating-wall test leaves."""
     nm = len(maximal)
     if nm * (nm - 1) // 2 < _FAST_PAIR_THRESHOLD or len({len(s) for s in maximal}) != 1:
         return list(itertools.combinations(maximal, 2))
-    for s in maximal:
-        fmemo[s] = polytope._integer_functionals([icoords[v][:-1] for v in s])
-    if _locally_certified(maximal, icoords, fmemo):
+    if _locally_certified(maximal, icoords, functionals):
         return []
     import numpy as np
 
@@ -365,7 +310,7 @@ def _uncertified_pairs(maximal, icoords, fmemo):
 
     func_rows, func_off = [], []
     for s in maximal:
-        rows, offs = fmemo[s]
+        rows, offs = functionals[s]
         for row, off in zip(rows, offs):
             func_rows.append(row)
             func_off.append(vindex[s[off]] if off >= 0 else -1)

@@ -17,12 +17,14 @@ of the two simplices is affinely independent, the polytope is the other
 one's weight simplex clipped by its pulled-back facet functionals, by
 double description over integer weights (`_clip_simplex`); when both
 are dependent, the basic feasible solutions of the joint system are
-enumerated (`enumerate_basic_solutions`).
+enumerated (`enumerate_basic_solutions`).  The common-face test of
+`complexes.validate` runs the same clip on its own integer points.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -155,9 +157,6 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
     else:
         return _enumerate_intersection(ip, iq, p_out, q_out)
     rows, k = functionals[0], len(walls)
-    # row j of `values` is walls' facet functional j (then each hull
-    # equation, one sign) at the clipped side's points
-    values = [[_value(row, x) for x in clip] for row in rows[:k] + rows[k::2]]
     # outputs as integer columns over one denominator: the clipped side's
     # weights are w / sum(w), the other side's are mu_j = f_j(x) / f_j(walls_j)
     own, own_den = linalg.integer_points(clip_out)
@@ -168,11 +167,12 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
     other = [[x * (big // f) for x, f in zip(col, scale)] for col in zip(*other)]
     other_den *= big
     pts = []
-    for w in _clip_simplex(values[:k], values[k:]):
+    for w in _clip_simplex(clip, rows[:k], rows[k::2]):
         total = sum(w)
         a = tuple(Fraction(_value(col, w), total * own_den) for col in own)
         if other:
-            mu = [_value(vals, w) for vals in values[:k]]
+            x = [_value(col, w) for col in zip(*clip)]
+            mu = [_value(row, x) for row in rows[:k]]
             b = tuple(Fraction(_value(col, mu), total * other_den) for col in other)
         else:
             b = ()
@@ -183,46 +183,50 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
     return hull_vertices(pts)
 
 
-def _clip_simplex(facets, equations) -> list[tuple[int, ...]]:
-    """Vertices of {lambda in the standard simplex : c.lambda >= 0 for c in
-    facets, c.lambda = 0 for c in equations}, each as the primitive
-    integer vector on its ray.
+def _clip_simplex(points, facets, equations) -> list[tuple[int, ...]]:
+    """Vertices of {lambda in the standard simplex : c(x) >= 0 for c in
+    facets, c(x) = 0 for c in equations}, where x = sum(lambda_i
+    points_i) over homogeneous integer points and each c is an integer
+    row; each vertex is the primitive integer vector on its ray.
 
     Double description (Fukuda & Prodon, "Double description method
-    revisited", 1996) on the cone lambda >= 0: each vertex carries the
-    bitmask of the constraints tight at it, bit i for lambda_i >= 0 and
-    one bit per facet cut.  A cut keeps the vertices on its side and adds
-    the crossing of each pair on opposite sides that is adjacent: no
-    third vertex is tight on every constraint tight at both.
+    revisited", 1996) on the cone lambda >= 0: each vertex carries its
+    point x, where each cut is evaluated, and the bitmask of the
+    constraints tight at it, bit i for lambda_i >= 0 and one bit per
+    facet cut.  A cut keeps the vertices on its side and adds the
+    crossing of each pair on opposite sides that is adjacent: no third
+    vertex is tight on every constraint tight at both.
     """
-    m = len(facets[0])
+    m = len(points)
     verts = [
-        (tuple(int(i == j) for j in range(m)), ((1 << m) - 1) ^ (1 << i))
-        for i in range(m)
+        (tuple(int(i == j) for j in range(m)), x, ((1 << m) - 1) ^ (1 << i))
+        for i, x in enumerate(points)
     ]
     cuts = [(c, 0) for c in equations] + [(c, 1 << (m + j)) for j, c in enumerate(facets)]
     for c, bit in cuts:
         kept, pos, neg = [], [], []
-        for w, tight in verts:
-            v = _value(c, w)
+        for w, x, tight in verts:
+            v = _value(c, x)
             if v == 0:
-                kept.append((w, tight | bit))
+                kept.append((w, x, tight | bit))
             elif v > 0:
-                pos.append((v, w, tight))
+                pos.append((v, w, x, tight))
                 if bit:
-                    kept.append((w, tight))
+                    kept.append((w, x, tight))
             else:
-                neg.append((v, w, tight))
-        for vu, wu, tu in pos:
-            for vx, wx, tx in neg:
+                neg.append((v, w, x, tight))
+        for vu, wu, xu, tu in pos:
+            for vx, wx, xx, tx in neg:
                 common = tu & tx
-                if sum((t & common) == common for _, t in verts) > 2:
+                if sum((t & common) == common for _, _, t in verts) > 2:
                     continue
                 ray = [vu * b - vx * a for a, b in zip(wu, wx)]
                 g = gcd(*ray)
-                kept.append((tuple(x // g for x in ray), common | bit))
+                # the crossing's point is the same combination of theirs
+                x = [(vu * b - vx * a) // g for a, b in zip(xu, xx)]
+                kept.append((tuple(r // g for r in ray), x, common | bit))
         verts = kept
-    return [w for w, _ in verts]
+    return [w for w, _, _ in verts]
 
 
 def _enumerate_intersection(ip, iq, p_out, q_out) -> list[Vec]:
@@ -296,7 +300,7 @@ def placing_triangulation(points) -> list[tuple[int, ...]]:
 
 
 def _value(row, x) -> int:
-    return sum(a * b for a, b in zip(row, x))
+    return sum(map(operator.mul, row, x))
 
 
 def _place(pts):

@@ -428,26 +428,26 @@ class SubdividedDeltaSet:
 def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
     """Barycentric subdivision of a Δ-set, as the colimit over its simplex
     category of the subdivided standard simplices."""
+    sd = {p: delta.sd_standard_delta(p) for p in range(max(x.generators, default=-1) + 1)}
     diag = delta.Diagram()
     for p in sorted(x.generators):
-        sd_p = delta.sd_standard_delta(p)
         for g in x.gens(p):
-            diag.add_object((p, g), sd_p)
-    for p in sorted(x.generators):
+            diag.add_object((p, g), sd[p])
         if p == 0:
             continue
-        sd_p = diag.objects[(p, x.gens(p)[0])]
+        # the inclusion of sd Δ^(p-1) as the i-th face of sd Δ^p
+        face = sd[p - 1]
+        inclusions = [
+            {
+                (d, flag): tuple(tuple(v if v < i else v + 1 for v in f) for f in flag)
+                for d in sorted(face.generators)
+                for flag in face.gens(d)
+            }
+            for i in range(p + 1)
+        ]
         for g in x.gens(p):
-            for i in range(p + 1):
-                face = x.face(p, g, i)
-                mapping = {}
-                for d in sorted(delta.sd_standard_delta(p - 1).generators):
-                    for flag in delta.sd_standard_delta(p - 1).gens(d):
-                        img = tuple(
-                            tuple(v if v < i else v + 1 for v in f) for f in flag
-                        )
-                        mapping[(d, flag)] = img
-                diag.add_arrow((p - 1, face), (p, g), mapping)
+            for i, mapping in enumerate(inclusions):
+                diag.add_arrow((p - 1, x.face(p, g, i)), (p, g), mapping)
     colim = delta.colimit(diag)
     carrier = {}
     for k in colim.delta_set.generators:

@@ -60,9 +60,6 @@ class SimplicialSetFP:
     def gens(self, degree: int) -> tuple:
         return self.generators.get(degree, ())
 
-    def gen_degree(self, g) -> int:
-        return self._degree[g]
-
     def simplex_degree(self, simp) -> int:
         word, g = simp
         return len(word) + self._degree[g]

@@ -495,13 +495,10 @@ def render_report(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_suite() -> tuple[str, bool]:
-    """Criteria 1-11 plus the determinism criterion: the first eleven are
-    evaluated twice and their reports must agree byte for byte."""
+def run_suite() -> list[tuple[str, bool, str]]:
+    """Rows of criteria 1-11 plus the determinism criterion: the first
+    eleven are evaluated twice and their reports must agree byte for byte."""
     rows = run_criteria()
-    report_a = render_report(rows)
-    report_b = render_report(run_criteria())
-    det = report_a == report_b
+    det = render_report(rows) == render_report(run_criteria())
     rows.append(("determinism", det, "two runs byte-identical" if det else "reports differ"))
-    ok = all(r[1] for r in rows)
-    return render_report(rows), ok
+    return rows

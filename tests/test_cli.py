@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -151,9 +153,28 @@ def test_export_off(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the subprocess imports the same plkernel package as this test
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "plkernel.cli", "prism-k", "2", "--counts"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "chi=1" in proc.stdout
+
+
+def test_verify_suite_json_reports_failing_rows(capsys):
+    rows = [("first", True, "fine"), ("second", False, "a PASS row went missing")]
+    with mock.patch.object(suite, "run_criteria", lambda names=None: list(rows)):
+        code, out, _ = run_cli(["verify-suite", "--json"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "verify-suite",
+        "ok": False,
+        "rows": [
+            {"criterion": "first", "ok": True},
+            {"criterion": "second", "ok": False},
+            {"criterion": "determinism", "ok": True},
+        ],
+    }

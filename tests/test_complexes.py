@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, delta, linalg, prism
+from plkernel import complexes, delta, linalg, polytope, prism
 
 F = Fraction
 
@@ -280,3 +281,91 @@ def test_local_certificate_small_cases():
     )
     report, verdicts = certificate_reports(folded)
     assert not report.ok and verdicts == [False]
+
+
+# -- the exact pair test against intersect_simplices -------------------------
+
+
+PAIR_KINDS = ("random", "touching", "coincident", "reflected")
+
+
+def simplex_pair(kind, n, seed):
+    """Coordinates and two affinely independent simplices a, b in R^n on
+    small integer points, neither a face of the other, sharing 0 to
+    len(a) - 1 vertices; b's other vertices are random points, points on a
+    facet of a, a's other points on new ids, or their reflections through
+    a's barycenter."""
+    rng = random.Random(seed)
+
+    def points(m):
+        return [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(m)]
+
+    while True:
+        pa = points(rng.randint(1, n + 1))
+        if not linalg.affinely_independent(pa):
+            continue
+        shared = sorted(rng.sample(range(len(pa)), rng.randint(0, len(pa) - 1)))
+        rest = [p for i, p in enumerate(pa) if i not in shared]
+        if kind == "random":
+            new = points(rng.randint(1, n + 1 - len(shared)))
+        elif kind == "touching":
+            facet = rng.sample(pa, max(1, len(pa) - 1))
+            weights = [w for w in itertools.product((0, F(1, 2), 1), repeat=len(facet)) if sum(w) == 1]
+            new = [
+                tuple(sum(w * x for w, x in zip(rng.choice(weights), col)) for col in zip(*facet))
+                for _ in rest
+            ] + points(rng.randint(0, 1))
+        elif kind == "coincident":
+            new = rest
+        else:
+            center = [sum(col) / len(pa) for col in zip(*pa)]
+            new = [tuple(2 * c - x for c, x in zip(center, p)) for p in rest]
+        pb = [pa[i] for i in shared] + new
+        if len(pb) <= n + 1 and linalg.affinely_independent(pb):
+            break
+    coords = dict(enumerate(pa))
+    coords.update({len(pa) + j: p for j, p in enumerate(new)})
+    b = tuple(shared) + tuple(range(len(pa), len(pa) + len(new)))
+    return coords, tuple(range(len(pa))), b
+
+
+def pair_verdict(coords, a, b):
+    """validate's verdict on the pair, after checking it against the
+    intersection polytope from intersect_simplices, in both orders."""
+    k = complexes.EuclideanComplex.build([a, b], coords)
+    shared = sorted(linalg.as_vec(coords[v]) for v in set(a) & set(b))
+    pa, pb = k.points(a), k.points(b)
+    expected = polytope.intersect_simplices(pa, pb) == shared
+    assert (polytope.intersect_simplices(pb, pa) == shared) == expected
+    assert complexes.validate(k).ok == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PAIR_KINDS), st.integers(1, 4), st.integers(0, 2**32))
+def test_common_face_matches_intersect_simplices(kind, n, seed):
+    pair_verdict(*simplex_pair(kind, n, seed))
+
+
+def test_common_face_examples():
+    def pts(*xy):
+        return {v: (F(x), F(y)) for v, (x, y) in enumerate(xy)}
+
+    # deep overlaps, where no facet of either triangle separates the other
+    star = pts((0, 2), (-2, -1), (2, -1), (0, -2), (2, 1), (-2, 1))
+    assert not pair_verdict(star, (0, 1, 2), (3, 4, 5))
+    fan = pts((0, 0), (4, 0), (0, 4), (3, -1), (-1, 3))
+    assert not pair_verdict(fan, (0, 1, 2), (0, 3, 4))
+    # a shared edge, and the same edge reached from the wrong side
+    kite = pts((0, 0), (2, 0), (1, 2), (1, -2), (1, 1))
+    assert pair_verdict(kite, (0, 1, 2), (0, 1, 3))
+    assert not pair_verdict(kite, (0, 1, 2), (0, 1, 4))
+    # two segments crossing in the plane; a segment through a triangle in R^3,
+    # then one that stops short of it
+    cross = pts((0, 0), (2, 2), (0, 2), (2, 0))
+    assert not pair_verdict(cross, (0, 1), (2, 3))
+    space = {0: (F(0), F(0), F(0)), 1: (F(2), F(0), F(0)), 2: (F(0), F(2), F(0)),
+             3: (F(1, 2), F(1, 2), F(-1)), 4: (F(1, 2), F(1, 2), F(1))}
+    assert not pair_verdict(space, (0, 1, 2), (3, 4))
+    space[4] = (F(1, 2), F(1, 2), F(-2))
+    assert pair_verdict(space, (0, 1, 2), (3, 4))
