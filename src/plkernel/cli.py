@@ -9,6 +9,7 @@ stable JSON with --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -292,7 +293,12 @@ def cmd_export_off(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process on first use.
+
+    parse_args leaves a parser unchanged, so every call shares this one;
+    callers must not change it."""
     p = _Parser(prog="plkernel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -84,11 +84,13 @@ class OrderedComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def is_face_closed(self) -> bool:
+        # facets suffice: by induction on dimension, every face of s is
+        # then a facet of a facet ... of s
         return all(
-            f in self.simplices
+            s[:i] + s[i + 1 :] in self.simplices
             for s in self.simplices
-            for r in range(1, len(s))
-            for f in itertools.combinations(s, r)
+            if len(s) > 1
+            for i in range(len(s))
         )
 
 
@@ -294,14 +296,17 @@ def _locally_certified(maximal, icoords, functionals) -> bool:
 
 
 def _uncertified_pairs(maximal, icoords, functionals):
-    """All pairs of maximal simplices, minus those certified to meet in a
-    common face: none when the local certificate holds, else those the
-    vectorized separating-wall test leaves."""
+    """Yield, in scan order, every pair of maximal simplices not certified
+    to meet in a common face: none when the local certificate holds, else
+    those the vectorized separating-wall test leaves, row by row.  The
+    order is that of itertools.combinations, so a caller that stops at its
+    first rejection stops the scan at that pair's row."""
     nm = len(maximal)
     if nm * (nm - 1) // 2 < _FAST_PAIR_THRESHOLD or len({len(s) for s in maximal}) != 1:
-        return list(itertools.combinations(maximal, 2))
+        yield from itertools.combinations(maximal, 2)
+        return
     if _locally_certified(maximal, icoords, functionals):
-        return []
+        return
     import numpy as np
 
     verts = sorted(icoords)
@@ -332,7 +337,6 @@ def _uncertified_pairs(maximal, icoords, functionals):
     frange = np.arange(len(func_rows)).reshape(nm, nfunc)
     foff = np.array(func_off, dtype=np.intp).reshape(nm, nfunc)
 
-    unresolved = []
     for pi in range(nm - 1):
         qs = np.arange(pi + 1, nm)
         vq = vmat[qs]  # (nq, width)
@@ -363,8 +367,7 @@ def _uncertified_pairs(maximal, icoords, functionals):
             disjoint2 = (valsq < 0).all(axis=2).any(axis=1) & ~any_shared[todo]
             ok[todo] = cert_q | disjoint2
         for qi in np.flatnonzero(~ok):
-            unresolved.append((maximal[pi], maximal[pi + 1 + qi]))
-    return unresolved
+            yield maximal[pi], maximal[pi + 1 + qi]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
@@ -178,3 +179,38 @@ def test_verify_suite_json_reports_failing_rows(capsys):
             {"criterion": "determinism", "ok": True},
         ],
     }
+
+
+def test_parser_reuse_carries_no_state(tmp_path, capsys):
+    good, bad = tmp_path / "good.cplx", tmp_path / "bad.cplx"
+    complexes.dump(suite.circle_3(), good)
+    complexes.dump(complexes.EuclideanComplex.build(
+        [(0, 1, 2), (1, 2, 3)],
+        {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(1), F(2)), 3: (F(1), F(-2))},
+    ), bad)
+    assert cli.build_parser() is cli.build_parser()
+
+    code, out, _ = run_cli(["validate", "--json", str(good)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"command": "validate", "ok": True, "witness": ""}
+    # no --json this time: a text report with the witness
+    code, out, _ = run_cli(["validate", str(bad)], capsys)
+    assert code == 2
+    assert out == "invalid: intersection not a common face: simplices (0, 1, 2) and (1, 2, 3)\n"
+    sd = tmp_path / "sd.cplx"
+    code, out, _ = run_cli(["subdivide", str(good), "-r", "2", "-o", str(sd)], capsys)
+    assert code == 0 and out == ""
+    assert complexes.load(sd).f_vector() == (12, 12)
+    # neither -r nor -o this time: one round, written to stdout, not to sd.cplx
+    sd.write_text("untouched")
+    code, out, _ = run_cli(["subdivide", str(good)], capsys)
+    assert code == 0
+    assert complexes.loads(out).f_vector() == (6, 6)
+    assert sd.read_text() == "untouched"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frobnicate"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out, _ = run_cli(["validate", str(good)], capsys)
+    assert code == 0
+    assert out == f"valid: {good}\n"

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -30,6 +31,67 @@ def test_face_closure():
     assert k.f_vector() == (3, 3, 1)
     assert k.euler_characteristic() == 1
     assert k.maximal_simplices() == [(0, 1, 2)]
+
+
+def all_faces_present(simplices):
+    """Face closure by definition: every proper nonempty face is present."""
+    return all(
+        f in simplices
+        for s in simplices
+        for r in range(1, len(s))
+        for f in itertools.combinations(s, r)
+    )
+
+
+@st.composite
+def simplex_sets(draw):
+    """Random simplex sets on vertices 0..n-1 with every singleton present:
+    closures of random simplices, then one of: nothing removed, random
+    simplices removed, one codimension-2 face of a top simplex removed, or
+    a face removed together with its cofaces, the top simplex kept or not."""
+    kind = draw(st.sampled_from(("closed", "random", "codim-2", "cofaces")))
+    n = draw(st.integers(1 if kind in ("closed", "random") else 4, 6))
+
+    def simplex(least):
+        return st.lists(st.integers(0, n - 1), min_size=least, max_size=5, unique=True)
+
+    tops = draw(st.lists(simplex(1), min_size=1, max_size=4))
+    # a top simplex whose codimension-2 faces are not vertices
+    top = tuple(sorted(draw(simplex(4)))) if n >= 4 else ()
+    simplices = set(complexes.close_under_faces(tops + [top] * bool(top)))
+    simplices |= {(v,) for v in range(n)}
+    if kind == "random":
+        drop = draw(st.sets(st.sampled_from(sorted(simplices)), min_size=1))
+        simplices -= {s for s in drop if len(s) > 1}
+    elif kind in ("codim-2", "cofaces"):
+        face = tuple(sorted(draw(st.sets(st.sampled_from(top), min_size=len(top) - 2,
+                                         max_size=len(top) - 2))))
+        simplices.discard(face)
+        if kind == "cofaces":
+            keep_top = draw(st.booleans())
+            simplices -= {s for s in simplices if set(face) <= set(s) and (s != top or not keep_top)}
+    return frozenset(simplices), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_sets())
+def test_is_face_closed_matches_all_faces(case):
+    simplices, n = case
+    k = complexes.OrderedComplex(tuple(range(n)), simplices)
+    assert k.is_face_closed() == all_faces_present(simplices)
+
+
+def test_is_face_closed_codimension_two():
+    tet = complexes.close_under_faces([(0, 1, 2, 3)])
+    k = complexes.OrderedComplex((0, 1, 2, 3), tet - {(0, 1)})
+    assert not k.is_face_closed()
+    # (0, 1) and every coface gone but the top: the top's facets are missing
+    cofaces = {s for s in tet if {0, 1} <= set(s)}
+    k = complexes.OrderedComplex((0, 1, 2, 3), tet - cofaces | {(0, 1, 2, 3)})
+    assert not k.is_face_closed()
+    # the top gone too: a closed complex, two triangles on the edge (2, 3)
+    k = complexes.OrderedComplex((0, 1, 2, 3), tet - cofaces)
+    assert k.is_face_closed()
 
 
 def test_validate_good():
@@ -281,6 +343,69 @@ def test_local_certificate_small_cases():
     )
     report, verdicts = certificate_reports(folded)
     assert not report.ok and verdicts == [False]
+
+
+# -- the streamed pair scan against the exact all-pairs path -----------------
+
+
+def scan_report(k, numpy_tier):
+    """validate(k) with the numpy wall tier on every pair of a pure
+    complex (local certificate declined) or with every pair left to the
+    exact test; the pairs the scan would yield in full; the pairs tested;
+    and the scan's generator, as validate left it."""
+    tested, scans = [], []
+    scan, test = complexes._uncertified_pairs, complexes._common_face
+
+    def scan_spy(*args):
+        scans.append((args, scan(*args)))
+        return scans[-1][1]
+
+    def test_spy(a, b, *rest):
+        tested.append((a, b, test(a, b, *rest)))
+        return tested[-1][2]
+
+    threshold = 0 if numpy_tier else 10**9
+    with mock.patch.object(complexes, "_FAST_PAIR_THRESHOLD", threshold), \
+            mock.patch.object(complexes, "_locally_certified", lambda *args: False), \
+            mock.patch.object(complexes, "_uncertified_pairs", scan_spy), \
+            mock.patch.object(complexes, "_common_face", test_spy):
+        report = complexes.validate(k)
+        (args, generator), = scans
+        pairs = list(scan(*args))
+    return report, pairs, tested, generator
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("valid", "overlap", "doubled")), st.integers(2, 4), st.integers(0, 2**32))
+@example("overlap", 4, 0)
+@example("doubled", 4, 0)
+@example("valid", 3, 0)
+def test_streamed_scan_stops_at_witness(kind, p, seed):
+    ec = unimodular_image(prism.build_R(p).complex, seed)
+    if kind == "overlap":
+        ec, _ = overlapping(ec, seed)
+    elif kind == "doubled":
+        ec = doubled(unimodular_image(prism.build_R(min(p, 3)).complex, seed))
+    fast = scan_report(ec, numpy_tier=True)
+    exact = scan_report(ec, numpy_tier=False)
+    assert fast[0] == exact[0]
+    assert (kind == "valid") == fast[0].ok
+    assert exact[1] == list(itertools.combinations(ec.maximal_simplices(), 2))
+    for numpy_tier, (report, pairs, tested, generator) in ((False, exact), (True, fast)):
+        assert [(a, b) for a, b, _ in tested] == pairs[: len(tested)]
+        if report.ok:
+            assert len(tested) == len(pairs) and all(ok for *_, ok in tested)
+            assert inspect.getgeneratorstate(generator) == inspect.GEN_CLOSED
+        else:
+            a, b, ok = tested[-1]
+            assert not ok and all(ok for *_, ok in tested[:-1])
+            assert len(tested) == pairs.index((a, b)) + 1
+            assert report.issues == (f"intersection not a common face: simplices {a} and {b}",)
+            # the scan is left suspended at the witness, its later rows
+            # unscanned: the numpy scan stands in row pi, the witness's row
+            assert inspect.getgeneratorstate(generator) == inspect.GEN_SUSPENDED
+            if numpy_tier:
+                assert ec.maximal_simplices()[generator.gi_frame.f_locals["pi"]] == a
 
 
 # -- the exact pair test against intersect_simplices -------------------------
