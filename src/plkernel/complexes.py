@@ -9,6 +9,7 @@ intersection), all evaluated without floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,13 +70,17 @@ class OrderedComplex:
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
+        return list(self._maximal)
+
+    @functools.cached_property
+    def _maximal(self) -> tuple[tuple[int, ...], ...]:
         # by face-closure, s is non-maximal iff it is a facet of some simplex
         facets = set()
         for t in self.simplices:
             if len(t) >= 2:
                 for i in range(len(t)):
                     facets.add(t[:i] + t[i + 1 :])
-        return sorted(s for s in self.simplices if s not in facets)
+        return tuple(sorted(s for s in self.simplices if s not in facets))
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))
@@ -145,23 +150,15 @@ class EuclideanComplex:
     def maximal_simplices(self):
         return self.base.maximal_simplices()
 
-    def total_volume(self, chart_basis=None) -> Fraction:
-        """Sum of top-dimensional simplex volumes, measured in a chart.
-
-        Without an explicit chart basis the complex must be full-dimensional
-        in its ambient space.
-        """
+    def total_volume(self) -> Fraction:
+        """Sum of top-dimensional simplex volumes, for a complex that is
+        full-dimensional in its ambient space."""
         d = self.dimension
         total = Fraction(0)
         for s in self.base.simplices_of_dim(d):
-            pts = self.points(s)
-            if chart_basis is not None:
-                coords = polytope.chart_coordinates(pts, chart_basis)
-            else:
-                if d != self.ambient_dim:
-                    raise ValueError("need a chart basis for a non-full-dimensional complex")
-                coords = pts
-            total += polytope.simplex_volume_in_chart(coords)
+            if d != self.ambient_dim:
+                raise ValueError("total volume of a complex that is not full-dimensional")
+            total += polytope.simplex_volume_in_chart(self.points(s))
         return total
 
 

@@ -521,9 +521,10 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
 
     Built from the viewpoint q obtained by reflecting the barycenter
     through the missing facet's barycenter (so q sees only that facet):
-    Δ^p is cut into the cones over the horn facets, each cone is
-    triangulated, and every vertex maps to the exit point of the ray from
-    q through it.  The construction verifies r|horn = id and image ⊆ horn.
+    Δ^p is cut into the cones over the horn facets, the cone over facet i
+    being Δ^p ∩ hull({q} ∪ facet i), each cone is triangulated, and every
+    vertex maps to the exit point of the ray from q through it.  The
+    construction verifies r|horn = id and image ⊆ horn.
     """
     from .prism import delta_vertex
 
@@ -534,33 +535,25 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     missing = [i for i in range(p + 1) if i != j]
     bmiss = tuple(sum(verts[i][t] for i in missing) / p for t in range(p))
     q = tuple(2 * bmiss[t] - bary[t] for t in range(p))
-    (iq, *iverts), den = linalg.integer_points([q] + verts)
-
-    def half_spaces(ipts):
-        # facet functional k of the simplex, as a.x >= c in unscaled coordinates
-        rows = polytope._integer_functionals(ipts)[0][: len(ipts)]
-        return [(row[:p], Fraction(-row[p], den)) for row in rows]
-
-    # half-space i holds Δ^p's facet opposite vertex i
-    simplex_ineqs = half_spaces(iverts)
     horn = horn_complex(p, j)
     acc = _ComplexAccumulator(p)
     cone_of: list[tuple[int, list[Vec]]] = []
     for i in range(p + 1):
         if i == j:
             continue
-        # in {q} ∪ (facet opposite i), the wall opposite vertex t runs
-        # through q and the ridge of Δ^p missing i and t
-        others = [t for t in range(p + 1) if t != i]
-        walls = half_spaces([iq] + [iverts[t] for t in others])[1:]
-        ineqs = simplex_ineqs + [w for t, w in zip(others, walls) if t != j]
-        cone_verts = polytope.h_polytope_vertices([], ineqs)
+        facet = [v for t, v in enumerate(verts) if t != i]
+        cone_verts = polytope.intersect_simplices(verts, [q] + facet)
         if len(cone_verts) > p:
             acc.add_polytope(cone_verts)
             cone_of.append((i, cone_verts))
     tri = acc.build(name=f"cones({p},{j})")
 
-    # vertex images: exit point of the ray q -> v through its cone's facet
+    def bary_coord(x, i):
+        # barycentric coordinate i on Δ^p in its chart
+        return 1 - sum(x) if i == 0 else x[i - 1]
+
+    # vertex images: exit point of the ray q -> v through its cone's facet,
+    # where the owner's barycentric coordinate falls to 0
     images = {}
     for v in tri.base.vertices:
         x = tri.coords[v]
@@ -571,9 +564,8 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
                 break
         if owner is None:
             raise FamilyError("triangulation vertex outside every cone")
-        a, c = simplex_ineqs[owner]
-        denom = linalg.dot(a, linalg.vec_sub(x, q))
-        t = (c - linalg.dot(a, q)) / denom
+        bq = bary_coord(q, owner)
+        t = bq / (bq - bary_coord(x, owner))
         images[v] = tuple(q[s] + t * (x[s] - q[s]) for s in range(p))
     r = AffineSimplicialMap(tri, horn, images)
     _verify_retraction(r, horn)

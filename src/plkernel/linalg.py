@@ -22,10 +22,6 @@ def as_vec(xs) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def vec_sub(a, b) -> Vec:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b, strict=True))
-
-
 def dot(a, b) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), Fraction(0))
 

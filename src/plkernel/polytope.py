@@ -8,17 +8,17 @@ construction is deterministic.
 Which side of a simplex's facet a point lies on is decided by one routine,
 `_integer_functionals`: the integer facet functionals and affine-hull
 equations of a simplex with integer vertices.  Placing triangulations,
-hull vertices, the separating walls of `complexes.validate` and the cones
-of the horn retraction in `families` all read it, on points scaled to
-integers by `linalg.integer_points`.
+hull vertices and the separating walls of `complexes.validate` all read
+it, on points scaled to integers by `linalg.integer_points`.
 
-Every simplex-pair polytope comes from `intersect_simplices`.  When one
-of the two simplices is affinely independent, the polytope is the other
-one's weight simplex clipped by its pulled-back facet functionals, by
-double description over integer weights (`_clip_simplex`); when both
-are dependent, the basic feasible solutions of the joint system are
-enumerated (`enumerate_basic_solutions`).  The common-face test of
-`complexes.validate` runs the same clip on its own integer points.
+Every simplex-pair polytope comes from `intersect_simplices`: one clip of
+the joint weight simplex of both simplices by double description over
+integer weights (`_clip_simplex`), whichever side is affinely dependent.
+The pieces of `families`, point-set comparison and the cones of the horn
+retraction all read it.  The common-face test of `complexes.validate`
+runs the same clip on its own integer points.  `enumerate_basic_solutions`
+and `h_polytope_vertices` have no caller here; they are the independent
+references the tests compare the clip against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from . import linalg
 from .linalg import Vec, as_vec, dot
@@ -63,7 +63,11 @@ def _row_basis(rows) -> list[int]:
 
 
 def enumerate_basic_solutions(a_rows, b) -> list[Vec]:
-    """All basic feasible solutions of {x >= 0 : A x = b}."""
+    """All basic feasible solutions of {x >= 0 : A x = b}.
+
+    The reference for `intersect_simplices`: the tests enumerate the joint
+    system of a simplex pair this way and compare the hull vertices.
+    """
     if not a_rows:
         return []
     n = len(a_rows[0])
@@ -131,14 +135,11 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
     read the same polytope through the affine maps that send p_i to
     p_out_i and q_j to q_out_j.
 
-    When Q is affinely independent, mu is a function of the point
-    x = sum(lambda_i p_i): mu_j = f_j(x) / f_j(q_j) for Q's facet
-    functional f_j, and x lies in hull(Q) exactly when every f_j is >= 0
-    and every equation of Q's affine hull is 0 at x.  The polytope is then
-    the weight simplex of P clipped by those functionals pulled back to
-    lambda (`_clip_simplex`), with no solve.  When only P is independent
-    the roles swap.  When neither is, the basic feasible solutions of the
-    joint system are enumerated.
+    The joint weights (lambda, mu) range over the standard simplex on the
+    homogeneous integer points (p_i, 1) and -(q_j, 1); one clip by the
+    unit equations of their sum (`_clip_simplex`) leaves the rays with
+    sum(lambda_i (p_i, 1)) = sum(mu_j (q_j, 1)), whose last coordinate
+    makes both weight sums equal.  Either side may be affinely dependent.
     """
     P = [as_vec(p) for p in p_points]
     Q = [as_vec(q) for q in q_points]
@@ -146,41 +147,36 @@ def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]
         return []
     p_out = P if p_out is None else [as_vec(x) for x in p_out]
     q_out = [()] * len(Q) if q_out is None else [as_vec(x) for x in q_out]
+    m = len(P)
     ipts, _ = linalg.integer_points(P + Q)
-    ipts = [x + (1,) for x in ipts]
-    ip, iq = ipts[: len(P)], ipts[len(P) :]
-    sides = ((ip, p_out, iq, q_out), (iq, q_out, ip, p_out))
-    for swap, (clip, clip_out, walls, walls_out) in enumerate(sides):
-        functionals = _integer_functionals([x[:-1] for x in walls])
-        if functionals is not None:
-            break
-    else:
-        return _enumerate_intersection(ip, iq, p_out, q_out)
-    rows, k = functionals[0], len(walls)
-    # outputs as integer columns over one denominator: the clipped side's
-    # weights are w / sum(w), the other side's are mu_j = f_j(x) / f_j(walls_j)
-    own, own_den = linalg.integer_points(clip_out)
-    own = list(zip(*own))
-    scale = [_value(row, x) for row, x in zip(rows, walls)]
-    big = lcm(*scale)
-    other, other_den = linalg.integer_points(walls_out)
-    other = [[x * (big // f) for x, f in zip(col, scale)] for col in zip(*other)]
-    other_den *= big
+    joint = [x + (1,) for x in ipts[:m]] + [tuple(-c for c in x) + (-1,) for x in ipts[m:]]
+    n = len(joint[0])
+    units = [[int(i == t) for i in range(n)] for t in range(n)]
+    # outputs as integer columns over one denominator, read at the weights
+    # w / sum(lambda)
+    outs, den = linalg.integer_points(p_out + q_out)
+    p_cols, q_cols = list(zip(*outs[:m])), list(zip(*outs[m:]))
     pts = []
-    for w in _clip_simplex(clip, rows[:k], rows[k::2]):
-        total = sum(w)
-        a = tuple(Fraction(_value(col, w), total * own_den) for col in own)
-        if other:
-            x = [_value(col, w) for col in zip(*clip)]
-            mu = [_value(row, x) for row in rows[:k]]
-            b = tuple(Fraction(_value(col, mu), total * other_den) for col in other)
-        else:
-            b = ()
-        pts.append(b + a if swap else a + b)
-    # an affine map that is one-to-one on the weights keeps the vertices apart
-    if linalg.affinely_independent(clip_out):
+    for w in _clip_simplex(joint, [], units):
+        lam, mu = w[:m], w[m:]
+        total = sum(lam) * den
+        pts.append(
+            tuple(Fraction(_value(col, lam), total) for col in p_cols)
+            + tuple(Fraction(_value(col, mu), total) for col in q_cols)
+        )
+    # outputs that determine the weights keep the vertices apart: lambda,
+    # read off an independent p_out, fixes the point and so mu on an
+    # independent Q; likewise with the sides swapped
+    if (_independent(outs[:m]) and _independent(ipts[m:])) or (
+        _independent(outs[m:]) and _independent(ipts[:m])
+    ):
         return sorted(pts)
     return hull_vertices(pts)
+
+
+def _independent(ipts) -> bool:
+    """Whether the integer points are affinely independent."""
+    return len(linalg.eliminate([list(x) + [1] for x in ipts])[0]) == len(ipts)
 
 
 def _clip_simplex(points, facets, equations) -> list[tuple[int, ...]]:
@@ -227,28 +223,6 @@ def _clip_simplex(points, facets, equations) -> list[tuple[int, ...]]:
                 kept.append((tuple(r // g for r in ray), x, common | bit))
         verts = kept
     return [w for w, _, _ in verts]
-
-
-def _enumerate_intersection(ip, iq, p_out, q_out) -> list[Vec]:
-    """intersect_simplices for two affinely dependent sides, by basic
-    feasible solutions of the joint system over the homogeneous integer
-    points ip and iq."""
-    nl = len(ip)
-    rows = [[p[i] for p in ip] + [-q[i] for q in iq] for i in range(len(ip[0]))]
-    rows.append([1] * nl + [0] * len(iq))
-    rhs = [0] * (len(rows) - 1) + [1]
-    pts = {
-        _combine(sol[:nl], p_out) + _combine(sol[nl:], q_out)
-        for sol in enumerate_basic_solutions(rows, rhs)
-    }
-    return hull_vertices(pts)
-
-
-def _combine(weights, points) -> Vec:
-    """The point sum(weights_i points_i)."""
-    return tuple(
-        sum(w * x[i] for w, x in zip(weights, points)) for i in range(len(points[0]))
-    )
 
 
 def chart_coordinates(points, basis_points) -> list[Vec]:

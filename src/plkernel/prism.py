@@ -17,7 +17,6 @@ full-dimensional in ℝ^{p+1} and all volumes are rational (vol Δ^p = 1/p!).
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,19 +27,13 @@ from .complexes import EuclideanComplex
 from .delta import DeltaMorphism, DeltaSet
 from .simplicial import SimplicialMorphism, SimplicialSetFP
 
-DEFAULT_CAP = 6
-
-
-def dimension_cap() -> int:
-    """Prism dimension cap; PLKERNEL_CAP overrides the default of 6."""
-    raw = os.environ.get("PLKERNEL_CAP")
-    return int(raw) if raw else DEFAULT_CAP
+# the largest prism dimension built
+DIMENSION_CAP = 6
 
 
 def _check_cap(p: int):
-    cap = dimension_cap()
-    if p < 0 or p > cap:
-        raise ValueError(f"p={p} outside the allowed range 0..{cap}")
+    if p < 0 or p > DIMENSION_CAP:
+        raise ValueError(f"p={p} outside the allowed range 0..{DIMENSION_CAP}")
 
 
 def delta_vertex(p: int, i: int) -> tuple[Fraction, ...]:

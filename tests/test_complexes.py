@@ -33,6 +33,16 @@ def test_face_closure():
     assert k.maximal_simplices() == [(0, 1, 2)]
 
 
+def test_maximal_simplices_returns_a_fresh_list():
+    k = glued_triangles()
+    tops = k.maximal_simplices()
+    assert tops == [(0, 1, 2), (1, 2, 3)]
+    tops.pop()
+    tops.append((0, 1))
+    assert k.maximal_simplices() == [(0, 1, 2), (1, 2, 3)]
+    assert k.base.maximal_simplices() is not k.base.maximal_simplices()
+
+
 def all_faces_present(simplices):
     """Face closure by definition: every proper nonempty face is present."""
     return all(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, families, homology, polytope, suite
+from plkernel import complexes, families, homology, linalg, polytope, suite
 
 F = Fraction
 
@@ -177,7 +177,7 @@ def test_regular_fiber_rejects_vertex_image():
 
 
 def test_horn_retraction_small():
-    for p, j in [(1, 0), (2, 0), (2, 1), (2, 2), (3, 1)]:
+    for p, j in [(p, j) for p in range(1, 4) for j in range(p + 1)]:
         r = families.horn_retraction(p, j)
         horn = families.horn_complex(p, j)
         for s in horn.maximal_simplices():
@@ -185,6 +185,43 @@ def test_horn_retraction_small():
                 rs = next(t for t in r.source.maximal_simplices()
                           if families._inside(c, r.source.points(t)))
                 assert r.apply(rs, c) == c
+
+
+def _walls(simplex):
+    """Half-spaces (a, c), a.x >= c, of a full-dimensional simplex: wall k
+    is 0 on every vertex but vertex k, where it is 1."""
+    rows = [list(v) + [F(1)] for v in simplex]
+    out = []
+    for k in range(len(simplex)):
+        sol = linalg.solve(rows, [F(int(t == k)) for t in range(len(simplex))])
+        out.append((sol[:-1], -sol[-1]))
+    return out
+
+
+@pytest.mark.parametrize("p,j", [(p, j) for p in range(1, 4) for j in range(p + 1)])
+def test_horn_retraction_cones_match_h_description(p, j):
+    """Cone i of the retraction, Δ^p ∩ hull({q} ∪ facet i), is Δ^p cut by
+    the walls through q of {q} ∪ facet i, except the one opposite vertex j;
+    the cones' vertices are the vertices of the retraction's source."""
+    from plkernel.prism import delta_vertex
+
+    verts = [delta_vertex(p, i) for i in range(p + 1)]
+    bary = [sum(v[t] for v in verts) / (p + 1) for t in range(p)]
+    bmiss = [sum(v[t] for i, v in enumerate(verts) if i != j) / p for t in range(p)]
+    q = tuple(2 * b - c for b, c in zip(bmiss, bary))
+    source = set()
+    for i in range(p + 1):
+        if i == j:
+            continue
+        others = [t for t in range(p + 1) if t != i]
+        walls = _walls([q] + [verts[t] for t in others])[1:]
+        ineqs = _walls(verts) + [w for t, w in zip(others, walls) if t != j]
+        cone = polytope.intersect_simplices(verts, [q] + [verts[t] for t in others])
+        assert cone == polytope.h_polytope_vertices([], ineqs)
+        if len(cone) > p:
+            source.update(cone)
+    r = families.horn_retraction(p, j)
+    assert set(r.source.coords.values()) == source
 
 
 def test_horn_retraction_is_built_once():

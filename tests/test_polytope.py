@@ -81,14 +81,18 @@ def hull_oracle(points):
     return [p for i, p in enumerate(pts) if not lp.in_hull(p, pts[:i] + pts[i + 1 :])]
 
 
+def _sub(a, b):
+    return [x - y for x, y in zip(a, b, strict=True)]
+
+
 def _oracle_affine_rank(points):
     if len(points) <= 1:
         return len(points) - 1
-    return linalg.rank([list(linalg.vec_sub(p, points[0])) for p in points[1:]])
+    return linalg.rank([_sub(p, points[0]) for p in points[1:]])
 
 
 def _oracle_affine_basis(pts):
-    diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    diffs = [_sub(p, pts[0]) for p in pts[1:]]
     return [pts[0]] + [pts[1 + i] for i in polytope._row_basis(diffs)]
 
 
@@ -134,7 +138,7 @@ def _oracle_visible_facets(simplices, placed, new_idx, chart, dim):
         s = owners[0]
         inner = [v for v in s if v not in f][0]
         fpts = [chart[i] for i in f]
-        sub_rows = [list(linalg.vec_sub(p, fpts[0])) for p in fpts[1:]]
+        sub_rows = [_sub(p, fpts[0]) for p in fpts[1:]]
         span_pts = [chart[i] for i in placed]
         normals = _oracle_facet_normal(sub_rows, fpts[0], span_pts)
         if normals is None:
@@ -151,7 +155,7 @@ def _oracle_visible_facets(simplices, placed, new_idx, chart, dim):
 
 def _oracle_facet_normal(facet_diff_rows, facet_origin, span_pts):
     span_origin = span_pts[0]
-    span_dirs = [list(linalg.vec_sub(p, span_origin)) for p in span_pts[1:]]
+    span_dirs = [_sub(p, span_origin) for p in span_pts[1:]]
     n = len(facet_origin)
     span_basis = [span_dirs[i] for i in polytope._row_basis(span_dirs)]
     if not span_basis:
@@ -281,6 +285,10 @@ HALF = F(1, 2)
 @example((CUBE[:3] + CUBE[4:5], CUBE[1:3] + CUBE[4:5] + CUBE[7:], None, None))
 # a cut with a pair on opposite sides that is not an edge of the clipped polytope
 @example(([(HALF, HALF), (F(-1), F(2)), (F(2), F(1))], [(HALF, F(1)), (F(2), F(1)), (F(1), F(2))], None, None))
+# Q dependent, P and q_out independent: the vertices are read without a hull
+@example((SQUARE[:3], SQUARE, None, [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]))
+@example(([(F(0),), (F(2),)], [(F(-1),), (HALF,), (F(1),)], [(F(3),)] * 2, [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]))
+@example((SQUARE[1:], [(F(0), F(0)), (F(2), F(2)), (HALF, HALF)], [(F(1),)] * 3, [(F(1), F(2)), (F(0), F(3)), (F(5), F(1))]))
 def test_intersect_simplices_matches_two_sided_system(case):
     p, q, p_out, q_out = case
     got = polytope.intersect_simplices(p, q, p_out, q_out)

@@ -78,13 +78,15 @@ def test_k_map_naturality():
         assert left.mapping == right.mapping
 
 
-def test_dimension_cap_env(monkeypatch):
-    monkeypatch.setenv("PLKERNEL_CAP", "2")
-    assert prism.dimension_cap() == 2
-    with pytest.raises(ValueError):
-        prism.build_R(3)
-    monkeypatch.delenv("PLKERNEL_CAP")
-    assert prism.dimension_cap() == 6
+def test_dimension_cap():
+    assert prism.DIMENSION_CAP == 6
+    identity_map = lambda p: prism.build_R_map(range(p + 1), p, p)  # noqa: E731
+    cases = [(build, p) for build in (prism.build_R, prism.build_K, identity_map) for p in (7, -1)]
+    # a map into [7]: the target's dimension is capped too
+    cases.append((lambda p: prism.build_R_map((0,), 0, p), 7))
+    for build, p in cases:
+        with pytest.raises(ValueError, match="outside the allowed range 0..6"):
+            build(p)
 
 
 def test_prism_homology_contractible():
