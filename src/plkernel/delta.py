@@ -78,14 +78,16 @@ class IdentityReport:
 
 def check_identities(x: DeltaSet) -> IdentityReport:
     """Verify d_i d_j = d_{j-1} d_i for i < j on every generator."""
+    faces = x.faces
     for k in sorted(x.generators):
         if k < 2:
             continue
+        pairs = tuple(itertools.combinations(range(k + 1), 2))
+        below = {h: [faces[(k - 1, h, i)] for i in range(k)] for h in x.gens(k - 1)}
         for g in x.gens(k):
-            for i, j in itertools.combinations(range(k + 1), 2):
-                left = x.face(k - 1, x.face(k, g, j), i)
-                right = x.face(k - 1, x.face(k, g, i), j - 1)
-                if left != right:
+            d = [below[faces[(k, g, i)]] for i in range(k + 1)]
+            for i, j in pairs:
+                if d[j][i] != d[i][j - 1]:
                     return IdentityReport(False, (k, g, i, j))
     return IdentityReport(True)
 

@@ -103,53 +103,42 @@ def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> C
 def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
     """Δ-set nerve: degree-k generators are composable k-strings all of
     whose consecutive multi-composites are defined (so every face exists);
-    d_0/d_k drop the ends, inner d_i compose."""
-    gens: dict[int, tuple] = {0: tuple(sorted(c.objects, key=repr))}
+    d_0/d_k drop the ends, inner d_i compose.  Each string carries the
+    products of its suffixes; s + (g,) is closed iff all compose with g."""
+    mors = sorted(c.morphisms, key=repr)
+    by_src: dict = {}
+    for g in mors:
+        by_src.setdefault(c.src[g], []).append(g)
+    gens: dict[int, tuple] = {0: tuple(sorted(c.objects, key=repr)), 1: tuple((f,) for f in mors)}
     faces = {}
-    strings = {1: [(f,) for f in sorted(c.morphisms, key=repr)]}
-    gens[1] = tuple(strings[1])
     for f in c.morphisms:
         faces[(1, (f,), 0)] = c.tgt[f]
         faces[(1, (f,), 1)] = c.src[f]
+    level = [(s, s) for s in gens[1]]
     for k in range(2, max_degree + 1):
-        level = []
-        for s in strings[k - 1]:
-            for g in sorted(c.morphisms, key=repr):
-                t = s + (g,)
-                if c.tgt[s[-1]] != c.src[g]:
-                    continue
-                if _string_closed(c, t):
-                    level.append(t)
-        strings[k] = level
-        gens[k] = tuple(level)
-        for t in level:
-            faces[(k, t, 0)] = t[1:]
-            faces[(k, t, k)] = t[:-1]
-            for i in range(1, k):
-                faces[(k, t, i)] = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+        grown = []
+        for s, products in level:
+            for g in by_src.get(c.tgt[s[-1]], ()):
+                folds = []
+                for a in products:
+                    a = c.comp.get((a, g))
+                    if a is None:
+                        break
+                    folds.append(a)
+                else:
+                    t = s + (g,)
+                    grown.append((t, (*folds, g)))
+                    faces[(k, t, 0)] = t[1:]
+                    faces[(k, t, k)] = s
+                    for i in range(1, k):
+                        faces[(k, t, i)] = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+        level = grown
+        gens[k] = tuple(t for t, _ in grown)
     x = DeltaSet({k: v for k, v in gens.items() if v}, faces, name=f"N({c.name})")
     rep = check_identities(x)
     if not rep:
         raise CategoryStructureError(f"nerve face identities fail: {rep.witness}")
     return x
-
-
-def _string_closed(c: FiniteNonUnitalCategory, t: tuple) -> bool:
-    """All composites of consecutive runs of the string are defined."""
-    # composite[i][j] = product of t[i..j]; filled by increasing length
-    n = len(t)
-    comp = {(i, i): t[i] for i in range(n)}
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length - 1
-            a = comp.get((i, j - 1))
-            if a is None:
-                return False
-            prod = c.comp.get((a, t[j]))
-            if prod is None:
-                return False
-            comp[(i, j)] = prod
-    return True
 
 
 # ---------------------------------------------------------------------------

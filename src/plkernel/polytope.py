@@ -195,7 +195,7 @@ def _clip_simplex(points, facets, equations) -> list[tuple[int, ...]]:
     """
     m = len(points)
     verts = [
-        (tuple(int(i == j) for j in range(m)), x, ((1 << m) - 1) ^ (1 << i))
+        ((0,) * i + (1,) + (0,) * (m - i - 1), x, ((1 << m) - 1) ^ (1 << i))
         for i, x in enumerate(points)
     ]
     cuts = [(c, 0) for c in equations] + [(c, 1 << (m + j)) for j, c in enumerate(facets)]

@@ -403,7 +403,7 @@ def product_map_of(eta, p: int, q: int) -> SimplicialMorphism:
 
 
 # ---------------------------------------------------------------------------
-# subdivision of Δ-sets as a colimit
+# subdivision of Δ-sets
 # ---------------------------------------------------------------------------
 
 
@@ -415,40 +415,57 @@ class SubdividedDeltaSet:
     delta_set: DeltaSet
     # generator of sd X -> (p, generator of X in degree p, flag in sd Δ^p)
     carrier: Mapping[delta.Hashable, tuple]
-    cocone: Mapping
 
 
 def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
-    """Barycentric subdivision of a Δ-set, as the colimit over its simplex
-    category of the subdivided standard simplices."""
-    sd = {p: delta.sd_standard_delta(p) for p in range(max(x.generators, default=-1) + 1)}
-    diag = delta.Diagram()
+    """Barycentric subdivision of a Δ-set, the colimit over its simplex
+    category of the subdivided standard simplices.
+
+    Given the face identities, each generator of sd X is one g ∈ X_p with
+    one flag of sd Δ^p ending at {0..p}, named ((p, g), k, flag).  Face
+    i < k drops F_i; face k is the flag renumbered into the face of g on
+    F_{k-1}, reached by deleting the missing vertices in descending order.
+    """
+    rep = delta.check_identities(x)
+    if not rep:
+        raise delta.DeltaStructureError(f"sd needs the face identities: {rep.witness}")
+    # per p, each flag ending at {0..p}: the positions of its inner faces,
+    # its last face as (proper subset, position) and the tail of its name's repr
+    tables, cuts = [], []
+    for p in range(x.dimension + 1):
+        full = tuple(range(p + 1))
+        proper = [f for r in range(1, p + 1) for f in itertools.combinations(full, r)]
+        flags, last = [(full,)], [None]
+        for n, sub in enumerate(proper):
+            for pos, (flag, *_) in enumerate(tables[len(sub) - 1]):
+                flags.append(tuple(tuple(sub[v] for v in f) for f in flag) + (full,))
+                last.append((n, pos))
+        index = {f: n for n, f in enumerate(flags)}
+        inner = [[index[f[:i] + f[i + 1 :]] for i in range(len(f) - 1)] for f in flags]
+        tables.append([(f, a, b, f"{len(f) - 1}, {f!r})") for f, a, b in zip(flags, inner, last)])
+        cuts.append([tuple(v for v in reversed(full) if v not in sub) for sub in proper])
+    # names: (p, g) -> the generators inside g, in table order
+    names, gens, faces, carrier = {}, {}, {}, {}
     for p in sorted(x.generators):
         for g in x.gens(p):
-            diag.add_object((p, g), sd[p])
-        if p == 0:
-            continue
-        # the inclusion of sd Δ^(p-1) as the i-th face of sd Δ^p
-        face = sd[p - 1]
-        inclusions = [
-            {
-                (d, flag): tuple(tuple(v if v < i else v + 1 for v in f) for f in flag)
-                for d in sorted(face.generators)
-                for flag in face.gens(d)
-            }
-            for i in range(p + 1)
-        ]
-        for g in x.gens(p):
-            for i, mapping in enumerate(inclusions):
-                diag.add_arrow((p - 1, x.face(p, g, i)), (p, g), mapping)
-    colim = delta.colimit(diag)
-    carrier = {}
-    for k in colim.delta_set.generators:
-        for rep in colim.delta_set.gens(k):
-            (p, g), _, flag = rep
-            carrier[rep] = (p, g, flag)
-    ds = DeltaSet(colim.delta_set.generators, colim.delta_set.faces, f"sd {x.name}")
-    return SubdividedDeltaSet(ds, carrier, colim.cocone)
+            pg, head = (p, g), f"(({p!r}, {g!r}), "
+            own = names[pg] = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
+            below = []
+            for missing in cuts[p]:
+                h, d = g, p
+                for v in missing:
+                    h, d = x.faces[(d, h, v)], d - 1
+                below.append(names[(d, h)])
+            for name, (flag, inner, last, tail) in zip(own, tables[p]):
+                k = name[1]
+                gens.setdefault(k, []).append((head + tail, name))  # head + tail == genkey(name)
+                carrier[name] = (p, g, flag)
+                for i, n in enumerate(inner):
+                    faces[(k, name, i)] = own[n]
+                if last:
+                    faces[(k, name, k)] = below[last[0]][last[1]]
+    gens = {k: tuple(name for _, name in sorted(v, key=lambda e: e[0])) for k, v in gens.items()}
+    return SubdividedDeltaSet(DeltaSet(gens, faces, f"sd {x.name}"), carrier)
 
 
 def sd_delta_matches_complex(k) -> bool:

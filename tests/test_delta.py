@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from plkernel import delta
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from plkernel import complexes, delta
 
 
 def circle_one_vertex():
@@ -120,3 +124,53 @@ def test_morphism_roundtrip():
     text = delta.dumps_morphism(f, "idmap")
     g = delta.loads_morphism(text, {x.name: x})
     assert g.check().ok
+
+
+# ---------------------------------------------------------------------------
+# the witness of check_identities: the first failure in a fixed order
+# ---------------------------------------------------------------------------
+
+
+def reference_check_identities(x):
+    """Degrees ascending, generators in gens order, then (i, j) in
+    combinations order, each face read through x.face."""
+    for k in sorted(x.generators):
+        if k < 2:
+            continue
+        for g in x.gens(k):
+            for i, j in itertools.combinations(range(k + 1), 2):
+                if x.face(k - 1, x.face(k, g, j), i) != x.face(k - 1, x.face(k, g, i), j - 1):
+                    return delta.IdentityReport(False, (k, g, i, j))
+    return delta.IdentityReport(True)
+
+
+@st.composite
+def corrupted_delta_sets(draw):
+    """The closure of a random complex with a top simplex of dimension 2..4,
+    with one face of one generator in a degree k >= 2 sent to another
+    generator of degree k - 1; sometimes a second generator of degree k is
+    corrupted too, so the witness must pick the first in gens order."""
+    nv = draw(st.integers(4, 6))
+    tops = draw(st.lists(
+        st.integers(3, 5).flatmap(lambda r: st.sampled_from(list(itertools.combinations(range(nv), min(r, nv))))),
+        min_size=1, max_size=5,
+    ))
+    x = complexes.delta_set_of(complexes.OrderedComplex.from_maximal(tops))
+    k = draw(st.sampled_from([d for d in sorted(x.generators) if d >= 2]))
+    faces = dict(x.faces)
+    for g in draw(st.lists(st.sampled_from(x.gens(k)), min_size=1, max_size=2, unique=True)):
+        i = draw(st.integers(0, k))
+        others = [h for h in x.gens(k - 1) if h != x.face(k, g, i)]
+        assume(others)
+        faces[(k, g, i)] = draw(st.sampled_from(others))
+    return x, delta.DeltaSet(x.generators, faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_delta_sets())
+def test_check_identities_witness_is_first_failure(sets):
+    x, bad = sets
+    assert delta.check_identities(x).ok
+    rep = delta.check_identities(bad)
+    assert not rep.ok
+    assert rep == reference_check_identities(bad)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plkernel import delta, homology, nerve
 
@@ -133,3 +135,116 @@ def test_demo_category_roundtrip(tmp_path):
     n1 = nerve.nerve(c, max_degree=2)
     n2 = nerve.nerve(back, max_degree=2)
     assert n1.f_vector() == n2.f_vector()
+
+
+# ---------------------------------------------------------------------------
+# differential test: the incremental nerve against a string-by-string closure
+# ---------------------------------------------------------------------------
+
+
+def _string_closed(c, t):
+    """All composites of consecutive runs of the string are defined."""
+    # composite[i][j] = product of t[i..j]; filled by increasing length
+    n = len(t)
+    comp = {(i, i): t[i] for i in range(n)}
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length - 1
+            a = comp.get((i, j - 1))
+            if a is None:
+                return False
+            prod = c.comp.get((a, t[j]))
+            if prod is None:
+                return False
+            comp[(i, j)] = prod
+    return True
+
+
+def reference_nerve(c, max_degree):
+    """The nerve by trying every morphism after every string and testing
+    each candidate with _string_closed."""
+    gens = {0: tuple(sorted(c.objects, key=repr))}
+    faces = {}
+    strings = {1: [(f,) for f in sorted(c.morphisms, key=repr)]}
+    gens[1] = tuple(strings[1])
+    for f in c.morphisms:
+        faces[(1, (f,), 0)] = c.tgt[f]
+        faces[(1, (f,), 1)] = c.src[f]
+    for k in range(2, max_degree + 1):
+        level = []
+        for s in strings[k - 1]:
+            for g in sorted(c.morphisms, key=repr):
+                t = s + (g,)
+                if c.tgt[s[-1]] == c.src[g] and _string_closed(c, t):
+                    level.append(t)
+        strings[k] = level
+        gens[k] = tuple(level)
+        for t in level:
+            faces[(k, t, 0)] = t[1:]
+            faces[(k, t, k)] = t[:-1]
+            for i in range(1, k):
+                faces[(k, t, i)] = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+    x = delta.DeltaSet({k: v for k, v in gens.items() if v}, faces, name=f"N({c.name})")
+    rep = delta.check_identities(x)
+    if not rep:
+        raise nerve.CategoryStructureError(f"nerve face identities fail: {rep.witness}")
+    return x
+
+
+def _chain(n):
+    mors = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    comp = {((i, j), (j, k)): (i, k) for (i, j) in mors for (jj, k) in mors if jj == j}
+    return nerve.FiniteNonUnitalCategory(
+        tuple(range(n)), tuple(mors), {m: m[0] for m in mors}, {m: m[1] for m in mors}, comp, f"chain{n}"
+    )
+
+
+def _cyclic(n):
+    mors = tuple(f"z{a}" for a in range(n))
+    comp = {(f"z{a}", f"z{b}"): f"z{(a + b) % n}" for a in range(n) for b in range(n)}
+    return nerve.FiniteNonUnitalCategory(
+        ("*",), mors, {m: "*" for m in mors}, {m: "*" for m in mors}, comp, f"Z{n}"
+    )
+
+
+@st.composite
+def small_categories(draw):
+    """Chains and cyclic groups, some with one product removed or replaced
+    by another morphism with the same endpoints (which can break
+    associativity)."""
+    kind = draw(st.sampled_from(["chain", "cyclic"]))
+    c = _chain(draw(st.integers(2, 5))) if kind == "chain" else _cyclic(draw(st.integers(1, 4)))
+    edit = draw(st.sampled_from(["none", "remove", "replace"]))
+    if edit == "none" or not c.comp:
+        return c
+    comp = dict(c.comp)
+    key = draw(st.sampled_from(sorted(comp, key=repr)))
+    if edit == "remove":
+        del comp[key]
+    else:
+        h = comp[key]
+        same = [m for m in c.morphisms if c.src[m] == c.src[h] and c.tgt[m] == c.tgt[h]]
+        comp[key] = draw(st.sampled_from(sorted(same, key=repr)))
+    return nerve.FiniteNonUnitalCategory(c.objects, c.morphisms, c.src, c.tgt, comp, c.name)
+
+
+def _outcome(build):
+    try:
+        x = build()
+    except (nerve.CategoryStructureError, delta.DeltaStructureError) as exc:
+        return type(exc), str(exc)
+    return x.generators, dict(x.faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories())
+def test_nerve_matches_string_closure(c):
+    assert _outcome(lambda: nerve.nerve(c, max_degree=4)) == _outcome(lambda: reference_nerve(c, 4))
+
+
+def test_nerve_matches_string_closure_on_demo():
+    c = nerve.demo_cobordism_category()
+    assert _outcome(lambda: nerve.nerve(c, max_degree=3)) == _outcome(lambda: reference_nerve(c, 3))
+    assert _outcome(lambda: nerve.nerve(non_associative_category(), max_degree=4)) == _outcome(
+        lambda: reference_nerve(non_associative_category(), 4)
+    )

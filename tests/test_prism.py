@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plkernel import complexes, delta, homology, prism, simplicial
 
@@ -126,3 +128,99 @@ def test_sd_delta_matches_complex():
         {0: (0, 0), 1: (1, 0), 2: (0, 1)},
     )
     assert prism.sd_delta_matches_complex(tri)
+
+
+# ---------------------------------------------------------------------------
+# differential test: sd of a Δ-set against the colimit of subdivided simplices
+# ---------------------------------------------------------------------------
+
+
+def colimit_sd(x):
+    """sd X as the colimit, over the simplex category of X, of the
+    subdivided standard simplices glued along their face inclusions;
+    returns (Δ-set, carrier) like prism.sd_delta."""
+    sd = {p: delta.sd_standard_delta(p) for p in range(max(x.generators, default=-1) + 1)}
+    diag = delta.Diagram()
+    for p in sorted(x.generators):
+        for g in x.gens(p):
+            diag.add_object((p, g), sd[p])
+        if p == 0:
+            continue
+        face = sd[p - 1]
+        inclusions = [
+            {
+                (d, flag): tuple(tuple(v if v < i else v + 1 for v in f) for f in flag)
+                for d in sorted(face.generators)
+                for flag in face.gens(d)
+            }
+            for i in range(p + 1)
+        ]
+        for g in x.gens(p):
+            for i, mapping in enumerate(inclusions):
+                diag.add_arrow((p - 1, x.face(p, g, i)), (p, g), mapping)
+    ds = delta.colimit(diag).delta_set
+    carrier = {rep: (rep[0][0], rep[0][1], rep[2]) for k in ds.generators for rep in ds.gens(k)}
+    return ds, carrier
+
+
+def _identified(name, verts, edges, triangles):
+    """A Δ-set from each edge's (d_0, d_1) and each triangle's (d_0, d_1, d_2)."""
+    faces = {(1, e, i): v for e, ends in edges.items() for i, v in enumerate(ends)}
+    faces.update({(2, t, i): e for t, fs in triangles.items() for i, e in enumerate(fs)})
+    return delta.DeltaSet({0: verts, 1: tuple(edges), 2: tuple(triangles)}, faces, name)
+
+
+# the one-vertex torus: a square cut along its diagonal e into
+# T1 = [(0,0),(1,0),(1,1)] and T2 = [(0,0),(0,1),(1,1)]; a horizontal, b vertical
+TORUS2 = _identified(
+    "torus", ("p",), {"a": ("p", "p"), "b": ("p", "p"), "e": ("p", "p")},
+    {"T1": ("b", "e", "a"), "T2": ("a", "e", "b")},
+)
+# RP²: the square A B C D with A ~ C = p, B ~ D = q, AB ~ CD = a, AD ~ CB = b,
+# cut along e = BD into T1 = (A, B, D) and T2 = (C, B, D)
+RP2_2 = _identified(
+    "rp2", ("p", "q"), {"a": ("q", "p"), "b": ("q", "p"), "e": ("q", "q")},
+    {"T1": ("e", "b", "a"), "T2": ("e", "a", "b")},
+)
+
+
+def assert_same_sd(x):
+    ours = prism.sd_delta(x)
+    ds, carrier = colimit_sd(x)
+    assert ours.delta_set.generators == ds.generators
+    assert dict(ours.delta_set.faces) == dict(ds.faces)
+    assert ours.carrier == carrier
+    return ours.delta_set
+
+
+def test_sd_delta_matches_colimit_on_identified_surfaces():
+    for x, chi, betti in ((TORUS2, 0, (1, 2, 1)), (RP2_2, 1, (1, 0, 0))):
+        assert delta.check_identities(x).ok
+        sd1 = assert_same_sd(x)
+        assert sd1.euler_characteristic() == chi
+        assert homology.homology_of_delta_set(sd1).betti_vector() == betti
+        sd2 = assert_same_sd(sd1)
+        assert sd2.euler_characteristic() == chi
+
+
+def test_sd_delta_shares_face_targets():
+    sd = prism.sd_delta(TORUS2).delta_set
+    for k in sorted(sd.generators)[1:]:
+        ids = {id(g) for g in sd.gens(k - 1)}
+        assert all(id(sd.face(k, g, i)) in ids for g in sd.gens(k) for i in range(k + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda nv: st.lists(st.sampled_from(list(itertools.combinations(range(nv), 3))), min_size=1, max_size=4)
+))
+def test_sd_delta_matches_colimit_on_random_2complexes(triangles):
+    x = complexes.delta_set_of(complexes.OrderedComplex.from_maximal(triangles))
+    assert_same_sd(assert_same_sd(x))
+
+
+def test_sd_delta_rejects_broken_identities():
+    x = delta.standard_delta(2)
+    bad = delta.DeltaSet(x.generators, {**x.faces, (2, (0, 1, 2), 0): (0, 1)}, "bad")
+    with pytest.raises(delta.DeltaStructureError):
+        prism.sd_delta(bad)
