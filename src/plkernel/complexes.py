@@ -184,16 +184,18 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     only; both properties are inherited by faces.  Every test runs on the
     vertex coordinates scaled to integers, and reads each maximal
     simplex's integer facet functionals, computed once.  Pairwise
-    intersections are decided in up to three tiers, each exact:
+    intersections are decided in three tiers, each exact and each in
+    plain Python:
 
-    1. a local certificate, for large pure complexes of full dimension:
-       matched interior ridges, boundary ridges on the hull, and one point
-       covered once prove the complex a triangulation of its hull;
-    2. a vectorized separating-wall certificate, for the pairs of large
-       pure complexes that tier 1 did not settle;
-    3. for every pair still uncertified, one simplex's weight simplex
-       clipped by the other's facet functionals (`polytope._clip_simplex`),
-       which decides every rejection.
+    1. a local certificate, for pure complexes of full dimension: matched
+       interior ridges, boundary ridges on the hull, and one point covered
+       once prove the complex a triangulation of its hull;
+    2. otherwise, a pair is certified when the integer bounding boxes of
+       its simplices are disjoint, or when a facet functional or hull
+       equation of one simplex walls the other off (`_walled`);
+    3. every pair still uncertified is decided by one simplex's weight
+       simplex clipped by the other's facet functionals
+       (`polytope._clip_simplex`), which decides every rejection.
     """
     issues = []
     if not k.base.is_face_closed():
@@ -229,20 +231,6 @@ def _common_face(a, b, icoords, b_functionals) -> bool:
     clipped = polytope._clip_simplex([icoords[v] for v in a], rows[:m], rows[m::2])
     units = [tuple(int(u == v) for u in a) for v in a if v in b]
     return sorted(clipped) == sorted(units)
-
-
-# -- vectorized certificate for the pairwise intersection test --------------
-#
-# A pair (P, Q) with shared vertex set S intersects in the common face
-# hull(S) whenever some affine functional f has f >= 0 on P, f <= 0 on Q,
-# the vertices of Q with f = 0 are exactly S, and the f = 0 wall contains
-# S inside P.  Then P∩Q lies in the wall, where it equals a face of P
-# intersected with hull(S) = hull(S).  Candidate functionals: the
-# barycentric facet functionals and affine-hull equations of each simplex.
-# The certificate is sound but incomplete; uncertified pairs are retested
-# exactly.
-
-_FAST_PAIR_THRESHOLD = 200  # minimum number of pairs to bother certifying
 
 
 def _locally_certified(maximal, icoords, functionals) -> bool:
@@ -293,78 +281,35 @@ def _locally_certified(maximal, icoords, functionals) -> bool:
 
 
 def _uncertified_pairs(maximal, icoords, functionals):
-    """Yield, in scan order, every pair of maximal simplices not certified
-    to meet in a common face: none when the local certificate holds, else
-    those the vectorized separating-wall test leaves, row by row.  The
-    order is that of itertools.combinations, so a caller that stops at its
-    first rejection stops the scan at that pair's row."""
-    nm = len(maximal)
-    if nm * (nm - 1) // 2 < _FAST_PAIR_THRESHOLD or len({len(s) for s in maximal}) != 1:
-        yield from itertools.combinations(maximal, 2)
+    """Yield, in the order of itertools.combinations, every pair of maximal
+    simplices not certified to meet in a common face: none when the local
+    certificate holds, else each pair whose integer bounding boxes meet
+    and that no wall of either simplex separates.  A caller that stops at
+    its first rejection stops the scan at that pair."""
+    if len({len(s) for s in maximal}) == 1 and _locally_certified(maximal, icoords, functionals):
         return
-    if _locally_certified(maximal, icoords, functionals):
-        return
-    import numpy as np
+    boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
+    for p, q in itertools.combinations(maximal, 2):
+        if polytope.boxes_meet(boxes[p], boxes[q]) and not (
+            _walled(p, q, icoords, functionals[p]) or _walled(q, p, icoords, functionals[q])
+        ):
+            yield p, q
 
-    verts = sorted(icoords)
-    vindex = {v: i for i, v in enumerate(verts)}
-    icoords = [icoords[v] for v in verts]
 
-    func_rows, func_off = [], []
-    for s in maximal:
-        rows, offs = functionals[s]
-        for row, off in zip(rows, offs):
-            func_rows.append(row)
-            func_off.append(vindex[s[off]] if off >= 0 else -1)
+def _walled(p, q, icoords, p_functionals) -> bool:
+    """Whether a wall of p proves that p and q meet in their common face.
 
-    peak = max(max(abs(x) for x in row) for row in func_rows) * max(
-        max(abs(x) for x in p) for p in icoords
-    ) * (len(icoords[0]) + 1)
-    dtype = np.int64 if peak < 2**62 else object
-    coords_arr = np.array(icoords, dtype=dtype)
-    fmat = np.array(func_rows, dtype=dtype)
-    evals = fmat @ coords_arr.T  # functional value at every vertex
-
-    width = len(maximal[0])
-    vmat = np.array([[vindex[v] for v in s] for s in maximal], dtype=np.intp)
-    member = np.zeros((nm, len(verts)), dtype=bool)
-    for si in range(nm):
-        member[si, vmat[si]] = True
-    nfunc = len(func_rows) // nm
-    frange = np.arange(len(func_rows)).reshape(nm, nfunc)
-    foff = np.array(func_off, dtype=np.intp).reshape(nm, nfunc)
-
-    for pi in range(nm - 1):
-        qs = np.arange(pi + 1, nm)
-        vq = vmat[qs]  # (nq, width)
-        shared_q = member[pi][vq]  # vertex of Q lies in P
-        any_shared = shared_q.any(axis=1)
-        # P's functionals evaluated on Q's vertices
-        vals = evals[frange[pi]][:, vq.ravel()].reshape(nfunc, len(qs), width)
-        nonpos = (vals <= 0).all(axis=2)
-        eq_match = ((vals == 0) == shared_q[None, :, :]).all(axis=2)
-        off_ok = np.ones((nfunc, len(qs)), dtype=bool)
-        for fi in range(nfunc):
-            if foff[pi, fi] >= 0:
-                off_ok[fi] = ~member[qs, foff[pi, fi]]
-        cert_p = (nonpos & eq_match & off_ok).any(axis=0)
-        disjoint = ((vals < 0).all(axis=2)).any(axis=0) & ~any_shared
-        ok = cert_p | disjoint
-        # Q's functionals evaluated on P's vertices, for the rest
-        todo = np.flatnonzero(~ok)
-        if todo.size:
-            vp = vmat[pi]
-            valsq = evals[frange[qs[todo]].ravel()][:, vp].reshape(len(todo), nfunc, width)
-            shared_p = member[qs[todo]][:, vp]  # vertex of P lies in Q
-            nonpos2 = (valsq <= 0).all(axis=2)
-            eq2 = ((valsq == 0) == shared_p[:, None, :]).all(axis=2)
-            offq = foff[qs[todo]]
-            off_ok2 = np.where(offq >= 0, ~member[pi][np.maximum(offq, 0)], True)
-            cert_q = (nonpos2 & eq2 & off_ok2).any(axis=1)
-            disjoint2 = (valsq < 0).all(axis=2).any(axis=1) & ~any_shared[todo]
-            ok[todo] = cert_q | disjoint2
-        for qi in np.flatnonzero(~ok):
-            yield maximal[pi], maximal[pi + 1 + qi]
+    A wall is a facet functional of p whose off vertex is not in q, or an
+    equation of p's affine hull; either way it is 0 at the vertices p
+    shares with q and >= 0 on p.  If it is < 0 at every vertex of q not
+    in p, then q meets the wall in hull(p ∩ q), and p ∩ q lies in it.
+    Sound but incomplete: the pairs it leaves go to `_common_face`.
+    """
+    outside = [icoords[v] for v in q if v not in p]
+    for row, off in zip(*p_functionals):
+        if (off < 0 or p[off] not in q) and all(polytope._value(row, x) < 0 for x in outside):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,19 @@ class DeltaStructureError(ValueError):
 
 
 def genkey(g) -> str:
-    """Deterministic sort key for arbitrary hashable generator names."""
-    return repr(g)
+    """Deterministic sort key for arbitrary hashable generator names: the
+    repr, except that the elements of each frozenset in a name (or in the
+    tuples it nests) are listed in the order of their own keys, so that
+    the key does not depend on the hash seed."""
+    text = repr(g)
+    if "{" not in text and "frozenset(" not in text:
+        return text
+    if isinstance(g, frozenset) and g:
+        return "frozenset({" + ", ".join(sorted(map(genkey, g))) + "})"
+    if type(g) is tuple:
+        keys = [genkey(x) for x in g]
+        return "(" + ", ".join(keys) + ("," if len(keys) == 1 else "") + ")"
+    return text
 
 
 @dataclass(frozen=True)
@@ -324,7 +335,7 @@ def kan_fill(x: DeltaSet, p: int, j: int, assignment: Mapping[int, Hashable]):
 
 
 def _token(g) -> str:
-    t = "".join(str(g).split())
+    t = "".join((genkey(g) if isinstance(g, (tuple, frozenset)) else str(g)).split())
     if not t:
         raise DeltaStructureError(f"generator {g!r} has no printable token")
     return t

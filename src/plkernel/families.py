@@ -385,17 +385,6 @@ def _point_simplices(ec: EuclideanComplex, d: int) -> set:
     return {frozenset(map(as_vec, ec.points(s))) for s in ec.base.simplices_of_dim(d)}
 
 
-def _bbox(pts):
-    return (
-        tuple(min(p[i] for p in pts) for i in range(len(pts[0]))),
-        tuple(max(p[i] for p in pts) for i in range(len(pts[0]))),
-    )
-
-
-def _bbox_overlap(a, b) -> bool:
-    return all(min(a[1][i], b[1][i]) >= max(a[0][i], b[0][i]) for i in range(len(a[0])))
-
-
 def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
     """Exact equality of underlying polyhedra, by mutual volume coverage
     measured in the chart of each top-dimensional simplex."""
@@ -415,15 +404,17 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         other_cells = {
             frozenset(map(as_vec, other.points(t))) for t in other.maximal_simplices()
         }
-        other_boxes = {t: _bbox(other.points(t)) for t in other.maximal_simplices()}
+        other_boxes = {
+            t: polytope.bounding_box(other.points(t)) for t in other.maximal_simplices()
+        }
         for s in src.base.simplices_of_dim(d):
             pts = src.points(s)
             if frozenset(map(as_vec, pts)) in other_cells:
                 continue
-            box = _bbox(pts)
+            box = polytope.bounding_box(pts)
             covered = Fraction(0)
             for t, tbox in other_boxes.items():
-                if not _bbox_overlap(box, tbox):
+                if not polytope.boxes_meet(box, tbox):
                     continue
                 inter = polytope.intersect_simplices(pts, other.points(t), chart)
                 if len(inter) >= d + 1:

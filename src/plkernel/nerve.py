@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
-from .delta import DeltaMorphism, DeltaSet, check_identities
+from .delta import DeltaMorphism, DeltaSet, _token, check_identities, genkey
 from .homology import ChainComplex, HomologyProfile, homology
 
 
@@ -105,11 +105,14 @@ def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
     whose consecutive multi-composites are defined (so every face exists);
     d_0/d_k drop the ends, inner d_i compose.  Each string carries the
     products of its suffixes; s + (g,) is closed iff all compose with g."""
-    mors = sorted(c.morphisms, key=repr)
+    mors = sorted(c.morphisms, key=genkey)
     by_src: dict = {}
     for g in mors:
         by_src.setdefault(c.src[g], []).append(g)
-    gens: dict[int, tuple] = {0: tuple(sorted(c.objects, key=repr)), 1: tuple((f,) for f in mors)}
+    gens: dict[int, tuple] = {
+        0: tuple(sorted(c.objects, key=genkey)),
+        1: tuple((f,) for f in mors),
+    }
     faces = {}
     for f in c.morphisms:
         faces[(1, (f,), 0)] = c.tgt[f]
@@ -254,8 +257,8 @@ def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
 
 def constant_simplicial_category(c: FiniteNonUnitalCategory) -> SimplicialCategory:
     """A category made simplicially discrete (objects/morphisms in degree 0)."""
-    o = DeltaSet({0: tuple(sorted(c.objects, key=repr))}, {}, name=f"{c.name}-obj")
-    m = DeltaSet({0: tuple(sorted(c.morphisms, key=repr))}, {}, name=f"{c.name}-mor")
+    o = DeltaSet({0: tuple(sorted(c.objects, key=genkey))}, {}, name=f"{c.name}-obj")
+    m = DeltaSet({0: tuple(sorted(c.morphisms, key=genkey))}, {}, name=f"{c.name}-mor")
     src = DeltaMorphism(m, o, {(0, f): c.src[f] for f in c.morphisms})
     tgt = DeltaMorphism(m, o, {(0, f): c.tgt[f] for f in c.morphisms})
     comp = {(0, f, g): h for (f, g), h in c.comp.items()}
@@ -397,7 +400,7 @@ def demo_cobordism_category() -> FiniteNonUnitalCategory:
     tgt = {}
     for a in objects:
         for c in objects:
-            for pairing in sorted(_matchings(npts[a], npts[c]), key=repr):
+            for pairing in sorted(_matchings(npts[a], npts[c]), key=genkey):
                 for loops in range(LOOP_CAP + 1):
                     if a == "E" and c == "E" and not pairing and loops == 0:
                         continue  # the empty cobordism would be a strict unit
@@ -432,22 +435,18 @@ def demo_cobordism_category() -> FiniteNonUnitalCategory:
 # ---------------------------------------------------------------------------
 
 
-def _tok(x) -> str:
-    return "".join(str(x).split())
-
-
 def dumps(c: FiniteNonUnitalCategory) -> str:
     lines = [f"category {c.name}"]
     toks = {}
     for o in c.objects:
-        toks[o] = _tok(o)
+        toks[o] = _token(o)
         lines.append(f"obj {toks[o]}")
     for m in c.morphisms:
-        toks[m] = _tok(m)
+        toks[m] = _token(m)
         lines.append(f"mor {toks[m]} {toks[c.src[m]]} {toks[c.tgt[m]]}")
     if len(set(toks.values())) != len(toks):
         raise CategoryStructureError("token collision in category dump")
-    for (f, g), h in sorted(c.comp.items(), key=repr):
+    for (f, g), h in sorted(c.comp.items(), key=genkey):
         lines.append(f"cmp {toks[f]} {toks[g]} {toks[h]}")
     return "\n".join(lines) + "\n"
 

@@ -277,6 +277,17 @@ def _value(row, x) -> int:
     return sum(map(operator.mul, row, x))
 
 
+def bounding_box(points) -> tuple:
+    """The coordinatewise minima and maxima of the points."""
+    columns = list(zip(*points))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def boxes_meet(a, b) -> bool:
+    """Whether two bounding boxes share a point."""
+    return all(map(operator.le, a[0], b[1])) and all(map(operator.le, b[0], a[1]))
+
+
 def _place(pts):
     """Lexicographic placing of the sorted distinct points `pts`, over
     their integer scaling.

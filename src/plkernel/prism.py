@@ -448,7 +448,7 @@ def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
     names, gens, faces, carrier = {}, {}, {}, {}
     for p in sorted(x.generators):
         for g in x.gens(p):
-            pg, head = (p, g), f"(({p!r}, {g!r}), "
+            pg, head = (p, g), f"(({p!r}, {delta.genkey(g)}), "
             own = names[pg] = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
             below = []
             for missing in cuts[p]:

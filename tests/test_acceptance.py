@@ -1,9 +1,13 @@
 """Acceptance gate: every top-level correctness criterion, one test each.
 
 The eleven computational criteria run once (timed); the twelfth reruns
-them and demands a byte-identical report.
+them and demands a byte-identical report, and the demo nerve's dump must
+not depend on the hash seed.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -96,3 +100,25 @@ def test_criterion_12_determinism():
     report_a = suite.render_report(rows)
     report_b = suite.render_report(suite.run_criteria())
     assert report_a == report_b
+
+
+def test_criterion_12_nerve_dump_independent_of_hash_seed():
+    # the demo cobordism category's morphisms hold frozensets, whose repr
+    # lists their elements in hash order
+    script = (
+        "import hashlib\n"
+        "from plkernel import delta, nerve\n"
+        "x = nerve.nerve(nerve.demo_cobordism_category(), max_degree=3)\n"
+        "print(hashlib.sha256(delta.dumps(x).encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(suite.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1

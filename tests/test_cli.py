@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from plkernel import cli, complexes, families, nerve, suite
+from plkernel import cli, complexes, families, linalg, nerve, prism, suite
 
 
 def run_cli(argv, capsys):
@@ -153,16 +154,51 @@ def test_export_off(tmp_path, capsys):
     assert out.splitlines()[0] in ("OFF", "nOFF")
 
 
-def test_console_script_runs():
-    # the subprocess imports the same plkernel package as this test
+def subprocess_env():
+    """The environment of a subprocess that imports the same plkernel
+    package as this test."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plkernel.cli", "prism-k", "2", "--counts"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "chi=1" in proc.stdout
+
+
+def test_validate_imports_no_numpy(tmp_path):
+    # R(3) and one more top simplex on its vertices, which overlaps it, and
+    # a surface with 3486 pairs, which only the box-and-wall scan settles
+    r = prism.build_R(3).complex
+    tops = r.maximal_simplices()
+    extra = next(
+        s for s in itertools.combinations(r.base.vertices, 5)
+        if s not in tops and linalg.affinely_independent(r.points(s))
+    )
+    bad, surface = tmp_path / "bad.cplx", tmp_path / "sd-torus.cplx"
+    complexes.dump(complexes.EuclideanComplex.build(tops + [extra], r.coords), bad)
+    complexes.dump(complexes.barycentric_subdivide(suite.torus_7()), surface)
+    script = (
+        "import sys\n"
+        "from plkernel import cli\n"
+        "print(cli.main(['validate', sys.argv[1]]), cli.main(['validate', sys.argv[2]]))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(bad), str(surface)],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    witness, valid, codes, imported = proc.stdout.splitlines()
+    assert witness.startswith("invalid: intersection not a common face: simplices")
+    assert str(extra) in witness
+    assert valid == f"valid: {surface}"
+    assert (codes, imported) == ("2 0", "False")
 
 
 def test_verify_suite_json_reports_failing_rows(capsys):

@@ -272,8 +272,8 @@ def doubled(ec):
 
 
 def certificate_reports(k):
-    """validate(k) with the local certificate on at every size, validate(k)
-    with it declining, and the certificate's verdicts."""
+    """validate(k) with the local certificate on, validate(k) with it
+    declining, and the certificate's verdicts."""
     verdicts = []
     certify = complexes._locally_certified
 
@@ -281,11 +281,10 @@ def certificate_reports(k):
         verdicts.append(certify(*args))
         return verdicts[-1]
 
-    with mock.patch.object(complexes, "_FAST_PAIR_THRESHOLD", 0):
-        with mock.patch.object(complexes, "_locally_certified", spy):
-            with_cert = complexes.validate(k)
-        with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
-            pair_path = complexes.validate(k)
+    with mock.patch.object(complexes, "_locally_certified", spy):
+        with_cert = complexes.validate(k)
+    with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
+        pair_path = complexes.validate(k)
     assert with_cert == pair_path
     assert verdicts in ([], [False]) or pair_path.ok
     return pair_path, verdicts
@@ -358,13 +357,17 @@ def test_local_certificate_small_cases():
 # -- the streamed pair scan against the exact all-pairs path -----------------
 
 
-def scan_report(k, numpy_tier):
-    """validate(k) with the numpy wall tier on every pair of a pure
-    complex (local certificate declined) or with every pair left to the
-    exact test; the pairs the scan would yield in full; the pairs tested;
-    and the scan's generator, as validate left it."""
+def all_pairs(maximal, *rest):
+    yield from itertools.combinations(maximal, 2)
+
+
+def scan_report(k, walls):
+    """validate(k) with the box-and-wall scan on every pair (local
+    certificate declined) or with every pair left to the exact test; the
+    pairs the scan would yield in full; the pairs tested; the scan's
+    generator, as validate left it; and the scan's arguments."""
     tested, scans = [], []
-    scan, test = complexes._uncertified_pairs, complexes._common_face
+    scan, test = complexes._uncertified_pairs if walls else all_pairs, complexes._common_face
 
     def scan_spy(*args):
         scans.append((args, scan(*args)))
@@ -374,34 +377,67 @@ def scan_report(k, numpy_tier):
         tested.append((a, b, test(a, b, *rest)))
         return tested[-1][2]
 
-    threshold = 0 if numpy_tier else 10**9
-    with mock.patch.object(complexes, "_FAST_PAIR_THRESHOLD", threshold), \
-            mock.patch.object(complexes, "_locally_certified", lambda *args: False), \
+    with mock.patch.object(complexes, "_locally_certified", lambda *args: False), \
             mock.patch.object(complexes, "_uncertified_pairs", scan_spy), \
             mock.patch.object(complexes, "_common_face", test_spy):
         report = complexes.validate(k)
         (args, generator), = scans
         pairs = list(scan(*args))
-    return report, pairs, tested, generator
+    return report, pairs, tested, generator, args
+
+
+def with_edge(ec, seed, overlap):
+    """ec, a triangulation of a convex region, plus one edge, so that its
+    top simplices have mixed dimensions.  The edge joins two vertices that
+    no simplex of ec holds, so that it overlaps ec; or it leaves the vertex
+    of largest coordinates along the first axis, so that it meets ec there
+    alone."""
+    vs = sorted(ec.base.vertices)
+    tops = ec.maximal_simplices()
+    if overlap:
+        edge = random.Random(seed).choice(
+            [e for e in itertools.combinations(vs, 2) if e not in ec.simplices]
+        )
+        return with_tops(ec, tops + [edge])
+    far = max(vs, key=lambda v: ec.coords[v])
+    coords = dict(ec.coords)
+    coords[vs[-1] + 1] = (coords[far][0] + 1,) + coords[far][1:]
+    return with_tops(ec, tops + [(far, vs[-1] + 1)], coords)
+
+
+SCAN_KINDS = (
+    "valid", "overlap", "doubled", "lower-dim", "lower-dim-overlap", "mixed", "mixed-overlap"
+)
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(("valid", "overlap", "doubled")), st.integers(2, 4), st.integers(0, 2**32))
+@given(st.sampled_from(SCAN_KINDS), st.integers(2, 4), st.integers(0, 2**32))
 @example("overlap", 4, 0)
 @example("doubled", 4, 0)
 @example("valid", 3, 0)
+@example("lower-dim-overlap", 3, 0)
+@example("mixed", 3, 0)
+@example("mixed-overlap", 3, 0)
 def test_streamed_scan_stops_at_witness(kind, p, seed):
-    ec = unimodular_image(prism.build_R(p).complex, seed)
-    if kind == "overlap":
+    if kind.startswith("lower-dim"):
+        p = min(p, 3)  # 1 more dimension: keep it quick
+    if kind.startswith("mixed"):
+        p = 3  # R(3) and one edge: 42 top simplices, 861 pairs
+    ec = unimodular_image(
+        prism.build_R(p).complex, seed, extra_dims=1 if kind.startswith("lower-dim") else 0
+    )
+    if kind in ("overlap", "lower-dim-overlap"):
         ec, _ = overlapping(ec, seed)
     elif kind == "doubled":
         ec = doubled(unimodular_image(prism.build_R(min(p, 3)).complex, seed))
-    fast = scan_report(ec, numpy_tier=True)
-    exact = scan_report(ec, numpy_tier=False)
+    elif kind.startswith("mixed"):
+        ec = with_edge(ec, seed, overlap=kind == "mixed-overlap")
+    fast = scan_report(ec, walls=True)
+    exact = scan_report(ec, walls=False)
     assert fast[0] == exact[0]
-    assert (kind == "valid") == fast[0].ok
+    assert (kind in ("valid", "lower-dim", "mixed")) == fast[0].ok
     assert exact[1] == list(itertools.combinations(ec.maximal_simplices(), 2))
-    for numpy_tier, (report, pairs, tested, generator) in ((False, exact), (True, fast)):
+    for walls, (report, pairs, tested, generator, _) in ((False, exact), (True, fast)):
         assert [(a, b) for a, b, _ in tested] == pairs[: len(tested)]
         if report.ok:
             assert len(tested) == len(pairs) and all(ok for *_, ok in tested)
@@ -411,11 +447,23 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
             assert not ok and all(ok for *_, ok in tested[:-1])
             assert len(tested) == pairs.index((a, b)) + 1
             assert report.issues == (f"intersection not a common face: simplices {a} and {b}",)
-            # the scan is left suspended at the witness, its later rows
-            # unscanned: the numpy scan stands in row pi, the witness's row
+            # the scan is left suspended at the witness, its later pairs
+            # unscanned
             assert inspect.getgeneratorstate(generator) == inspect.GEN_SUSPENDED
-            if numpy_tier:
-                assert ec.maximal_simplices()[generator.gi_frame.f_locals["pi"]] == a
+            if walls:
+                frame = generator.gi_frame.f_locals
+                assert (frame["p"], frame["q"]) == (a, b)
+    # both skips are sound: disjoint boxes hold disjoint simplices, and a
+    # wall holds only pairs that meet in their common face
+    maximal, icoords, functionals = fast[4]
+    boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
+    for a, b in itertools.combinations(maximal, 2):
+        if not polytope.boxes_meet(boxes[a], boxes[b]):
+            assert polytope.intersect_simplices(ec.points(a), ec.points(b)) == []
+        if complexes._walled(a, b, icoords, functionals[a]) or complexes._walled(
+            b, a, icoords, functionals[b]
+        ):
+            assert complexes._common_face(a, b, icoords, functionals[b])
 
 
 # -- the exact pair test against intersect_simplices -------------------------

@@ -118,6 +118,24 @@ def test_file_roundtrip(tmp_path):
     assert delta.dumps(back) == delta.dumps(x)
 
 
+set_free_names = st.recursive(
+    st.integers() | st.text(max_size=3), lambda c: st.lists(c, max_size=3).map(tuple), max_leaves=8
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_free_names)
+def test_genkey_is_repr_on_set_free_names(g):
+    assert delta.genkey(g) == repr(g)
+
+
+def test_genkey_lists_set_elements_in_key_order():
+    g = ("P", frozenset({("o", 1), ("i", 0)}), frozenset(), (frozenset({"b", "a"}),))
+    key = "('P', frozenset({('i', 0), ('o', 1)}), frozenset(), (frozenset({'a', 'b'}),))"
+    assert delta.genkey(g) == key
+    assert delta._token(g) == "".join(key.split())
+
+
 def test_morphism_roundtrip():
     x = delta.standard_delta(1)
     f = delta.identity_morphism(x)

@@ -163,9 +163,9 @@ def _string_closed(c, t):
 def reference_nerve(c, max_degree):
     """The nerve by trying every morphism after every string and testing
     each candidate with _string_closed."""
-    gens = {0: tuple(sorted(c.objects, key=repr))}
+    gens = {0: tuple(sorted(c.objects, key=delta.genkey))}
     faces = {}
-    strings = {1: [(f,) for f in sorted(c.morphisms, key=repr)]}
+    strings = {1: [(f,) for f in sorted(c.morphisms, key=delta.genkey)]}
     gens[1] = tuple(strings[1])
     for f in c.morphisms:
         faces[(1, (f,), 0)] = c.tgt[f]
@@ -173,7 +173,7 @@ def reference_nerve(c, max_degree):
     for k in range(2, max_degree + 1):
         level = []
         for s in strings[k - 1]:
-            for g in sorted(c.morphisms, key=repr):
+            for g in sorted(c.morphisms, key=delta.genkey):
                 t = s + (g,)
                 if c.tgt[s[-1]] == c.src[g] and _string_closed(c, t):
                     level.append(t)
