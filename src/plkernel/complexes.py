@@ -324,36 +324,22 @@ def _sd_vertex_order(simplices) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(ordered)}
 
 
-def flags_of(k: OrderedComplex) -> list[tuple[tuple[int, ...], ...]]:
-    """All flags (strictly increasing chains of simplices) of K."""
-    simplices = sorted(k.simplices, key=lambda s: (len(s), s))
-    flags = [(s,) for s in simplices]
-    out = list(flags)
-    frontier = flags
-    while frontier:
-        nxt = []
-        for c in frontier:
-            top = set(c[-1])
-            for s in simplices:
-                if len(s) > len(c[-1]) and top < set(s):
-                    nxt.append(c + (s,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def barycentric_subdivide(k):
     """Barycentric subdivision of an OrderedComplex or EuclideanComplex.
 
     New vertices are the simplices of K (Euclidean: at barycenters); the
-    q-simplices are the flags of length q+1.  New labels record the
-    original vertex tuple of each barycenter.
+    q-simplices are the flags of length q+1.  The maximal flags are the
+    vertex orderings of the maximal simplices, each read as its chain of
+    prefixes, and every flag is a face of one of them.  New labels record
+    the original vertex tuple of each barycenter.
     """
     base = k.base if isinstance(k, EuclideanComplex) else k
     vid = _sd_vertex_order(base.simplices)
     maximal = []
-    for flag in flags_of(base):
-        maximal.append(tuple(sorted(vid[s] for s in flag)))
+    for s in base.maximal_simplices():
+        for order in itertools.permutations(s):
+            # vid increases along a chain, so the ids come out sorted
+            maximal.append(tuple(vid[tuple(sorted(order[:i]))] for i in range(1, len(s) + 1)))
     labels = {i: ("b", s) for s, i in vid.items()}
     sd_base = OrderedComplex.from_maximal(maximal, labels, f"sd {base.name}")
     if not isinstance(k, EuclideanComplex):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -81,12 +81,7 @@ class AffineSimplicialMap:
 
     def carrier(self, simplex) -> tuple[int, ...] | None:
         """Lexicographically first maximal target simplex containing the image."""
-        imgs = [self.vertex_images[v] for v in simplex]
-        for t in self.target.maximal_simplices():
-            pts = self.target.points(t)
-            if all(_inside(x, pts) for x in imgs):
-                return t
-        return None
+        return _carrier(self.target, [self.vertex_images[v] for v in simplex])
 
     def apply(self, simplex, point) -> Vec:
         """Value at a point of |simplex| (affine extension)."""
@@ -98,9 +93,11 @@ class AffineSimplicialMap:
         return tuple(sum(bc[i] * imgs[i][j] for i in range(len(imgs))) for j in range(n))
 
 
-def _inside(point, simplex_points) -> bool:
-    bc = linalg.barycentric_coordinates(point, simplex_points)
-    return bc is not None and all(c >= 0 for c in bc)
+def _carrier(k: EuclideanComplex, points) -> tuple[int, ...] | None:
+    """The first maximal simplex of k whose hull holds every point, or None."""
+    return next(
+        (t for t in k.maximal_simplices() if polytope.contains(k.points(t), points)), None
+    )
 
 
 def identity_map(k: EuclideanComplex) -> AffineSimplicialMap:
@@ -113,11 +110,7 @@ def compose_maps(second: AffineSimplicialMap, first: AffineSimplicialMap) -> Aff
     images = {}
     for v in first.source.base.vertices:
         x = first.vertex_images[v]
-        t = None
-        for cand in second.source.maximal_simplices():
-            if _inside(x, second.source.points(cand)):
-                t = cand
-                break
+        t = _carrier(second.source, [x])
         if t is None:
             raise FamilyError(f"image of vertex {v} misses the middle complex")
         images[v] = second.apply(t, x)
@@ -184,11 +177,7 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     coverage = {t: Fraction(0) for t in kmax}
     for s in sub.maximal_simplices():
         pts = sub.points(s)
-        home = None
-        for t in kmax:
-            if all(_inside(x, k.points(t)) for x in pts):
-                home = t
-                break
+        home = _carrier(k, pts)
         if home is None:
             return False
         if len(s) == len(home):
@@ -218,11 +207,9 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
         if cell not in w.subdivision.simplices:
             issues.append(f"assigned cell {cell} is not in the subdivision")
             continue
-        cell_pts = w.subdivision.points(cell)
-        for v in s:
-            if not _inside(w.project_point(w.total.coords[v]), cell_pts):
-                issues.append(f"projection of simplex {s} leaves its cell {cell}")
-                break
+        projected = [w.project_point(x) for x in w.total.points(s)]
+        if not polytope.contains(w.subdivision.points(cell), projected):
+            issues.append(f"projection of simplex {s} leaves its cell {cell}")
     return FamilyReport(not issues, tuple(issues))
 
 
@@ -334,15 +321,9 @@ def pullback(f: AffineSimplicialMap, w: PolyhedralFamily, name=None) -> Polyhedr
     total = tot_acc.build(name=name or f"pullback({w.name})")
     if not total.base.vertices:
         return empty_family(p, w.fiber_dim, name or f"pullback({w.name})")
-    sub_max = sub.maximal_simplices()
     projection = {}
     for s in total.maximal_simplices():
-        proj = [tuple(total.coords[v][: p.ambient_dim]) for v in s]
-        home = None
-        for cand in sub_max:
-            if all(_inside(x, sub.points(cand)) for x in proj):
-                home = cand
-                break
+        home = _carrier(sub, [x[: p.ambient_dim] for x in total.points(s)])
         if home is None:
             raise FamilyError(f"no subdivision cell contains the projection of {s}")
         projection[s] = home
@@ -356,9 +337,7 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
     q0 = as_vec(q0)
     if len(q0) != w.base_dim:
         raise FamilyError("point dimension does not match the base ambient")
-    if not any(
-        _inside(q0, w.base.points(t)) for t in w.base.maximal_simplices()
-    ):
+    if _carrier(w.base, [q0]) is None:
         raise FamilyError("point lies outside the base")
     acc = _ComplexAccumulator(w.fiber_dim)
     for sigma in w.total.maximal_simplices():
@@ -566,15 +545,13 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
 def _verify_retraction(r: AffineSimplicialMap, horn: EuclideanComplex):
     # image inside the horn
     for v in r.source.base.vertices:
-        x = r.vertex_images[v]
-        if not any(_inside(x, horn.points(t)) for t in horn.maximal_simplices()):
+        if _carrier(horn, [r.vertex_images[v]]) is None:
             raise FamilyError("retraction image leaves the horn")
     # identity on the horn: every source vertex lying on the horn is fixed
     for v in r.source.base.vertices:
         x = r.source.coords[v]
-        if any(_inside(x, horn.points(t)) for t in horn.maximal_simplices()):
-            if as_vec(r.vertex_images[v]) != as_vec(x):
-                raise FamilyError("retraction moves a horn point")
+        if r.vertex_images[v] != x and _carrier(horn, [x]) is not None:
+            raise FamilyError("retraction moves a horn point")
 
 
 def horn_fill_family(w: PolyhedralFamily, p: int, j: int, name=None) -> PolyhedralFamily:

@@ -95,24 +95,20 @@ def _chains(x, face) -> ChainComplex:
 class _Sparse:
     """Mutable sparse matrix with row and column indices."""
 
-    def __init__(self, cols: Mapping[int, Mapping[int, int]], nrows: int, ncols: int):
+    def __init__(self, cols: Mapping[int, Mapping[int, int]]):
         self.cols = {j: dict(c) for j, c in cols.items()}
         self.rows: dict[int, set[int]] = {}
         for j, c in self.cols.items():
             for r in c:
                 self.rows.setdefault(r, set()).add(j)
-        self.alive_rows = set(range(nrows))
-        self.alive_cols = set(range(ncols))
 
     def delete_row(self, r):
-        self.alive_rows.discard(r)
         for j in self.rows.pop(r, ()):  # noqa: B020
             self.cols[j].pop(r, None)
             if not self.cols[j]:
                 del self.cols[j]
 
     def delete_col(self, j):
-        self.alive_cols.discard(j)
         for r in self.cols.pop(j, ()):
             s = self.rows.get(r)
             if s is not None:
@@ -179,10 +175,7 @@ def reduce_chain_complex(cc: ChainComplex) -> ChainComplex:
     just lose a row / column.
     """
     top = cc.top_degree
-    mats = {
-        k: _Sparse(cc.boundaries.get(k, {}), cc.ranks.get(k - 1, 0), cc.ranks.get(k, 0))
-        for k in range(1, top + 1)
-    }
+    mats = {k: _Sparse(cc.boundaries.get(k, {})) for k in range(1, top + 1)}
     alive = {k: set(range(cc.ranks.get(k, 0))) for k in range(top + 1)}
     for k in range(1, top + 1):
         dead_rows, dead_cols = _reduce_matrix(mats[k])

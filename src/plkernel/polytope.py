@@ -8,8 +8,9 @@ construction is deterministic.
 Which side of a simplex's facet a point lies on is decided by one routine,
 `_integer_functionals`: the integer facet functionals and affine-hull
 equations of a simplex with integer vertices.  Placing triangulations,
-hull vertices and the separating walls of `complexes.validate` all read
-it, on points scaled to integers by `linalg.integer_points`.
+hull vertices, the separating walls of `complexes.validate` and the
+point-in-simplex test `contains` all read it, on points scaled to
+integers by `linalg.integer_points`.
 
 Every simplex-pair polytope comes from `intersect_simplices`: one clip of
 the joint weight simplex of both simplices by double description over
@@ -318,6 +319,26 @@ def _place(pts):
                     boundary[ridge] = row
     first, rows = next(iter(simplices.items()))
     return list(simplices), boundary, rows[len(first) :: 2], ipts
+
+
+def contains(simplex_points, points) -> bool:
+    """Whether every point lies in the hull of an affinely independent
+    simplex: every row of its `_integer_functionals` is >= 0 at every
+    point.  The affine-hull equations come with both signs, so >= 0 on
+    both rows is = 0.
+
+    Raises ValueError when the simplex is affinely dependent or a point's
+    dimension differs from the simplex's.
+    """
+    m = len(simplex_points)
+    ipts, _ = linalg.integer_points([as_vec(x) for x in itertools.chain(simplex_points, points)])
+    if any(len(x) != len(ipts[0]) for x in ipts[m:]):
+        raise ValueError("point dimension does not match the simplex")
+    functionals = _integer_functionals(ipts[:m])
+    if functionals is None:
+        raise ValueError("simplex is not affinely independent")
+    rows = functionals[0]
+    return all(_value(row, x + (1,)) >= 0 for x in ipts[m:] for row in rows)
 
 
 def _integer_functionals(ipts):

@@ -16,8 +16,8 @@ full-dimensional in ℝ^{p+1} and all volumes are rational (vol Δ^p = 1/p!).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -74,11 +74,7 @@ class PrismComplexR:
         return complexes.delta_set_of(self.complex)
 
 
-_R_CACHE: dict[int, PrismComplexR] = {}
-_K_CACHE: dict[int, "PrismComplexK"] = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.cache
 def build_R(p: int) -> PrismComplexR:
     """The ordered triangulation of Δ^p × [0,1] by bottom faces, top flags,
     and bottom-top joins.
@@ -89,9 +85,6 @@ def build_R(p: int) -> PrismComplexR:
     vertices, so it realizes the prism ordering.
     """
     _check_cap(p)
-    with _CACHE_LOCK:
-        if p in _R_CACHE:
-            return _R_CACHE[p]
     subsets = _subsets(p)
     bottom_id = {i: i for i in range(p + 1)}
     top_id = {f: p + 1 + r for r, f in enumerate(subsets)}
@@ -117,10 +110,7 @@ def build_R(p: int) -> PrismComplexR:
                     chain.append(tuple(sorted(chain[-1] + (e,))))
                 maximal.append(g + tuple(top_id[f] for f in chain))
     ec = EuclideanComplex.build(maximal, coords, labels, name=f"R({p})")
-    result = PrismComplexR(p, ec, bottom_id, top_id)
-    with _CACHE_LOCK:
-        _R_CACHE.setdefault(p, result)
-        return _R_CACHE[p]
+    return PrismComplexR(p, ec, bottom_id, top_id)
 
 
 def bottom_subcomplex(r: PrismComplexR) -> list[tuple[int, ...]]:
@@ -310,11 +300,9 @@ class PrismComplexK:
         )
 
 
+@functools.cache
 def build_K(p: int) -> PrismComplexK:
     _check_cap(p)
-    with _CACHE_LOCK:
-        if p in _K_CACHE:
-            return _K_CACHE[p]
     coords = {}
     labels = {}
     for i in range(p + 1):
@@ -326,10 +314,7 @@ def build_K(p: int) -> PrismComplexK:
     for i in range(p + 1):
         maximal.append(tuple(range(i + 1)) + tuple(p + 1 + j for j in range(i, p + 1)))
     ec = EuclideanComplex.build(maximal, coords, labels, name=f"K({p})")
-    result = PrismComplexK(p, ec)
-    with _CACHE_LOCK:
-        _K_CACHE.setdefault(p, result)
-        return _K_CACHE[p]
+    return PrismComplexK(p, ec)
 
 
 def _product_factors(p: int) -> tuple[SimplicialSetFP, SimplicialSetFP, SimplicialSetFP]:

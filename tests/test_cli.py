@@ -101,6 +101,30 @@ def test_bad_rational_rejected(tmp_path, capsys):
     assert "bad rational" in err
 
 
+def test_slice_over_dependent_base_exit_1(tmp_path, capsys):
+    # a base simplex that is not affinely independent is bad input
+    line = complexes.EuclideanComplex.build(
+        [(0, 1, 2)], {0: (F(0), F(0)), 1: (F(1), F(1)), 2: (F(2), F(2))}
+    )
+    path = tmp_path / "w.fam"
+    families.dump(families.constant_family(line, suite.point_fiber()), path)
+    code, _, err = run_cli(["slice", str(path), "1/2,1/2"], capsys)
+    assert code == 1
+    assert "not affinely independent" in err
+
+
+@pytest.mark.parametrize("images", [["v 0 0", "v 1 1/2"], ["v 0 0 0 0", "v 1 1/2 0 0"]])
+def test_pullback_along_wrong_dimension_map_exit_1(tmp_path, capsys, images):
+    # the family's base lies in R^2; the map's images have one or four coordinates
+    fam, src, amap = tmp_path / "w.fam", tmp_path / "seg.cplx", tmp_path / "f.amap"
+    families.dump(suite.lift_fixtures()[8], fam)
+    complexes.dump(families.standard_simplex_complex(1), src)
+    amap.write_text("amap f\n" + "\n".join(images) + "\n")
+    code, _, err = run_cli(["pullback", str(fam), str(src), str(amap)], capsys)
+    assert code == 1
+    assert "dimension" in err
+
+
 def test_subdivide_roundtrip(tmp_path, capsys):
     src = tmp_path / "t.cplx"
     out = tmp_path / "sd.cplx"

@@ -158,6 +158,48 @@ def test_barycentric_subdivision_counts():
     assert sd.total_volume() == unit_triangle().total_volume()
 
 
+def all_flags_subdivision(k):
+    """sd K from the definition: a vertex per simplex of K, numbered by
+    (dimension, vertex tuple) and placed at its barycenter, and a simplex
+    per flag (chain of simplices strictly increasing under inclusion)."""
+    order = sorted(k.simplices, key=lambda s: (len(s), s))
+    vid = {s: i for i, s in enumerate(order)}
+    above = {s: [t for t in order if set(s) < set(t)] for s in order}
+    flags = [(s,) for s in order]
+    chains = list(flags)
+    while chains:
+        chains = [c + (t,) for c in chains for t in above[c[-1]]]
+        flags += chains
+    simplices = frozenset(tuple(sorted(vid[s] for s in flag)) for flag in flags)
+    coords = {
+        vid[s]: tuple(sum(k.coords[v][j] for v in s) / len(s) for j in range(k.ambient_dim))
+        for s in order
+    }
+    labels = {vid[s]: ("b", s) for s in order}
+    return simplices, coords, labels
+
+
+@pytest.mark.parametrize("name", ["R0", "R1", "R2", "R3", "non-pure", "isolated vertex"])
+def test_barycentric_subdivide_matches_all_flags(name):
+    if name.startswith("R"):
+        k = prism.build_R(int(name[1])).complex
+    elif name == "non-pure":
+        # a triangle with a dangling edge and an isolated vertex
+        k = complexes.EuclideanComplex.build(
+            [(0, 1, 2), (2, 3), (4,)],
+            {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1)), 3: (F(0), F(2)), 4: (F(3), F(3))},
+        )
+    else:
+        k = complexes.EuclideanComplex.build([(0,)], {0: (F(1), F(2))})
+    sd = complexes.barycentric_subdivide(k)
+    simplices, coords, labels = all_flags_subdivision(k)
+    assert sd.simplices == simplices
+    assert sd.base.vertices == tuple(range(len(k.simplices)))
+    assert sd.coords == coords
+    assert sd.base.labels == labels
+    assert complexes.barycentric_subdivide(k.base) == sd.base
+
+
 def test_subdivision_iterated_euler():
     k = glued_triangles()
     for _ in range(2):

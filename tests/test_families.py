@@ -36,6 +36,17 @@ def test_affine_map_rejects_uncarried():
         families.AffineSimplicialMap(seg, two, {0: (F(0), F(0)), 1: (F(3), F(2))})
 
 
+def test_affine_map_into_dependent_simplex_raises():
+    # (1/2, 1/2) lies on the segment hull{(0,0), (1,1), (2,2)}, but the
+    # target's simplex is not affinely independent, so no carrier is decided
+    pt = complexes.EuclideanComplex.build([(0,)], {0: (F(0), F(0))})
+    line = complexes.EuclideanComplex.build(
+        [(0, 1, 2)], {0: (F(0), F(0)), 1: (F(1), F(1)), 2: (F(2), F(2))}
+    )
+    with pytest.raises(ValueError, match="not affinely independent"):
+        families.AffineSimplicialMap(pt, line, {0: (F(1, 2), F(1, 2))})
+
+
 def test_constant_family_checks():
     base = families.standard_simplex_complex(1)
     fiber = suite.two_point_fiber()
@@ -128,6 +139,30 @@ def point_clouds(draw):
     ]
 
 
+def first_carrier(k, points):
+    """The first maximal simplex of k at which every point has
+    nonnegative barycentric coordinates, or None."""
+    for t in k.maximal_simplices():
+        bcs = [linalg.barycentric_coordinates(x, k.points(t)) for x in points]
+        if all(bc is not None and min(bc) >= 0 for bc in bcs):
+            return t
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_clouds(), st.data())
+def test_carrier_matches_first_carrier_scan(pts, data):
+    k = complexes.barycentric_subdivide(placed(pts))
+    vertices = st.sampled_from([k.coords[v] for v in k.base.vertices])
+    midpoints = st.tuples(vertices, vertices).map(
+        lambda ab: tuple((x + y) / 2 for x, y in zip(*ab))
+    )
+    free = st.tuples(*[st.fractions(-1, 2, max_denominator=4)] * k.ambient_dim)
+    for _ in range(4):
+        points = data.draw(st.lists(st.one_of(vertices, midpoints, free), min_size=1, max_size=3))
+        assert families._carrier(k, points) == first_carrier(k, points)
+
+
 def moved(k, f, name):
     return complexes.EuclideanComplex.build(
         k.maximal_simplices(), {v: f(x) for v, x in k.coords.items()}, name=name
@@ -182,8 +217,7 @@ def test_horn_retraction_small():
         horn = families.horn_complex(p, j)
         for s in horn.maximal_simplices():
             for c in horn.points(s):
-                rs = next(t for t in r.source.maximal_simplices()
-                          if families._inside(c, r.source.points(t)))
+                rs = families._carrier(r.source, [c])
                 assert r.apply(rs, c) == c
 
 

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,14 @@ def test_affine_independence():
     assert not linalg.affinely_independent([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
 
 
+def test_contains_raises_on_dependent_simplex():
+    line = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
+    with pytest.raises(ValueError, match="not affinely independent"):
+        polytope.contains(line, [(F(1, 2), F(1, 2))])
+    with pytest.raises(ValueError, match="dimension"):
+        polytope.contains(line[:2], [(F(0),)])
+
+
 def test_barycentric_coordinates_roundtrip():
     tri = [(F(0), F(0)), (F(2), F(0)), (F(0), F(2))]
     lam = linalg.barycentric_coordinates((F(1), F(1, 2)), tri)
@@ -58,14 +67,28 @@ def test_barycentric_coordinates_reconstruct(data):
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     pts = [tuple(data.draw(coord) for _ in range(n)) for _ in range(m)]
     assume(linalg.affinely_independent(pts))
-    inside = data.draw(st.booleans())
-    if inside:
+    # a point of the affine hull, a point on a facet of the simplex (a
+    # vertex when m = 2), or any point, which for m <= n is off the hull
+    kind = data.draw(st.sampled_from(["hull", "facet", "free"]))
+    inside = kind != "free"
+    if kind == "hull":
         weights = [data.draw(coord) for _ in range(m - 1)]
         weights.insert(0, 1 - sum(weights))
+    elif kind == "facet":
+        raw = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4)) for _ in range(m)]
+        if m > 1:
+            raw[data.draw(st.integers(0, m - 1))] = 0
+        assume(sum(raw) > 0)
+        weights = [w / sum(raw) for w in raw]
+    if inside:
         point = tuple(sum(w * p[i] for w, p in zip(weights, pts)) for i in range(n))
     else:
         point = tuple(data.draw(coord) for _ in range(n))
     lam = linalg.barycentric_coordinates(point, pts)
+    # the facet-functional test agrees with the signs of the coordinates
+    assert polytope.contains(pts, [point]) == (lam is not None and min(lam) >= 0)
+    if kind == "facet":
+        assert polytope.contains(pts, [point])
     if lam is None:
         # None only for a point off the affine hull
         assert not inside and linalg.affinely_independent(pts + [point])
