@@ -63,9 +63,6 @@ class AffineSimplicialMap:
     source: EuclideanComplex
     target: EuclideanComplex
     vertex_images: Mapping[int, Vec]
-    # inclusions and other maps that are affine per simplex by construction
-    # may skip the carrier certificate
-    check_carrier: bool = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -74,10 +71,9 @@ class AffineSimplicialMap:
         for v in self.source.base.vertices:
             if v not in self.vertex_images:
                 raise FamilyError(f"vertex {v} has no image")
-        if self.check_carrier:
-            for s in self.source.maximal_simplices():
-                if self.carrier(s) is None:
-                    raise FamilyError(f"simplex {s} does not map into a single target simplex")
+        for s in self.source.maximal_simplices():
+            if self.carrier(s) is None:
+                raise FamilyError(f"simplex {s} does not map into a single target simplex")
 
     def carrier(self, simplex) -> tuple[int, ...] | None:
         """Lexicographically first maximal target simplex containing the image."""
@@ -195,9 +191,15 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
         issues.append("total ambient dimension does not split as base × fiber")
     if not complexes.validate(w.total).ok:
         issues.append("total space is not a valid complex")
-    if not complexes.validate(w.subdivision).ok:
+    # polytope.contains raises on a dependent simplex: ask it only of
+    # complexes that validated
+    sub_ok = complexes.validate(w.subdivision).ok
+    if not sub_ok:
         issues.append("stored base subdivision is not a valid complex")
-    if not is_subdivision_of(w.subdivision, w.base):
+    base_ok = complexes.validate(w.base).ok
+    if not base_ok:
+        issues.append("base is not a valid complex")
+    if sub_ok and base_ok and not is_subdivision_of(w.subdivision, w.base):
         issues.append("stored subdivision does not subdivide the base")
     for s in w.total.maximal_simplices():
         cell = w.projection.get(s)
@@ -208,7 +210,7 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
             issues.append(f"assigned cell {cell} is not in the subdivision")
             continue
         projected = [w.project_point(x) for x in w.total.points(s)]
-        if not polytope.contains(w.subdivision.points(cell), projected):
+        if sub_ok and not polytope.contains(w.subdivision.points(cell), projected):
             issues.append(f"projection of simplex {s} leaves its cell {cell}")
     return FamilyReport(not issues, tuple(issues))
 
@@ -569,10 +571,7 @@ def restrict_family(w: PolyhedralFamily, sub_base: EuclideanComplex, name=None) 
     """Restriction of a family to a subcomplex of its base (pullback along
     the inclusion)."""
     incl = AffineSimplicialMap(
-        sub_base,
-        w.base,
-        {v: sub_base.coords[v] for v in sub_base.base.vertices},
-        check_carrier=False,
+        sub_base, w.base, {v: sub_base.coords[v] for v in sub_base.base.vertices}
     )
     return pullback(incl, w, name=name or f"{w.name}|sub")
 

@@ -1,7 +1,9 @@
 """Integral simplicial homology via Smith normal form.
 
-Chain complexes are built from Δ-sets (d = Σ (-1)^i d_i).  Large inputs
-are first shrunk by unit-pivot Gaussian reduction on the boundary
+Every chain complex (of a Δ-set, d = Σ (-1)^i d_i; the normalized chains
+of a simplicial set; the total complex of a bi-Δ-set; a reduced complex)
+comes from one builder, `_chains`, on generators and signed faces.  Large
+inputs are first shrunk by unit-pivot Gaussian reduction on the boundary
 matrices, which preserves homology exactly; the surviving small matrices
 go through a certified Smith normal form (U A V = D with unimodular U, V,
 checked by multiplication).
@@ -56,35 +58,32 @@ def chains_of(x: DeltaSet) -> ChainComplex:
 
 
 def chain_complex_of(x: DeltaSet) -> ChainComplex:
-    return _chains(x, x.face)
+    faces = x.faces
+    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
+    return _chains(x.generators, lambda k, g: [(faces[(k, g, i)], c) for i, c in signs[k]])
 
 
-def _chains(x, face) -> ChainComplex:
-    """Chain complex on the generators of x with d = Σ (-1)^i d_i, where
-    face(k, g, i) is the i-th face of g, or None when that face is
-    degenerate and contributes zero."""
-    ranks = {}
+def _chains(gens: Mapping[int, tuple], terms) -> ChainComplex:
+    """The chain complex on gens[k] in each degree k, where terms(k, g) is
+    the list of (face generator, coefficient) pairs of the boundary of g.
+    Coefficients of a repeated face add up, and zero entries are dropped;
+    every degree up to the top one has a rank and, from 1, a boundary."""
+    top = max(gens, default=-1)
+    index = [{g: i for i, g in enumerate(gens.get(k, ()))} for k in range(top + 1)]
     boundaries = {}
-    index = {}
-    for k in range(x.dimension + 1):
-        gs = x.gens(k)
-        ranks[k] = len(gs)
-        index[k] = {g: i for i, g in enumerate(gs)}
-    for k in range(1, x.dimension + 1):
+    for k in range(1, top + 1):
+        rows = index[k - 1]
         cols = {}
-        for g in x.gens(k):
+        for j, g in enumerate(index[k]):
             col: dict[int, int] = {}
-            for i in range(k + 1):
-                tg = face(k, g, i)
-                if tg is None:
-                    continue
-                r = index[k - 1][tg]
-                col[r] = col.get(r, 0) + (-1) ** i
+            for h, c in terms(k, g):
+                r = rows[h]
+                col[r] = col.get(r, 0) + c
             col = {r: c for r, c in col.items() if c}
             if col:
-                cols[index[k][g]] = col
+                cols[j] = col
         boundaries[k] = cols
-    return ChainComplex(ranks, boundaries)
+    return ChainComplex({k: len(gs) for k, gs in enumerate(index)}, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +187,9 @@ def reduce_chain_complex(cc: ChainComplex) -> ChainComplex:
             for c in dead_cols:
                 mats[k + 1].delete_row(c)
 
-    # compact indices
-    ranks = {}
-    remap = {}
-    for k in range(top + 1):
-        order = sorted(alive[k])
-        ranks[k] = len(order)
-        remap[k] = {old: new for new, old in enumerate(order)}
-    boundaries = {}
-    for k in range(1, top + 1):
-        cols = {}
-        for j, col in mats[k].cols.items():
-            cols[remap[k][j]] = {remap[k - 1][r]: v for r, v in col.items()}
-        boundaries[k] = cols
-    return ChainComplex(ranks, boundaries)
+    # compact indices: the survivors, renumbered in order
+    gens = {k: sorted(alive[k]) for k in range(top + 1)}
+    return _chains(gens, lambda k, j: mats[k].cols.get(j, {}).items())
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +393,18 @@ def normalized_chains(x) -> ChainComplex:
     """Normalized chain complex of a simplicial set presented by its
     nondegenerate generators; faces landing on degenerate simplices
     contribute zero."""
+    faces = x.faces
+    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
 
-    def face(k, g, i):
-        word, tg = x.faces[(k, g, i)]
-        return None if word else tg
+    def terms(k, g):
+        out = []
+        for i, c in signs[k]:
+            word, h = faces[(k, g, i)]
+            if not word:
+                out.append((h, c))
+        return out
 
-    return _chains(x, face)
+    return _chains(x.generators, terms)
 
 
 def homology_of_simplicial(x) -> HomologyProfile:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from .delta import DeltaMorphism, DeltaSet, _token, check_identities, genkey
-from .homology import ChainComplex, HomologyProfile, homology
+from .homology import ChainComplex, HomologyProfile, _chains, homology
 
 
 class CategoryStructureError(ValueError):
@@ -266,42 +266,25 @@ def constant_simplicial_category(c: FiniteNonUnitalCategory) -> SimplicialCatego
 
 
 def total_complex(b: BiDeltaSet) -> ChainComplex:
-    """Total complex of the double complex of a bi-Δ-set.
+    """Total complex of the double complex of a bi-Δ-set, on the (p, q, g)
+    generators grouped by p + q in sorted (p, q) order.
 
     d(g at (p,q)) = Σ_i (-1)^i d^h_i g  +  (-1)^p Σ_j (-1)^j d^v_j g.
     """
-    keys = sorted(b.generators)
-    index = {}
-    ranks: dict[int, int] = {}
-    for (p, q) in keys:
-        for g in b.gens(p, q):
-            n = p + q
-            index[(p, q, g)] = (n, ranks.get(n, 0))
-            ranks[n] = ranks.get(n, 0) + 1
-    boundaries: dict[int, dict[int, dict[int, int]]] = {}
-    for (p, q) in keys:
-        n = p + q
-        if n == 0:
-            continue
-        for g in b.gens(p, q):
-            col: dict[int, int] = {}
-            if p > 0:
-                for i in range(p + 1):
-                    r = index[(p - 1, q, b.h_faces[(p, q, g, i)])][1]
-                    col[r] = col.get(r, 0) + (-1) ** i
-            if q > 0:
-                sign = (-1) ** p
-                for j in range(q + 1):
-                    r = index[(p, q - 1, b.v_faces[(p, q, g, j)])][1]
-                    col[r] = col.get(r, 0) + sign * (-1) ** j
-            col = {r: v for r, v in col.items() if v}
-            if col:
-                boundaries.setdefault(n, {})[index[(p, q, g)][1]] = col
-    for n in range(max(ranks, default=-1) + 1):
-        ranks.setdefault(n, 0)
-        boundaries.setdefault(n, {})
-    boundaries.pop(0, None)
-    return ChainComplex(ranks, boundaries)
+    gens: dict[int, list] = {}
+    for p, q in sorted(b.generators):
+        gens.setdefault(p + q, []).extend((p, q, g) for g in b.gens(p, q))
+
+    def terms(n, pqg):
+        p, q, g = pqg
+        out = []
+        if p:
+            out += [((p - 1, q, b.h_faces[(p, q, g, i)]), (-1) ** i) for i in range(p + 1)]
+        if q:
+            out += [((p, q - 1, b.v_faces[(p, q, g, j)]), (-1) ** (p + j)) for j in range(q + 1)]
+        return out
+
+    return _chains(gens, terms)
 
 
 def total_homology(b: BiDeltaSet) -> HomologyProfile:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -111,6 +112,38 @@ def test_slice_over_dependent_base_exit_1(tmp_path, capsys):
     code, _, err = run_cli(["slice", str(path), "1/2,1/2"], capsys)
     assert code == 1
     assert "not affinely independent" in err
+
+
+def _segment_family_with(tmp_path, part):
+    # the point family over the segment [0, 1], with its base, or its stored
+    # subdivision and the cell of every total simplex, replaced by a
+    # triangle on three collinear points
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    flat = complexes.EuclideanComplex.build(
+        [(0, 1, 2)], {0: (F(0),), 1: (F(1),), 2: (F(1, 2),)}
+    )
+    if part == "subdivision":
+        cells = dict.fromkeys(w.projection, (0, 1, 2))
+        w = dataclasses.replace(w, subdivision=flat, projection=cells)
+    else:
+        w = dataclasses.replace(w, base=flat)
+    path = tmp_path / "w.fam"
+    families.dump(w, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "part, issue",
+    [("subdivision", "stored base subdivision is not a valid complex"),
+     ("base", "base is not a valid complex")],
+    ids=["subdivision", "base"],
+)
+def test_validate_family_with_dependent_simplex_exit_2(tmp_path, capsys, part, issue):
+    # the dependent simplex is a validity failure with a witness, not bad input
+    path = _segment_family_with(tmp_path, part)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2, err
+    assert issue in out
 
 
 @pytest.mark.parametrize("images", [["v 0 0", "v 1 1/2"], ["v 0 0 0 0", "v 1 1/2 0 0"]])

@@ -272,6 +272,16 @@ def test_horn_fill_family_restricts_back():
     assert families.same_point_set(back.total, wh.total)
 
 
+@pytest.mark.parametrize("ends", [(2, 3), (F(1, 2), F(3, 2))], ids=["outside", "half-inside"])
+def test_restrict_family_to_a_complex_outside_the_base_raises(ends):
+    # a segment outside Δ^1, or half inside it, is not a subcomplex of the
+    # base; restriction used to return an empty or a partial family
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    seg = complexes.EuclideanComplex.build([(0, 1)], {0: (F(ends[0]),), 1: (F(ends[1]),)})
+    with pytest.raises(families.FamilyError, match="single target simplex"):
+        families.restrict_family(w, seg)
+
+
 def test_manifold_check_sphere_and_disk():
     sph = suite.boundary_tetrahedron()
     rep = families.manifold_check(sph, 2)

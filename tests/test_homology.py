@@ -1,6 +1,11 @@
-import pytest
+import itertools
+from fractions import Fraction as F
 
-from plkernel import complexes, delta, homology, suite
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from plkernel import complexes, delta, homology, prism, simplicial, suite
 
 
 def test_snf_diag_2_3():
@@ -114,3 +119,125 @@ def test_normalized_chains_drop_degenerate_faces():
     assert cc.ranks == {0: 1, 1: 1, 2: 1}
     assert cc.boundaries == {1: {}, 2: {}}
     assert homology.homology(cc).betti_vector() == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the chain-complex builder against boundary matrices from the definition
+# ---------------------------------------------------------------------------
+
+
+def dense_boundary(cc, k):
+    """d_k of cc as a dense matrix; a stored zero entry or empty column
+    fails the test."""
+    assert all(col and all(col.values()) for col in cc.boundaries[k].values())
+    return homology._dense(cc.boundaries[k], cc.ranks[k - 1], cc.ranks[k])
+
+
+def reference_boundary(x, k, face):
+    """Σ (-1)^i d_i from the generators of degree k to those of degree k-1,
+    in their listed order; face(k, g, i) is None where d_i g is degenerate."""
+    rows, cols = list(x.gens(k - 1)), list(x.gens(k))
+    out = [[0] * len(cols) for _ in rows]
+    for c, g in enumerate(cols):
+        for i in range(k + 1):
+            h = face(k, g, i)
+            if h is not None:
+                out[rows.index(h)][c] += (-1) ** i
+    return out
+
+
+def assert_matches_reference(cc, x, face):
+    assert cc.ranks == {k: len(x.gens(k)) for k in range(x.dimension + 1)}
+    assert set(cc.boundaries) == set(range(1, x.dimension + 1))
+    for k in range(1, x.dimension + 1):
+        assert dense_boundary(cc, k) == reference_boundary(x, k, face)
+
+
+@st.composite
+def delta_sets(draw):
+    """Δ-sets up to degree 2 with loops, multiple edges and triangles whose
+    faces repeat: edges have arbitrary ends, and the triangles are triples
+    of edges (d_0, d_1, d_2) that meet the face identities."""
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=4))
+    faces = {}
+    for e, (a, b) in enumerate(ends):
+        faces[(1, e, 0)], faces[(1, e, 1)] = b, a
+
+    def d(e, i):
+        return faces[(1, e, i)]
+
+    fits = [
+        t for t in itertools.product(range(len(ends)), repeat=3)
+        if d(t[1], 0) == d(t[0], 0) and d(t[2], 0) == d(t[0], 1) and d(t[2], 1) == d(t[1], 1)
+    ]
+    tris = draw(st.lists(st.sampled_from(fits), max_size=4, unique=True)) if fits else []
+    for n, t in enumerate(tris):
+        for i in range(3):
+            faces[(2, f"t{n}", i)] = t[i]
+    gens = {0: verts, 1: range(len(ends)), 2: [f"t{n}" for n in range(len(tris))]}
+    x = delta.DeltaSet(gens, faces)
+    assert delta.check_identities(x)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta_sets(), st.booleans())
+def test_chain_complex_of_matches_the_definition(x, subdivide):
+    if subdivide:
+        x = prism.sd_delta(x).delta_set
+    assert_matches_reference(homology.chain_complex_of(x), x, x.face)
+
+
+@pytest.mark.parametrize(
+    "elements, mult, identity",
+    [
+        ((0, 1), lambda a, b: (a + b) % 2, 0),
+        ((0, 1, 2), lambda a, b: (a + b) % 3, 0),
+        ((0, 1, 2), lambda a, b: a * b % 3, 1),  # 0 absorbs
+        ((0, 1, 2), max, 0),  # every element idempotent
+    ],
+    ids=["Z2", "Z3", "mul-mod-3", "max"],
+)
+def test_normalized_chains_match_the_definition(elements, mult, identity):
+    x = simplicial.nerve_of_monoid(elements, mult, identity, cap=4)
+
+    def face(k, g, i):
+        word, h = x.faces[(k, g, i)]
+        return None if word else h
+
+    assert_matches_reference(homology.normalized_chains(x), x, face)
+
+
+# ---------------------------------------------------------------------------
+# homology ignores geometry and is invariant under subdivision
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def plane_complexes(draw):
+    """Complexes whose vertices sit on a 3 × 3 grid in the plane, so that
+    coincident vertices, collinear simplices, simplices of more than three
+    vertices and overlapping simplices are common."""
+    n = draw(st.integers(1, 6))
+    simplices = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    maximal = [tuple(sorted(s)) for s in draw(st.lists(simplices, min_size=1, max_size=4))]
+    grid = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coords = {v: tuple(map(F, draw(grid))) for v in sorted(set().union(*maximal))}
+    return complexes.EuclideanComplex.build(maximal, coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_complexes())
+@example(  # overlapping triangles, a collinear triangle, coincident vertices
+    complexes.EuclideanComplex.build(
+        [(0, 1, 2), (3, 4, 5), (5, 6, 7)],
+        {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (1, 1), 4: (1, -1), 5: (3, 1),
+         6: (3, 1), 7: (3, 3)},
+    )
+)
+def test_homology_invariant_under_subdivision(k):
+    h = homology.homology_of_complex(k)
+    assert homology.homology_of_complex(complexes.barycentric_subdivide(k)) == h
+    sd = prism.sd_delta(complexes.delta_set_of(k)).delta_set
+    assert homology.homology_of_delta_set(sd) == h
