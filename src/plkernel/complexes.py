@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping
@@ -190,9 +191,15 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     1. a local certificate, for pure complexes of full dimension: matched
        interior ridges, boundary ridges on the hull, and one point covered
        once prove the complex a triangulation of its hull;
-    2. otherwise, a pair is certified when the integer bounding boxes of
-       its simplices are disjoint, or when a facet functional or hull
-       equation of one simplex walls the other off (`_walled`);
+    2. otherwise, one sweep along the first axis pairs each maximal
+       simplex with the later ones whose integer intervals on that axis
+       meet its own; the pairs it leaves out have disjoint boxes.  A pair
+       it keeps is certified when the integer bounding boxes of its
+       simplices are disjoint, or when a facet functional or hull
+       equation of one simplex walls the other off (`_walled`).  The
+       uncertified pairs come out in `itertools.combinations` order, so
+       the first rejection and its witness are those of an all-pairs
+       scan;
     3. every pair still uncertified is decided by one simplex's weight
        simplex clipped by the other's facet functionals
        (`polytope._clip_simplex`), which decides every rejection.
@@ -285,15 +292,35 @@ def _uncertified_pairs(maximal, icoords, functionals):
     simplices not certified to meet in a common face: none when the local
     certificate holds, else each pair whose integer bounding boxes meet
     and that no wall of either simplex separates.  A caller that stops at
-    its first rejection stops the scan at that pair."""
+    its first rejection stops the scan at that pair.
+
+    One sweep along the first axis lists, for each simplex, the later ones
+    whose closed intervals on that axis meet its own; only those pairs
+    can have meeting boxes.  In ℝ⁰ there is no axis, every interval is
+    the empty slice, and every pair is listed."""
     if len({len(s) for s in maximal}) == 1 and _locally_certified(maximal, icoords, functionals):
         return
-    boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
-    for p, q in itertools.combinations(maximal, 2):
-        if polytope.boxes_meet(boxes[p], boxes[q]) and not (
-            _walled(p, q, icoords, functionals[p]) or _walled(q, p, icoords, functionals[q])
-        ):
-            yield p, q
+    boxes = [polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal]
+    lows = [lo[:1] for lo, _ in boxes]
+    highs = [hi[:1] for _, hi in boxes]
+    partners = [[] for _ in maximal]
+    active = []
+    for j in sorted(range(len(maximal)), key=lows.__getitem__):
+        # an interval that ends before this one starts misses every later one
+        active = [i for i in active if highs[i] >= lows[j]]
+        for i in active:
+            if i < j:
+                partners[i].append(j)
+            else:
+                partners[j].append(i)
+        active.append(j)
+    for i, p in enumerate(maximal):
+        for j in sorted(partners[i]):
+            q = maximal[j]
+            if polytope.boxes_meet(boxes[i], boxes[j]) and not (
+                _walled(p, q, icoords, functionals[p]) or _walled(q, p, icoords, functionals[q])
+            ):
+                yield p, q
 
 
 def _walled(p, q, icoords, p_functionals) -> bool:
@@ -307,8 +334,12 @@ def _walled(p, q, icoords, p_functionals) -> bool:
     """
     outside = [icoords[v] for v in q if v not in p]
     for row, off in zip(*p_functionals):
-        if (off < 0 or p[off] not in q) and all(polytope._value(row, x) < 0 for x in outside):
-            return True
+        if off < 0 or p[off] not in q:
+            for x in outside:
+                if sum(map(operator.mul, row, x)) >= 0:
+                    break
+            else:
+                return True
     return False
 
 

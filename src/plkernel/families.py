@@ -199,7 +199,11 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
     base_ok = complexes.validate(w.base).ok
     if not base_ok:
         issues.append("base is not a valid complex")
-    if sub_ok and base_ok and not is_subdivision_of(w.subdivision, w.base):
+    # and it compares points of one dimension only
+    same_space = w.subdivision.ambient_dim == w.base.ambient_dim
+    if not same_space:
+        issues.append("stored base subdivision does not live in the base's ambient space")
+    if sub_ok and base_ok and same_space and not is_subdivision_of(w.subdivision, w.base):
         issues.append("stored subdivision does not subdivide the base")
     for s in w.total.maximal_simplices():
         cell = w.projection.get(s)
@@ -210,7 +214,7 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
             issues.append(f"assigned cell {cell} is not in the subdivision")
             continue
         projected = [w.project_point(x) for x in w.total.points(s)]
-        if sub_ok and not polytope.contains(w.subdivision.points(cell), projected):
+        if sub_ok and same_space and not polytope.contains(w.subdivision.points(cell), projected):
             issues.append(f"projection of simplex {s} leaves its cell {cell}")
     return FamilyReport(not issues, tuple(issues))
 

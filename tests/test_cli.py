@@ -146,6 +146,20 @@ def test_validate_family_with_dependent_simplex_exit_2(tmp_path, capsys, part, i
     assert issue in out
 
 
+def test_validate_family_with_subdivision_in_another_space_exit_2(tmp_path, capsys):
+    # the point family over the segment [0, 1], its stored subdivision
+    # replaced by a segment in R^2: the file parses, and is invalid
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    segment = complexes.EuclideanComplex.build([(0, 1)], {0: (F(0), F(0)), 1: (F(1), F(0))})
+    path = tmp_path / "w.fam"
+    families.dump(dataclasses.replace(w, subdivision=segment), path)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2, err
+    assert out == (
+        "invalid: stored base subdivision does not live in the base's ambient space\n"
+    )
+
+
 @pytest.mark.parametrize("images", [["v 0 0", "v 1 1/2"], ["v 0 0 0 0", "v 1 1/2 0 0"]])
 def test_pullback_along_wrong_dimension_map_exit_1(tmp_path, capsys, images):
     # the family's base lies in R^2; the map's images have one or four coordinates

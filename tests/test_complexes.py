@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, delta, linalg, polytope, prism
+from plkernel import complexes, delta, linalg, polytope, prism, suite
 
 F = Fraction
 
@@ -447,8 +447,35 @@ def with_edge(ec, seed, overlap):
     return with_tops(ec, tops + [(far, vs[-1] + 1)], coords)
 
 
+def moment_surface(surface, seed, rounds):
+    """sd^rounds of the 2-complex `surface` after a seeded relabelling that
+    puts its vertices on distinct points of the moment curve in ℝ⁵."""
+    rng = random.Random(seed)
+    vs = sorted(surface.base.vertices)
+    ids = list(range(len(vs)))
+    rng.shuffle(ids)
+    relabel = dict(zip(vs, ids))
+    params = rng.sample(range(-7, 8), len(vs))
+    coords = {relabel[v]: tuple(F(t) ** e for e in range(1, 6)) for v, t in zip(vs, params)}
+    tops = [tuple(sorted(relabel[v] for v in s)) for s in surface.maximal_simplices()]
+    k = complexes.EuclideanComplex.build(tops, coords, name=surface.name)
+    for _ in range(rounds):
+        k = complexes.barycentric_subdivide(k)
+    return k
+
+
+def with_copy(ec, seed):
+    """ec plus a copy of one of its top simplices on new vertex ids."""
+    top = random.Random(seed).choice(ec.maximal_simplices())
+    shift = 1 + max(ec.base.vertices)
+    coords = dict(ec.coords)
+    coords.update({v + shift: ec.coords[v] for v in top})
+    return with_tops(ec, ec.maximal_simplices() + [tuple(v + shift for v in top)], coords)
+
+
 SCAN_KINDS = (
-    "valid", "overlap", "doubled", "lower-dim", "lower-dim-overlap", "mixed", "mixed-overlap"
+    "valid", "overlap", "doubled", "lower-dim", "lower-dim-overlap", "mixed", "mixed-overlap",
+    "surface-overlap",
 )
 
 
@@ -460,6 +487,7 @@ SCAN_KINDS = (
 @example("lower-dim-overlap", 3, 0)
 @example("mixed", 3, 0)
 @example("mixed-overlap", 3, 0)
+@example("surface-overlap", 2, 0)
 def test_streamed_scan_stops_at_witness(kind, p, seed):
     if kind.startswith("lower-dim"):
         p = min(p, 3)  # 1 more dimension: keep it quick
@@ -474,6 +502,9 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
         ec = doubled(unimodular_image(prism.build_R(min(p, 3)).complex, seed))
     elif kind.startswith("mixed"):
         ec = with_edge(ec, seed, overlap=kind == "mixed-overlap")
+    elif kind == "surface-overlap":
+        # sd¹ torus in ℝ⁵, 84 triangles, and a copy of one of them
+        ec = with_copy(moment_surface(suite.torus_7(), seed, 1), seed)
     fast = scan_report(ec, walls=True)
     exact = scan_report(ec, walls=False)
     assert fast[0] == exact[0]
@@ -495,9 +526,19 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
             if walls:
                 frame = generator.gi_frame.f_locals
                 assert (frame["p"], frame["q"]) == (a, b)
+    maximal, icoords, functionals = fast[4]
+    if kind == "surface-overlap":
+        # the sweep leaves partners out before the witness: pairs whose
+        # intervals on the first axis are disjoint
+        first = {s: [icoords[v][0] for v in s] for s in maximal}
+        a, b, _ = fast[2][-1]
+        before = itertools.takewhile(
+            lambda pair: pair != (a, b), itertools.combinations(maximal, 2)
+        )
+        assert any(max(first[s]) < min(first[t]) or max(first[t]) < min(first[s])
+                   for s, t in before)
     # both skips are sound: disjoint boxes hold disjoint simplices, and a
     # wall holds only pairs that meet in their common face
-    maximal, icoords, functionals = fast[4]
     boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
     for a, b in itertools.combinations(maximal, 2):
         if not polytope.boxes_meet(boxes[a], boxes[b]):
@@ -506,6 +547,117 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
             b, a, icoords, functionals[b]
         ):
             assert complexes._common_face(a, b, icoords, functionals[b])
+
+
+# -- the swept scan against an all-pairs reference ---------------------------
+
+
+def scan_args(k):
+    """The arguments validate(k) passes to the pair scan."""
+    seen = []
+    with mock.patch.object(complexes, "_uncertified_pairs", lambda *args: seen.append(args) or ()):
+        complexes.validate(k)
+    (args,) = seen
+    return args
+
+
+def walled_reference(p, q, icoords, p_functionals):
+    """The wall test of complexes._walled, with one polytope._value per row
+    and vertex and no early exit."""
+    outside = [icoords[v] for v in q if v not in p]
+    return any(
+        (off < 0 or p[off] not in q) and all(polytope._value(row, x) < 0 for x in outside)
+        for row, off in zip(*p_functionals)
+    )
+
+
+def reference_scan(maximal, icoords, functionals):
+    """Every pair in combinations order, kept when its boxes meet and no
+    wall of either simplex separates it."""
+    boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
+    return [
+        (p, q)
+        for p, q in itertools.combinations(maximal, 2)
+        if polytope.boxes_meet(boxes[p], boxes[q])
+        and not (
+            walled_reference(p, q, icoords, functionals[p])
+            or walled_reference(q, p, icoords, functionals[q])
+        )
+    ]
+
+
+def swept_scan(args):
+    with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
+        return list(complexes._uncertified_pairs(*args))
+
+
+def grid_complex(n, seed):
+    """Affinely independent simplices on points of {0, 1, 2}^n with distinct
+    vertex ids and often equal coordinates, so that intervals on the first
+    axis tie and touch; in ℝ⁰ every simplex is a vertex at the origin."""
+    rng = random.Random(seed)
+    coords = {v: tuple(F(rng.randint(0, 2)) for _ in range(n)) for v in range(rng.randint(1, 9))}
+    tops = []
+    for _ in range(rng.randint(1, 12)):
+        s = tuple(sorted(rng.sample(sorted(coords), rng.randint(1, min(n + 1, len(coords))))))
+        if linalg.affinely_independent([coords[v] for v in s]):
+            tops.append(s)
+    return complexes.EuclideanComplex.build(tops, {v: coords[v] for s in tops for v in s})
+
+
+SWEEP_KINDS = ("torus", "rp2", "lower-dim", "mixed", "grid")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SWEEP_KINDS), st.integers(0, 3), st.integers(0, 2**32))
+@example("torus", 2, 911)
+@example("rp2", 2, 0)
+@example("grid", 0, 0)
+@example("grid", 1, 0)
+def test_swept_scan_matches_all_pairs(kind, n, seed):
+    if kind in ("torus", "rp2"):
+        surface = suite.torus_7() if kind == "torus" else suite.projective_plane_6()
+        k = moment_surface(surface, seed, min(n, 2))
+    elif kind == "lower-dim":
+        k = unimodular_image(prism.build_R(1 + n % 3).complex, seed, extra_dims=1)
+    elif kind == "mixed":
+        k = with_edge(unimodular_image(prism.build_R(3).complex, seed), seed, overlap=n % 2 == 1)
+    else:
+        k = grid_complex(n, seed)
+    args = scan_args(k)
+    assert swept_scan(args) == reference_scan(*args)
+
+
+def test_swept_scan_keeps_ties_and_touches():
+    def build(tops, xs):
+        return complexes.EuclideanComplex.build(tops, {v: tuple(map(F, x)) for v, x in xs.items()})
+
+    cases = [
+        # three vertices at the one point of ℝ⁰
+        build([(0,), (1,), (2,)], {0: (), 1: (), 2: ()}),
+        # segments in ℝ¹ that touch at 1 without sharing a vertex, and one
+        # that starts where the first starts
+        build([(0, 1), (2, 3), (4, 5)], {0: (0,), 1: (1,), 2: (1,), 3: (2,), 4: (0,), 5: (2,)}),
+        # triangles in ℝ² that touch at x = 1 in a point off the common face
+        build([(0, 1, 2), (3, 4, 5)],
+              {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 0), 4: (2, 0), 5: (2, 1)}),
+    ]
+    for k in cases:
+        args = scan_args(k)
+        expected = reference_scan(*args)
+        assert expected and swept_scan(args) == expected
+        assert not complexes.validate(k).ok
+
+
+def test_swept_scan_skips_most_box_tests():
+    # sd² torus in ℝ⁵: 504 triangles, 126,756 pairs; the all-pairs scan boxes
+    # every one of them
+    k = moment_surface(suite.torus_7(), 911, 2)
+    n = len(k.maximal_simplices())
+    assert n * (n - 1) // 2 == 126_756
+    with mock.patch.object(polytope, "boxes_meet", wraps=polytope.boxes_meet) as spy:
+        assert complexes.validate(k).ok
+    assert 0 < spy.call_count <= 126_756 // 2
 
 
 # -- the exact pair test against intersect_simplices -------------------------
