@@ -187,7 +187,10 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
 
 def check_family(w: PolyhedralFamily) -> FamilyReport:
     issues = []
-    if w.total.ambient_dim != w.base.ambient_dim + w.fiber_dim:
+    if w.fiber_dim < 0:
+        issues.append("fiber dimension is negative")
+    splits = w.total.ambient_dim == w.base.ambient_dim + w.fiber_dim
+    if not splits:
         issues.append("total ambient dimension does not split as base × fiber")
     if not complexes.validate(w.total).ok:
         issues.append("total space is not a valid complex")
@@ -199,8 +202,11 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
     base_ok = complexes.validate(w.base).ok
     if not base_ok:
         issues.append("base is not a valid complex")
-    # and it compares points of one dimension only
+    # and it compares points of one dimension only: projected total points
+    # are base points only when the total splits over a fiber of
+    # dimension >= 0
     same_space = w.subdivision.ambient_dim == w.base.ambient_dim
+    projects = sub_ok and same_space and splits and w.fiber_dim >= 0
     if not same_space:
         issues.append("stored base subdivision does not live in the base's ambient space")
     if sub_ok and base_ok and same_space and not is_subdivision_of(w.subdivision, w.base):
@@ -214,7 +220,7 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
             issues.append(f"assigned cell {cell} is not in the subdivision")
             continue
         projected = [w.project_point(x) for x in w.total.points(s)]
-        if sub_ok and same_space and not polytope.contains(w.subdivision.points(cell), projected):
+        if projects and not polytope.contains(w.subdivision.points(cell), projected):
             issues.append(f"projection of simplex {s} leaves its cell {cell}")
     return FamilyReport(not issues, tuple(issues))
 
@@ -742,7 +748,10 @@ def loads(text: str) -> PolyhedralFamily:
     if header is None or len(header) < 3 or not header[-1].startswith("fiber="):
         raise FamilyError("missing family header")
     name = " ".join(header[1:-1])
-    fiber_dim = int(header[-1].split("=", 1)[1])
+    fiber = header[-1].split("=", 1)[1]
+    if not fiber.isdecimal():
+        raise FamilyError(f"family header fiber={fiber} is not a non-negative integer")
+    fiber_dim = int(fiber)
     try:
         base = complexes.loads("\n".join(sections["base"]))
         sub = complexes.loads("\n".join(sections["subdivision"]))

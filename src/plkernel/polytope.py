@@ -10,7 +10,10 @@ Which side of a simplex's facet a point lies on is decided by one routine,
 equations of a simplex with integer vertices.  Placing triangulations,
 hull vertices, the separating walls of `complexes.validate` and the
 point-in-simplex test `contains` all read it, on points scaled to
-integers by `linalg.integer_points`.
+integers by `linalg.integer_points`.  Placing runs only on affinely
+dependent point sets: `placing_triangulation` returns an independent set
+as its one simplex, and `hull_vertices` returns it whole, after one
+integer independence test (`_independent`).
 
 Every simplex-pair polytope comes from `intersect_simplices`: one clip of
 the joint weight simplex of both simplices by double description over
@@ -41,10 +44,12 @@ def hull_vertices(points) -> list[Vec]:
     the facets are read off the boundary of the placing triangulation.
     """
     pts = sorted(set(as_vec(p) for p in points))
-    # affinely independent point sets are entirely extreme
-    if len(pts) <= 1 or linalg.affinely_independent(pts):
+    ipts, _ = linalg.integer_points(pts)
+    # affinely independent point sets (the empty one too) are entirely
+    # extreme
+    if _independent(ipts):
         return pts
-    _, boundary, equations, ipts = _place(pts)
+    _, boundary, equations = _place(ipts)
     facet_rows = {tuple(row) for row in boundary.values()}
     n = len(pts[0])
     out = []
@@ -264,14 +269,19 @@ def placing_triangulation(points) -> list[tuple[int, ...]]:
     """Triangulate the hull of `points` by lexicographic placing.
 
     Returns the top-dimensional simplices as sorted index tuples into the
-    lex-sorted list of distinct points.  Every point is placed, so points
+    lex-sorted list of distinct points.  An affinely independent set is
+    returned as its one simplex, which is all that placing would build;
+    only dependent sets are placed.  Placing takes every point, so points
     not in convex position (which hull_vertices / vertex enumeration never
     produce) become vertices of the triangulation too.
     """
     pts = sorted(set(as_vec(p) for p in points))
     if not pts:
         return []
-    return sorted(_place(pts)[0])
+    ipts, _ = linalg.integer_points(pts)
+    if _independent(ipts):
+        return [tuple(range(len(pts)))]
+    return sorted(_place(ipts)[0])
 
 
 def _value(row, x) -> int:
@@ -289,21 +299,20 @@ def boxes_meet(a, b) -> bool:
     return all(map(operator.le, a[0], b[1])) and all(map(operator.le, b[0], a[1]))
 
 
-def _place(pts):
-    """Lexicographic placing of the sorted distinct points `pts`, over
-    their integer scaling.
+def _place(ipts):
+    """Lexicographic placing of the integer scaling `ipts` of sorted
+    distinct points.
 
     Each point in turn is coned over every simplex when an equation of
     their affine span is nonzero at it, else over each boundary ridge
     whose owner's facet functional is negative at it.  Returns (top
     simplices, {boundary ridge: its owner's facet functional}, the
-    span's equations, the integer points); the functionals are integer
-    rows (a, b) read at x as a.x + b.
+    span's equations); the functionals are integer rows (a, b) read at x
+    as a.x + b.
     """
-    ipts, _ = linalg.integer_points(pts)
     simplices = {(0,): _integer_functionals(ipts[:1])[0]}
     boundary: dict[tuple[int, ...], list[int]] = {}
-    for idx in range(1, len(pts)):
+    for idx in range(1, len(ipts)):
         x = ipts[idx] + (1,)
         first, rows = next(iter(simplices.items()))
         if any(_value(row, x) for row in rows[len(first) :: 2]):
@@ -318,7 +327,7 @@ def _place(pts):
                 if boundary.pop(ridge, None) is None:
                     boundary[ridge] = row
     first, rows = next(iter(simplices.items()))
-    return list(simplices), boundary, rows[len(first) :: 2], ipts
+    return list(simplices), boundary, rows[len(first) :: 2]
 
 
 def contains(simplex_points, points) -> bool:

@@ -160,6 +160,18 @@ def test_validate_family_with_subdivision_in_another_space_exit_2(tmp_path, caps
     )
 
 
+@pytest.mark.parametrize("fiber", ["-1", "one"])
+def test_validate_family_with_bad_fiber_header_exit_1(tmp_path, capsys, fiber):
+    # a fiber dimension that is not a non-negative integer is bad input
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    text = families.dumps(w).replace("fiber=1", f"fiber={fiber}", 1)
+    path = tmp_path / "w.fam"
+    path.write_text(text)
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert "fiber" in err
+
+
 @pytest.mark.parametrize("images", [["v 0 0", "v 1 1/2"], ["v 0 0 0 0", "v 1 1/2 0 0"]])
 def test_pullback_along_wrong_dimension_map_exit_1(tmp_path, capsys, images):
     # the family's base lies in R^2; the map's images have one or four coordinates

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,22 @@ def test_check_family_catches_bad_projection():
     except families.FamilyError:
         ok = False
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "fiber_dim, issue",
+    [(-1, "fiber dimension is negative"),
+     (0, "total ambient dimension does not split as base × fiber")],
+    ids=["negative-fiber", "unsplit-total"],
+)
+def test_check_family_with_total_in_r0(fiber_dim, issue):
+    # the point family over the segment [0, 1], its total moved to R^0: the
+    # projected points have no coordinates, so the projection check cannot
+    # run; with fiber dimension -1 the total splits as 0 = 1 - 1
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    point = complexes.EuclideanComplex.build([(0,)], {0: ()})
+    bad = dataclasses.replace(w, total=point, fiber_dim=fiber_dim, projection={(0,): (0, 1)})
+    assert families.check_family(bad).issues == (issue,)
 
 
 def test_pullback_of_identity_preserves_point_set():

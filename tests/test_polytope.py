@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -209,14 +210,35 @@ def test_hull_vertices_match_lp_oracle(pts):
     assert polytope.hull_vertices(pts) == hull_oracle(pts)
 
 
+# affinely independent sets, each its own triangulation, and four coplanar
+# points in R^3, one short of independent
+TETRAHEDRON = [CUBE[0], CUBE[4], CUBE[2], CUBE[1]]
+TRIANGLE_R4 = [(F(0),) * 4, (F(1), F(0), F(2), F(-1)), (F(1, 2), F(3), F(0), F(1, 3))]
+EDGE_R2 = [(F(2), F(1)), (F(-1), F(1, 2))]
+COPLANAR_R3 = [(F(0),) * 3, (F(2), F(0), F(1)), (F(0), F(2), F(1)), (F(1), F(1), F(1))]
+
+
 @settings(max_examples=400, deadline=None)
 @given(point_sets())
 @example([()])
 @example(SQUARE + [(F(1, 2), F(1, 2)), (F(1, 2), F(0))])
 @example([(F(0),), (F(1, 2),), (F(1),), (F(2),)])
 @example(CUBE)
+@example(TETRAHEDRON)
+@example(TRIANGLE_R4)
+@example(EDGE_R2)
+@example(COPLANAR_R3)
 def test_placing_triangulation_matches_oracle(pts):
     assert polytope.placing_triangulation(pts) == placing_oracle(pts)
+
+
+def test_placing_triangulation_places_dependent_sets_only():
+    with mock.patch.object(polytope, "_place", wraps=polytope._place) as place:
+        for pts in (TETRAHEDRON, TRIANGLE_R4, EDGE_R2):
+            assert polytope.placing_triangulation(pts) == [tuple(range(len(pts)))]
+        assert place.call_count == 0
+        assert len(polytope.placing_triangulation(COPLANAR_R3)) == 2
+        assert place.call_count == 1
 
 
 def two_sided_oracle(p_points, q_points, p_out, q_out):
