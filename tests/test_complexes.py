@@ -602,6 +602,9 @@ def grid_complex(n, seed):
         s = tuple(sorted(rng.sample(sorted(coords), rng.randint(1, min(n + 1, len(coords))))))
         if linalg.affinely_independent([coords[v] for v in s]):
             tops.append(s)
+    # every draw may be dependent; a complex needs one simplex to have an
+    # ambient dimension, so fall back to vertex 0
+    tops = tops or [(0,)]
     return complexes.EuclideanComplex.build(tops, {v: coords[v] for s in tops for v in s})
 
 
@@ -614,6 +617,7 @@ SWEEP_KINDS = ("torus", "rp2", "lower-dim", "mixed", "grid")
 @example("rp2", 2, 0)
 @example("grid", 0, 0)
 @example("grid", 1, 0)
+@example("grid", 2, 72410045)
 def test_swept_scan_matches_all_pairs(kind, n, seed):
     if kind in ("torus", "rp2"):
         surface = suite.torus_7() if kind == "torus" else suite.projective_plane_6()
