@@ -1,7 +1,9 @@
 """Finitely presented semi-simplicial sets (Δ-sets) and their morphisms.
 
-A Δ-set is stored as graded generator sets together with a face-map table
-(degree, generator, index) -> generator.  The semi-simplicial identities
+A Δ-set is stored as graded generator sets together with a face map
+(degree, generator, index) -> generator.  The constructor also records each
+face by position, in an integer table that the checks and builders read
+instead of hashing generator names.  The semi-simplicial identities
 d_i d_j = d_{j-1} d_i (i < j) are *not* enforced by the constructor so that
 deliberately broken instances can be built for testing; library code calls
 :func:`check_identities` after construction.
@@ -15,7 +17,11 @@ from typing import Hashable, Mapping
 
 
 class DeltaStructureError(ValueError):
-    """Malformed input: missing faces, unknown generators, bad degrees."""
+    """Malformed input: missing faces, unknown or repeated generators, bad
+    degrees."""
+
+
+_MISSING = object()
 
 
 def genkey(g) -> str:
@@ -36,30 +42,44 @@ def genkey(g) -> str:
 
 @dataclass(frozen=True)
 class DeltaSet:
-    """A finite semi-simplicial set."""
+    """A finite semi-simplicial set.
+
+    The constructor checks that no generator repeats within a degree and
+    that every face d_i of a degree-k generator is a generator of degree
+    k - 1.  In the same pass it builds ``table``: for each degree k >= 1,
+    one flat tuple whose entry n*(k+1) + i is the position in gens(k-1)
+    of d_i of gens(k)[n].
+    """
 
     generators: Mapping[int, tuple]
     faces: Mapping[tuple, Hashable]  # (degree, gen, i) -> gen of degree-1
     name: str = "X"
+    table: Mapping[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = {k: tuple(v) for k, v in self.generators.items() if v}
         object.__setattr__(self, "generators", gens)
-        for k, gs in gens.items():
+        faces, position, table = self.faces, {}, {}
+        for k in sorted(gens):
+            gs = gens[k]
             if k < 0:
                 raise DeltaStructureError(f"negative degree {k}")
+            pos = position[k] = {g: n for n, g in enumerate(gs)}
+            if len(pos) < len(gs):
+                g = next(g for n, g in enumerate(gs) if pos[g] != n)
+                raise DeltaStructureError(f"generator {g!r} repeats in degree {k}")
             if k == 0:
                 continue
-            lower = set(gens.get(k - 1, ()))
-            for g in gs:
-                for i in range(k + 1):
-                    key = (k, g, i)
-                    if key not in self.faces:
-                        raise DeltaStructureError(f"missing face d_{i} of {g!r} in degree {k}")
-                    if self.faces[key] not in lower:
-                        raise DeltaStructureError(
-                            f"face d_{i} of {g!r} is not a generator of degree {k-1}"
-                        )
+            lower, ks = position.get(k - 1, {}), range(k + 1)
+            row = [lower.get(faces.get((k, g, i), _MISSING)) for g in gs for i in ks]
+            if None in row:
+                n, i = divmod(row.index(None), k + 1)
+                g = gs[n]
+                if (k, g, i) not in faces:
+                    raise DeltaStructureError(f"missing face d_{i} of {g!r} in degree {k}")
+                raise DeltaStructureError(f"face d_{i} of {g!r} is not a generator of degree {k-1}")
+            table[k] = tuple(row)
+        object.__setattr__(self, "table", table)
 
     @property
     def dimension(self) -> int:
@@ -88,18 +108,18 @@ class IdentityReport:
 
 
 def check_identities(x: DeltaSet) -> IdentityReport:
-    """Verify d_i d_j = d_{j-1} d_i for i < j on every generator."""
-    faces = x.faces
-    for k in sorted(x.generators):
-        if k < 2:
-            continue
+    """Verify d_i d_j = d_{j-1} d_i for i < j on every generator, reading
+    the face table; the witness is the first failure in degree, gens and
+    (i, j) order."""
+    table = x.table
+    for k in range(2, x.dimension + 1):
         pairs = tuple(itertools.combinations(range(k + 1), 2))
-        below = {h: [faces[(k - 1, h, i)] for i in range(k)] for h in x.gens(k - 1)}
-        for g in x.gens(k):
-            d = [below[faces[(k, g, i)]] for i in range(k + 1)]
+        below = tuple(zip(*[iter(table[k - 1])] * k))
+        for n, row in enumerate(zip(*[iter(table[k])] * (k + 1))):
+            d = [below[h] for h in row]
             for i, j in pairs:
                 if d[j][i] != d[i][j - 1]:
-                    return IdentityReport(False, (k, g, i, j))
+                    return IdentityReport(False, (k, x.gens(k)[n], i, j))
     return IdentityReport(True)
 
 
@@ -115,11 +135,12 @@ class DeltaMorphism:
         return self.mapping[(degree, g)]
 
     def check(self) -> IdentityReport:
+        targets = {k: set(gs) for k, gs in self.target.generators.items()}
         for k in sorted(self.source.generators):
             for g in self.source.gens(k):
                 if (k, g) not in self.mapping:
                     return IdentityReport(False, (k, g, None, "missing"))
-                if self.mapping[(k, g)] not in self.target.gens(k):
+                if self.mapping[(k, g)] not in targets.get(k, ()):
                     return IdentityReport(False, (k, g, None, "image not a generator"))
                 if k == 0:
                     continue

@@ -58,9 +58,13 @@ def chains_of(x: DeltaSet) -> ChainComplex:
 
 
 def chain_complex_of(x: DeltaSet) -> ChainComplex:
-    faces = x.faces
-    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
-    return _chains(x.generators, lambda k, g: [(faces[(k, g, i)], c) for i, c in signs[k]])
+    """The chains of x on generator positions, read from its face table."""
+    table = x.table
+    signs = [(-1) ** i for i in range(x.dimension + 1)]
+    return _chains(
+        {k: range(len(gs)) for k, gs in x.generators.items()},
+        lambda k, n: zip(table[k][n * (k + 1) : (n + 1) * (k + 1)], signs),
+    )
 
 
 def _chains(gens: Mapping[int, tuple], terms) -> ChainComplex:

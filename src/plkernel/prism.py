@@ -429,18 +429,20 @@ def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
         inner = [[index[f[:i] + f[i + 1 :]] for i in range(len(f) - 1)] for f in flags]
         tables.append([(f, a, b, f"{len(f) - 1}, {f!r})") for f, a, b in zip(flags, inner, last)])
         cuts.append([tuple(v for v in reversed(full) if v not in sub) for sub in proper])
-    # names: (p, g) -> the generators inside g, in table order
-    names, gens, faces, carrier = {}, {}, {}, {}
+    # names[p][m]: the generators inside gens(p)[m], in table order
+    names, gens, faces, carrier, table = {}, {}, {}, {}, x.table
     for p in sorted(x.generators):
-        for g in x.gens(p):
+        names[p] = []
+        for m, g in enumerate(x.gens(p)):
             pg, head = (p, g), f"(({p!r}, {delta.genkey(g)}), "
-            own = names[pg] = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
+            own = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
+            names[p].append(own)
             below = []
             for missing in cuts[p]:
-                h, d = g, p
+                h, d = m, p
                 for v in missing:
-                    h, d = x.faces[(d, h, v)], d - 1
-                below.append(names[(d, h)])
+                    h, d = table[d][h * (d + 1) + v], d - 1
+                below.append(names[d][h])
             for name, (flag, inner, last, tail) in zip(own, tables[p]):
                 k = name[1]
                 gens.setdefault(k, []).append((head + tail, name))  # head + tail == genkey(name)

@@ -70,6 +70,15 @@ def test_missing_file_exit_1(capsys):
     assert "error" in err
 
 
+def test_validate_repeated_generator_exit_1(tmp_path, capsys):
+    path = tmp_path / "rep.dset"
+    path.write_text("dset X\ng 0 a\ng 0 a\ng 0 b\ng 1 e\nd 1 e 0 a\nd 1 e 1 b\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "DeltaStructureError" in err and "'a' repeats in degree 0" in err
+
+
 def test_vertex_without_id_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.cplx"
     path.write_text("complex K ambient=1\nv\n")

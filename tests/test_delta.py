@@ -1,10 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, delta
+from plkernel import complexes, delta, homology, prism, suite
 
 
 def circle_one_vertex():
@@ -45,12 +48,21 @@ def test_missing_face_raises():
         delta.DeltaSet({0: ("v",), 1: ("e",)}, {(1, "e", 0): "v"})
 
 
+def test_repeated_generator_raises():
+    # counted twice, 'a' would make f = (3, 1) and chi = 2, while the
+    # chains, indexed by generator, see chi = 1
+    with pytest.raises(delta.DeltaStructureError, match="'a' repeats in degree 0"):
+        delta.DeltaSet({0: ("a", "a", "b"), 1: ("e",)}, {(1, "e", 0): "a", (1, "e", 1): "b"})
+
+
 def test_morphism_check():
     x = delta.standard_delta(1)
     f = delta.identity_morphism(x)
     assert f.check().ok
     g = delta.DeltaMorphism(x, x, {**f.mapping, (0, (0,)): (1,)})
     assert not g.check().ok
+    h = delta.DeltaMorphism(x, x, {**f.mapping, (0, (1,)): (2,)})
+    assert h.check().witness == (0, (1,), None, "image not a generator")
 
 
 def test_sd_standard_delta():
@@ -192,3 +204,115 @@ def test_check_identities_witness_is_first_failure(sets):
     rep = delta.check_identities(bad)
     assert not rep.ok
     assert rep == reference_check_identities(bad)
+
+
+# ---------------------------------------------------------------------------
+# the face table against the faces dict
+# ---------------------------------------------------------------------------
+
+
+def dict_check_identities(x):
+    """check_identities on the faces dict, as it was before the face table:
+    the same scan order, each face looked up by its generator's name."""
+    faces = x.faces
+    for k in sorted(x.generators):
+        if k < 2:
+            continue
+        pairs = tuple(itertools.combinations(range(k + 1), 2))
+        below = {h: [faces[(k - 1, h, i)] for i in range(k)] for h in x.gens(k - 1)}
+        for g in x.gens(k):
+            d = [below[faces[(k, g, i)]] for i in range(k + 1)]
+            for i, j in pairs:
+                if d[j][i] != d[i][j - 1]:
+                    return delta.IdentityReport(False, (k, g, i, j))
+    return delta.IdentityReport(True)
+
+
+def dict_chain_complex_of(x):
+    """chain_complex_of on the faces dict, as it was before the face table."""
+    faces = x.faces
+    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
+    return homology._chains(x.generators, lambda k, g: [(faces[(k, g, i)], c) for i, c in signs[k]])
+
+
+@st.composite
+def tabled_delta_sets(draw):
+    """A closure of a random complex, a corruption of it that fails the
+    face identities, or the sd of the closure."""
+    x, bad = draw(corrupted_delta_sets())
+    kind = draw(st.sampled_from(["closure", "corrupted", "sd"]))
+    return {"closure": x, "corrupted": bad, "sd": prism.sd_delta(x).delta_set}[kind]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tabled_delta_sets())
+def test_face_table_matches_the_faces(x):
+    assert set(x.table) == set(range(1, x.dimension + 1))
+    for k in x.table:
+        lower = x.gens(k - 1)
+        assert x.table[k] == tuple(
+            lower.index(x.faces[(k, g, i)]) for g in x.gens(k) for i in range(k + 1)
+        )
+    assert delta.check_identities(x) == dict_check_identities(x)
+    assert homology.chain_complex_of(x) == dict_chain_complex_of(x)
+
+
+class CountingFaces(dict):
+    """A faces dict that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "corrupted"])
+def test_table_readers_make_no_face_lookups(broken):
+    x = complexes.delta_set_of(suite.torus_7())
+    faces = dict(x.faces)
+    if broken:
+        t = x.gens(2)[3]
+        faces[(2, t, 0)] = next(e for e in x.gens(1) if e != x.face(2, t, 0))
+    faces = CountingFaces(faces)
+    y = delta.DeltaSet(x.generators, faces)
+    assert faces.reads == sum((k + 1) * len(x.gens(k)) for k in range(1, 3))  # one get per face
+    faces.reads = 0
+    assert delta.check_identities(y).ok is not broken
+    homology.chain_complex_of(y)
+    if not broken:
+        prism.sd_delta(y)
+    assert faces.reads == 0
+
+
+HASH_SEED_SCRIPT = """
+from plkernel import complexes, delta, homology, nerve, prism, suite
+x = complexes.delta_set_of(suite.torus_7())
+for _ in range(2):
+    x = prism.sd_delta(x).delta_set
+print(delta.dumps(x))
+print(x.table)
+print(homology.homology_of_delta_set(nerve.nerve(nerve.demo_cobordism_category(), 4)).report())
+"""
+
+
+def test_tables_and_homology_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(delta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
