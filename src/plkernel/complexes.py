@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping
 
 from . import linalg, polytope
-from .delta import DeltaSet
+from .delta import DeltaSet, deletion_table
 from .linalg import Vec, as_vec
 
 
@@ -452,14 +452,10 @@ def delta_set_of(k) -> DeltaSet:
     cardinality k+1, d_i deletes the i-th vertex in the global order."""
     base = k.base if isinstance(k, EuclideanComplex) else k
     gens: dict[int, list] = {}
-    faces = {}
     for s in sorted(base.simplices, key=lambda s: (len(s), s)):
-        d = len(s) - 1
-        gens.setdefault(d, []).append(s)
-        if d >= 1:
-            for i in range(d + 1):
-                faces[(d, s, i)] = s[:i] + s[i + 1 :]
-    return DeltaSet({d: tuple(v) for d, v in gens.items()}, faces, base.name)
+        gens.setdefault(len(s) - 1, []).append(s)
+    gens = {d: tuple(v) for d, v in gens.items()}
+    return DeltaSet.from_table(gens, deletion_table(gens), base.name)
 
 
 # ---------------------------------------------------------------------------

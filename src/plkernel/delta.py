@@ -1,9 +1,10 @@
 """Finitely presented semi-simplicial sets (Δ-sets) and their morphisms.
 
-A Δ-set is stored as graded generator sets together with a face map
-(degree, generator, index) -> generator.  The constructor also records each
-face by position, in an integer table that the checks and builders read
-instead of hashing generator names.  The semi-simplicial identities
+A Δ-set is stored as graded generator tuples together with an integer face
+table that records each face d_i by its position in the degree below.
+Builders write the table directly; input from outside gives the faces as a
+map (degree, generator, index) -> generator, which the constructor checks
+and turns into the table.  The semi-simplicial identities
 d_i d_j = d_{j-1} d_i (i < j) are *not* enforced by the constructor so that
 deliberately broken instances can be built for testing; library code calls
 :func:`check_identities` after construction.
@@ -11,6 +12,7 @@ deliberately broken instances can be built for testing; library code calls
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
@@ -22,6 +24,21 @@ class DeltaStructureError(ValueError):
 
 
 _MISSING = object()
+
+
+def _raise_repeat(k: int, gs: tuple):
+    position = {g: n for n, g in enumerate(gs)}
+    g = next(g for n, g in enumerate(gs) if position[g] != n)
+    raise DeltaStructureError(f"generator {g!r} repeats in degree {k}")
+
+
+def _names_a_face(key, position: dict) -> bool:
+    """Whether key is (k, g, i) with g a generator of degree k >= 1 and
+    0 <= i <= k, given each degree's {generator: position}."""
+    if not (isinstance(key, tuple) and len(key) == 3):
+        return False
+    k, g, i = key
+    return k in position and k != 0 and g in position[k] and isinstance(i, int) and 0 <= i <= k
 
 
 def genkey(g) -> str:
@@ -40,34 +57,37 @@ def genkey(g) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeltaSet:
-    """A finite semi-simplicial set.
+    """A finite semi-simplicial set, stored as its generators and its face
+    table: for each degree k >= 1, one flat tuple whose entry n*(k+1) + i
+    is the position in gens(k-1) of d_i of gens(k)[n].
 
-    The constructor checks that no generator repeats within a degree and
-    that every face d_i of a degree-k generator is a generator of degree
-    k - 1.  In the same pass it builds ``table``: for each degree k >= 1,
-    one flat tuple whose entry n*(k+1) + i is the position in gens(k-1)
-    of d_i of gens(k)[n].
+    ``DeltaSet(generators, faces, name)`` takes the faces as a mapping
+    (degree, gen, i) -> gen for input from outside.  It checks that no
+    generator repeats within a degree, that every face d_i of a degree-k
+    generator is a generator of degree k - 1, and that every key names
+    such a face, and builds the table from them.  Builders that compute
+    the table themselves use :meth:`from_table`.  ``faces`` is derived
+    from the table on first read.
     """
 
     generators: Mapping[int, tuple]
-    faces: Mapping[tuple, Hashable]  # (degree, gen, i) -> gen of degree-1
+    table: Mapping[int, tuple] = field(repr=False)
     name: str = "X"
-    table: Mapping[int, tuple] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        gens = {k: tuple(v) for k, v in self.generators.items() if v}
-        object.__setattr__(self, "generators", gens)
-        faces, position, table = self.faces, {}, {}
+    def __init__(
+        self, generators: Mapping[int, tuple], faces: Mapping[tuple, Hashable], name: str = "X"
+    ):
+        gens = {k: tuple(v) for k, v in generators.items() if v}
+        position, table = {}, {}
         for k in sorted(gens):
             gs = gens[k]
             if k < 0:
                 raise DeltaStructureError(f"negative degree {k}")
             pos = position[k] = {g: n for n, g in enumerate(gs)}
             if len(pos) < len(gs):
-                g = next(g for n, g in enumerate(gs) if pos[g] != n)
-                raise DeltaStructureError(f"generator {g!r} repeats in degree {k}")
+                _raise_repeat(k, gs)
             if k == 0:
                 continue
             lower, ks = position.get(k - 1, {}), range(k + 1)
@@ -79,7 +99,55 @@ class DeltaSet:
                     raise DeltaStructureError(f"missing face d_{i} of {g!r} in degree {k}")
                 raise DeltaStructureError(f"face d_{i} of {g!r} is not a generator of degree {k-1}")
             table[k] = tuple(row)
-        object.__setattr__(self, "table", table)
+        # every key read above is a distinct face, so any other key is stray
+        if sum(map(len, table.values())) != len(faces):
+            key = next(key for key in faces if not _names_a_face(key, position))
+            raise DeltaStructureError(f"face key {key!r} names no face of a generator")
+        self.__dict__.update(generators=gens, table=table, name=name)
+
+    @classmethod
+    def from_table(
+        cls, generators: Mapping[int, tuple], table: Mapping[int, tuple], name: str = "X"
+    ) -> DeltaSet:
+        """A Δ-set from a face table its builder computed.  Checks that no
+        generator repeats within a degree, that the row of degree k has
+        len(gens(k))*(k+1) entries and that each of them lies in
+        range(len(gens(k-1))); an entry outside it is reported as a face
+        that is not a generator."""
+        gens = {k: tuple(v) for k, v in generators.items() if v}
+        rows = {}
+        for k in sorted(gens):
+            gs = gens[k]
+            if k < 0:
+                raise DeltaStructureError(f"negative degree {k}")
+            if len(set(gs)) < len(gs):
+                _raise_repeat(k, gs)
+            if k == 0:
+                continue
+            row = tuple(table.get(k, ()))
+            if len(row) != len(gs) * (k + 1):
+                raise DeltaStructureError(
+                    f"table row of degree {k} has {len(row)} entries, not {len(gs) * (k + 1)}"
+                )
+            below = len(gens.get(k - 1, ()))
+            if min(row) < 0 or max(row) >= below:
+                n, i = divmod(next(j for j, h in enumerate(row) if not 0 <= h < below), k + 1)
+                raise DeltaStructureError(
+                    f"face d_{i} of {gs[n]!r} is not a generator of degree {k-1}"
+                )
+            rows[k] = row
+        x = cls.__new__(cls)
+        x.__dict__.update(generators=gens, table=rows, name=name)
+        return x
+
+    @functools.cached_property
+    def faces(self) -> dict:
+        """(degree, gen, i) -> d_i gen, for every generator of degree >= 1."""
+        faces = {}
+        for k, row in self.table.items():
+            keys = [(k, g, i) for g in self.gens(k) for i in range(k + 1)]
+            faces.update(zip(keys, map(self.gens(k - 1).__getitem__, row)))
+        return faces
 
     @property
     def dimension(self) -> int:
@@ -135,19 +203,31 @@ class DeltaMorphism:
         return self.mapping[(degree, g)]
 
     def check(self) -> IdentityReport:
-        targets = {k: set(gs) for k, gs in self.target.generators.items()}
-        for k in sorted(self.source.generators):
-            for g in self.source.gens(k):
-                if (k, g) not in self.mapping:
+        """Every generator maps to a generator of the same degree whose
+        faces are the images of its faces, compared by position through
+        both face tables; the witness is the first failure in degree and
+        gens order, then in i."""
+        source, target, mapping = self.source, self.target, self.mapping
+        image = {}
+        for k in sorted(source.generators):
+            where = {g: n for n, g in enumerate(target.gens(k))}
+            image[k] = img = []
+            if k:
+                below, w = image[k - 1], k + 1
+                rows, tops = source.table[k], target.table.get(k)
+            for n, g in enumerate(source.gens(k)):
+                h = mapping.get((k, g), _MISSING)
+                if h is _MISSING:
                     return IdentityReport(False, (k, g, None, "missing"))
-                if self.mapping[(k, g)] not in targets.get(k, ()):
+                t = where.get(h)
+                if t is None:
                     return IdentityReport(False, (k, g, None, "image not a generator"))
-                if k == 0:
-                    continue
-                for i in range(k + 1):
-                    if self.target.face(k, self.mapping[(k, g)], i) != self.mapping[
-                        (k - 1, self.source.face(k, g, i))
-                    ]:
+                img.append(t)
+                if k:
+                    top = tops[t * w : t * w + w]
+                    faces = tuple(map(below.__getitem__, rows[n * w : n * w + w]))
+                    if top != faces:
+                        i = next(i for i in range(w) if top[i] != faces[i])
                         return IdentityReport(False, (k, g, i, "face"))
         return IdentityReport(True)
 
@@ -169,16 +249,22 @@ def identity_morphism(x: DeltaSet) -> DeltaMorphism:
 # ---------------------------------------------------------------------------
 
 
+def deletion_table(gens: Mapping[int, tuple]) -> dict:
+    """The face table of tuple generators whose face d_i deletes entry i;
+    an entry is -1 where that tuple is not a generator of the degree
+    below, which :meth:`DeltaSet.from_table` reports."""
+    table = {}
+    for k, gs in gens.items():
+        if k >= 1:
+            pos = {g: n for n, g in enumerate(gens.get(k - 1, ()))}
+            table[k] = tuple([pos.get(g[:i] + g[i + 1 :], -1) for g in gs for i in range(k + 1)])
+    return table
+
+
 def standard_delta(p: int, name=None) -> DeltaSet:
     """The Δ-set of the ordered complex Δ^p: generators are vertex tuples."""
-    gens = {}
-    faces = {}
-    for k in range(p + 1):
-        gens[k] = tuple(itertools.combinations(range(p + 1), k + 1))
-        for g in gens[k]:
-            for i in range(k + 1):
-                faces[(k, g, i)] = g[:i] + g[i + 1 :]
-    return DeltaSet(gens, faces, name or f"Delta^{p}")
+    gens = {k: tuple(itertools.combinations(range(p + 1), k + 1)) for k in range(p + 1)}
+    return DeltaSet.from_table(gens, deletion_table(gens), name or f"Delta^{p}")
 
 
 def sd_standard_delta(p: int, name=None) -> DeltaSet:
@@ -190,8 +276,7 @@ def sd_standard_delta(p: int, name=None) -> DeltaSet:
     subsets = []
     for r in range(1, p + 2):
         subsets.extend(itertools.combinations(range(p + 1), r))
-    gens: dict[int, list] = {}
-    faces = {}
+    gens: dict[int, tuple] = {}
     chains = [(s,) for s in subsets]
     k = 0
     while chains:
@@ -202,13 +287,9 @@ def sd_standard_delta(p: int, name=None) -> DeltaSet:
             for s in subsets:
                 if len(s) > len(top) and set(top) < set(s):
                     nxt.append(c + (s,))
-        if k >= 1:
-            for c in gens[k]:
-                for i in range(k + 1):
-                    faces[(k, c, i)] = c[:i] + c[i + 1 :]
         chains = nxt
         k += 1
-    return DeltaSet({d: tuple(v) for d, v in gens.items()}, faces, name or f"sd Delta^{p}")
+    return DeltaSet.from_table(gens, deletion_table(gens), name or f"sd Delta^{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +480,10 @@ def loads(text: str) -> DeltaSet:
         elif parts[0] == "g" and len(parts) == 3:
             gens.setdefault(int(parts[1]), []).append(parts[2])
         elif parts[0] == "d" and len(parts) == 5:
-            faces[(int(parts[1]), parts[2], int(parts[3]))] = parts[4]
+            key = (int(parts[1]), parts[2], int(parts[3]))
+            if key in faces:
+                raise DeltaStructureError(f"repeated face line {line!r}")
+            faces[key] = parts[4]
         else:
             raise DeltaStructureError(f"unexpected line {line!r}")
     if name is None:

@@ -372,44 +372,60 @@ def _chart_polytope_volume(chart_pts, dim) -> Fraction:
     return total
 
 
-def _point_simplices(ec: EuclideanComplex, d: int) -> set:
-    return {frozenset(map(as_vec, ec.points(s))) for s in ec.base.simplices_of_dim(d)}
+def _maximal_cells(ec: EuclideanComplex) -> set:
+    return {frozenset(map(as_vec, ec.points(s))) for s in ec.maximal_simplices()}
 
 
 def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
-    """Exact equality of underlying polyhedra, by mutual volume coverage
-    measured in the chart of each top-dimensional simplex."""
+    """Exact equality of underlying polyhedra, by mutual volume coverage.
+
+    Each maximal simplex s of either side, of dimension k, must be covered
+    by the other side: the k-volumes of s ∩ τ, measured in the chart of s,
+    summed over the simplices τ of the other side whose relative interior
+    meets s in a k-dimensional set, must make up all of s.  Those τ are
+    the ones with dim(s ∩ τ) = k whose facets' hyperplanes do not contain
+    s; relative interiors of a complex's simplices are disjoint, so no
+    part of s is counted twice.  For k = dim, τ runs over the top
+    simplices of the other side.
+    """
     if not a.base.vertices or not b.base.vertices:
         return not a.base.vertices and not b.base.vertices
     if a.ambient_dim != b.ambient_dim or a.dimension != b.dimension:
         return False
     from .prism import delta_vertex
 
-    d = a.dimension
-    if _point_simplices(a, d) == _point_simplices(b, d):
+    if _maximal_cells(a) == _maximal_cells(b):
         return True
-    full = Fraction(1, factorial(d))
-    # intersections are read in the chart of s: its vertices go to those of Δ^d
-    chart = [delta_vertex(d, i) for i in range(d + 1)]
+    d = a.dimension
     for src, other in ((a, b), (b, a)):
-        other_cells = {
-            frozenset(map(as_vec, other.points(t))) for t in other.maximal_simplices()
-        }
-        other_boxes = {
-            t: polytope.bounding_box(other.points(t)) for t in other.maximal_simplices()
-        }
-        for s in src.base.simplices_of_dim(d):
+        other_cells = _maximal_cells(other)
+        # per k: the volume of Δ^k, its vertices, and each simplex t of other
+        # of dimension >= k with its bounding box; intersections are read in
+        # the chart of s, whose vertices go to those of Δ^k
+        per_dim = {}
+        for s in sorted(src.maximal_simplices()):
             pts = src.points(s)
             if frozenset(map(as_vec, pts)) in other_cells:
                 continue
+            k = len(s) - 1
+            if k not in per_dim:
+                pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
+                per_dim[k] = (
+                    Fraction(1, factorial(k)),
+                    [delta_vertex(k, i) for i in range(k + 1)],
+                    [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
+                )
+            full, chart, around = per_dim[k]
             box = polytope.bounding_box(pts)
             covered = Fraction(0)
-            for t, tbox in other_boxes.items():
+            for t, tbox in around:
                 if not polytope.boxes_meet(box, tbox):
                     continue
+                if len(t) > k + 1 and polytope.on_a_facet_wall(other.points(t), pts):
+                    continue
                 inter = polytope.intersect_simplices(pts, other.points(t), chart)
-                if len(inter) >= d + 1:
-                    covered += _chart_polytope_volume(inter, d)
+                if len(inter) >= k + 1:
+                    covered += _chart_polytope_volume(inter, k)
                 if covered == full:
                     break
             if covered != full:

@@ -104,7 +104,10 @@ def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
     """Δ-set nerve: degree-k generators are composable k-strings all of
     whose consecutive multi-composites are defined (so every face exists);
     d_0/d_k drop the ends, inner d_i compose.  Each string carries the
-    products of its suffixes; s + (g,) is closed iff all compose with g."""
+    products of its suffixes; s + (g,) is closed iff all compose with g.
+    The face table is written as the strings grow: d_k is the parent's
+    position, and the other faces are looked up among the strings of the
+    degree below (-1 marks one that is not a string there)."""
     mors = sorted(c.morphisms, key=genkey)
     by_src: dict = {}
     for g in mors:
@@ -113,14 +116,13 @@ def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
         0: tuple(sorted(c.objects, key=genkey)),
         1: tuple((f,) for f in mors),
     }
-    faces = {}
-    for f in c.morphisms:
-        faces[(1, (f,), 0)] = c.tgt[f]
-        faces[(1, (f,), 1)] = c.src[f]
+    at = {o: n for n, o in enumerate(gens[0])}
+    table = {1: tuple(n for f in mors for n in (at[c.tgt[f]], at[c.src[f]]))}
     level = [(s, s) for s in gens[1]]
+    at = {s: n for n, s in enumerate(gens[1])}
     for k in range(2, max_degree + 1):
-        grown = []
-        for s, products in level:
+        grown, row = [], []
+        for parent, (s, products) in enumerate(level):
             for g in by_src.get(c.tgt[s[-1]], ()):
                 folds = []
                 for a in products:
@@ -131,13 +133,17 @@ def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
                 else:
                     t = s + (g,)
                     grown.append((t, (*folds, g)))
-                    faces[(k, t, 0)] = t[1:]
-                    faces[(k, t, k)] = s
+                    row.append(at.get(t[1:], -1))
                     for i in range(1, k):
-                        faces[(k, t, i)] = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+                        inner = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+                        row.append(at.get(inner, -1))
+                    row.append(parent)
         level = grown
         gens[k] = tuple(t for t, _ in grown)
-    x = DeltaSet({k: v for k, v in gens.items() if v}, faces, name=f"N({c.name})")
+        table[k] = tuple(row)
+        if k < max_degree:
+            at = {t: n for n, t in enumerate(gens[k])}
+    x = DeltaSet.from_table(gens, table, name=f"N({c.name})")
     rep = check_identities(x)
     if not rep:
         raise CategoryStructureError(f"nerve face identities fail: {rep.witness}")

@@ -339,6 +339,24 @@ def contains(simplex_points, points) -> bool:
     Raises ValueError when the simplex is affinely dependent or a point's
     dimension differs from the simplex's.
     """
+    (rows, _), ipts = _functionals_at(simplex_points, points)
+    return all(_value(row, x + (1,)) >= 0 for x in ipts for row in rows)
+
+
+def on_a_facet_wall(simplex_points, points) -> bool:
+    """Whether one facet functional of an affinely independent simplex
+    vanishes at every point, that is, whether the points lie in the
+    hyperplane through one of its facets.  Raises ValueError as
+    `contains` does."""
+    (rows, off), ipts = _functionals_at(simplex_points, points)
+    return any(
+        o >= 0 and all(_value(row, x + (1,)) == 0 for x in ipts) for row, o in zip(rows, off)
+    )
+
+
+def _functionals_at(simplex_points, points):
+    """The `_integer_functionals` of a simplex and the points, scaled
+    together to integers."""
     m = len(simplex_points)
     ipts, _ = linalg.integer_points([as_vec(x) for x in itertools.chain(simplex_points, points)])
     if any(len(x) != len(ipts[0]) for x in ipts[m:]):
@@ -346,8 +364,7 @@ def contains(simplex_points, points) -> bool:
     functionals = _integer_functionals(ipts[:m])
     if functionals is None:
         raise ValueError("simplex is not affinely independent")
-    rows = functionals[0]
-    return all(_value(row, x + (1,)) >= 0 for x in ipts[m:] for row in rows)
+    return functionals, ipts[m:]
 
 
 def _integer_functionals(ipts):

@@ -71,7 +71,12 @@ class PrismComplexR:
         return self.complex.base.labels[vid]
 
     def delta_set(self) -> DeltaSet:
-        return complexes.delta_set_of(self.complex)
+        return _r_delta_set(self.p)
+
+
+@functools.cache
+def _r_delta_set(p: int) -> DeltaSet:
+    return complexes.delta_set_of(build_R(p).complex)
 
 
 @functools.cache
@@ -195,8 +200,7 @@ def weak_chain_delta_set(ec: EuclideanComplex, max_degree: int) -> DeltaSet:
     set is a simplex of the complex; faces delete entries.  This is the
     underlying Δ-set (up to max_degree) of the complex's simplicial set.
     """
-    gens: dict[int, list] = {}
-    faces = {}
+    gens: dict[int, tuple] = {}
     for k in range(max_degree + 1):
         level = set()
         for s in ec.simplices:
@@ -210,11 +214,7 @@ def weak_chain_delta_set(ec: EuclideanComplex, max_degree: int) -> DeltaSet:
                 )
                 level.add(chain)
         gens[k] = tuple(sorted(level))
-        if k >= 1:
-            for c in gens[k]:
-                for i in range(k + 1):
-                    faces[(k, c, i)] = c[:i] + c[i + 1 :]
-    return DeltaSet(gens, faces, f"chains({ec.name})")
+    return DeltaSet.from_table(gens, delta.deletion_table(gens), f"chains({ec.name})")
 
 
 def monotone_maps(p: int, q: int) -> list[tuple[int, ...]]:
@@ -295,9 +295,12 @@ class PrismComplexK:
         return complexes.delta_set_of(self.complex)
 
     def simplicial_set(self) -> SimplicialSetFP:
-        return simplicial.simplicial_of_complex(
-            self.complex.simplices, f"K({self.p})_s"
-        )
+        return _k_simplicial_set(self.p)
+
+
+@functools.cache
+def _k_simplicial_set(p: int) -> SimplicialSetFP:
+    return simplicial.simplicial_of_complex(build_K(p).complex.simplices, f"K({p})_s")
 
 
 @functools.cache
@@ -317,12 +320,14 @@ def build_K(p: int) -> PrismComplexK:
     return PrismComplexK(p, ec)
 
 
+@functools.cache
 def _product_factors(p: int) -> tuple[SimplicialSetFP, SimplicialSetFP, SimplicialSetFP]:
     x = simplicial.standard_simplicial(1, tag="a")
     y = simplicial.standard_simplicial(p, tag="b")
     return x, y, simplicial.product(x, y)
 
 
+@functools.cache
 def build_F(p: int) -> SimplicialMorphism:
     """The isomorphism Δ^1 × Δ^p -> K(p) of simplicial sets.
 
@@ -410,6 +415,8 @@ def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
     one flag of sd Δ^p ending at {0..p}, named ((p, g), k, flag).  Face
     i < k drops F_i; face k is the flag renumbered into the face of g on
     F_{k-1}, reached by deleting the missing vertices in descending order.
+    The faces are written straight into the face table, so no nested name
+    is hashed except as a key of the carrier.
     """
     rep = delta.check_identities(x)
     if not rep:
@@ -429,30 +436,46 @@ def sd_delta(x: DeltaSet) -> SubdividedDeltaSet:
         inner = [[index[f[:i] + f[i + 1 :]] for i in range(len(f) - 1)] for f in flags]
         tables.append([(f, a, b, f"{len(f) - 1}, {f!r})") for f, a, b in zip(flags, inner, last)])
         cuts.append([tuple(v for v in reversed(full) if v not in sub) for sub in proper])
-    # names[p][m]: the generators inside gens(p)[m], in table order
-    names, gens, faces, carrier, table = {}, {}, {}, {}, x.table
+    # each generator of sd X gets a serial, in the order it is made; the
+    # generators inside gens(p)[m] have consecutive serials from first[p][m],
+    # in table order.  Per degree: the genkeys, serials and face serials.
+    first, names, carrier, table = {}, [], {}, x.table
+    keys, serials, rows = {}, {}, {}
     for p in sorted(x.generators):
-        names[p] = []
+        first[p] = []
         for m, g in enumerate(x.gens(p)):
             pg, head = (p, g), f"(({p!r}, {delta.genkey(g)}), "
-            own = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
-            names[p].append(own)
+            base = len(names)
+            first[p].append(base)
             below = []
             for missing in cuts[p]:
                 h, d = m, p
                 for v in missing:
                     h, d = table[d][h * (d + 1) + v], d - 1
-                below.append(names[d][h])
-            for name, (flag, inner, last, tail) in zip(own, tables[p]):
-                k = name[1]
-                gens.setdefault(k, []).append((head + tail, name))  # head + tail == genkey(name)
+                below.append(first[d][h])
+            for flag, inner, last, tail in tables[p]:
+                k = len(flag) - 1
+                name = (pg, k, flag)
+                keys.setdefault(k, []).append(head + tail)  # head + tail == genkey(name)
+                serials.setdefault(k, []).append(len(names))
+                names.append(name)
                 carrier[name] = (p, g, flag)
-                for i, n in enumerate(inner):
-                    faces[(k, name, i)] = own[n]
                 if last:
-                    faces[(k, name, k)] = below[last[0]][last[1]]
-    gens = {k: tuple(name for _, name in sorted(v, key=lambda e: e[0])) for k, v in gens.items()}
-    return SubdividedDeltaSet(DeltaSet(gens, faces, f"sd {x.name}"), carrier)
+                    row = rows.setdefault(k, [])
+                    row.extend([base + n for n in inner])
+                    row.append(below[last[0]] + last[1])
+    # sort each degree by genkey once, then turn face serials into positions
+    gens, out, position = {}, {}, [0] * len(names)
+    for k in sorted(keys):
+        order = sorted(range(len(keys[k])), key=keys[k].__getitem__)
+        ser = serials[k]
+        gens[k] = tuple([names[ser[j]] for j in order])
+        for n, j in enumerate(order):
+            position[ser[j]] = n
+        if k:
+            row, w = rows[k], k + 1
+            out[k] = tuple([position[f] for j in order for f in row[j * w : j * w + w]])
+    return SubdividedDeltaSet(DeltaSet.from_table(gens, out, f"sd {x.name}"), carrier)
 
 
 def sd_delta_matches_complex(k) -> bool:

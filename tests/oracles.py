@@ -1,0 +1,172 @@
+"""The dict-walking forms of the Δ-set builders and checks, kept as test
+oracles for the face-table forms in the library.  Each builder writes a
+faces dict keyed by (degree, generator, i) and hands it to the validating
+``DeltaSet`` constructor, which builds the table from it."""
+
+import itertools
+
+from plkernel import delta, homology, nerve, prism
+from plkernel.complexes import EuclideanComplex
+
+
+def dict_check_identities(x):
+    """check_identities on the faces dict, as it was before the face table:
+    the same scan order, each face looked up by its generator's name."""
+    faces = x.faces
+    for k in sorted(x.generators):
+        if k < 2:
+            continue
+        pairs = tuple(itertools.combinations(range(k + 1), 2))
+        below = {h: [faces[(k - 1, h, i)] for i in range(k)] for h in x.gens(k - 1)}
+        for g in x.gens(k):
+            d = [below[faces[(k, g, i)]] for i in range(k + 1)]
+            for i, j in pairs:
+                if d[j][i] != d[i][j - 1]:
+                    return delta.IdentityReport(False, (k, g, i, j))
+    return delta.IdentityReport(True)
+
+
+def dict_chain_complex_of(x):
+    """chain_complex_of on the faces dict, as it was before the face table."""
+    faces = x.faces
+    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
+    return homology._chains(x.generators, lambda k, g: [(faces[(k, g, i)], c) for i, c in signs[k]])
+
+
+def dict_morphism_check(f):
+    """DeltaMorphism.check on the faces dicts: each face image looked up
+    by name, in the same scan order."""
+    targets = {k: set(gs) for k, gs in f.target.generators.items()}
+    for k in sorted(f.source.generators):
+        for g in f.source.gens(k):
+            if (k, g) not in f.mapping:
+                return delta.IdentityReport(False, (k, g, None, "missing"))
+            if f.mapping[(k, g)] not in targets.get(k, ()):
+                return delta.IdentityReport(False, (k, g, None, "image not a generator"))
+            if k == 0:
+                continue
+            for i in range(k + 1):
+                if f.target.face(k, f.mapping[(k, g)], i) != f.mapping[(k - 1, f.source.face(k, g, i))]:
+                    return delta.IdentityReport(False, (k, g, i, "face"))
+    return delta.IdentityReport(True)
+
+
+def dict_nerve(c, max_degree=3):
+    """nerve.nerve writing the faces dict."""
+    mors = sorted(c.morphisms, key=delta.genkey)
+    by_src = {}
+    for g in mors:
+        by_src.setdefault(c.src[g], []).append(g)
+    gens = {
+        0: tuple(sorted(c.objects, key=delta.genkey)),
+        1: tuple((f,) for f in mors),
+    }
+    faces = {}
+    for f in c.morphisms:
+        faces[(1, (f,), 0)] = c.tgt[f]
+        faces[(1, (f,), 1)] = c.src[f]
+    level = [(s, s) for s in gens[1]]
+    for k in range(2, max_degree + 1):
+        grown = []
+        for s, products in level:
+            for g in by_src.get(c.tgt[s[-1]], ()):
+                folds = []
+                for a in products:
+                    a = c.comp.get((a, g))
+                    if a is None:
+                        break
+                    folds.append(a)
+                else:
+                    t = s + (g,)
+                    grown.append((t, (*folds, g)))
+                    faces[(k, t, 0)] = t[1:]
+                    faces[(k, t, k)] = s
+                    for i in range(1, k):
+                        faces[(k, t, i)] = t[: i - 1] + (c.comp[(t[i - 1], t[i])],) + t[i + 1 :]
+        level = grown
+        gens[k] = tuple(t for t, _ in grown)
+    x = delta.DeltaSet({k: v for k, v in gens.items() if v}, faces, name=f"N({c.name})")
+    rep = delta.check_identities(x)
+    if not rep:
+        raise nerve.CategoryStructureError(f"nerve face identities fail: {rep.witness}")
+    return x
+
+
+def dict_weak_chain_delta_set(ec, max_degree):
+    """prism.weak_chain_delta_set writing the faces dict."""
+    gens = {}
+    faces = {}
+    for k in range(max_degree + 1):
+        level = set()
+        for s in ec.simplices:
+            if len(s) > k + 1:
+                continue
+            for cuts in itertools.combinations(range(1, k + 1), len(s) - 1):
+                bounds = (0,) + cuts + (k + 1,)
+                chain = tuple(
+                    s[t] for t in range(len(s)) for _ in range(bounds[t + 1] - bounds[t])
+                )
+                level.add(chain)
+        gens[k] = tuple(sorted(level))
+        if k >= 1:
+            for c in gens[k]:
+                for i in range(k + 1):
+                    faces[(k, c, i)] = c[:i] + c[i + 1 :]
+    return delta.DeltaSet(gens, faces, f"chains({ec.name})")
+
+
+def dict_delta_set_of(k):
+    """complexes.delta_set_of writing the faces dict."""
+    base = k.base if isinstance(k, EuclideanComplex) else k
+    gens = {}
+    faces = {}
+    for s in sorted(base.simplices, key=lambda s: (len(s), s)):
+        d = len(s) - 1
+        gens.setdefault(d, []).append(s)
+        if d >= 1:
+            for i in range(d + 1):
+                faces[(d, s, i)] = s[:i] + s[i + 1 :]
+    return delta.DeltaSet({d: tuple(v) for d, v in gens.items()}, faces, base.name)
+
+
+def dict_sd_delta(x):
+    """prism.sd_delta writing the faces dict keyed by the nested names."""
+    rep = delta.check_identities(x)
+    if not rep:
+        raise delta.DeltaStructureError(f"sd needs the face identities: {rep.witness}")
+    tables, cuts = [], []
+    for p in range(x.dimension + 1):
+        full = tuple(range(p + 1))
+        proper = [f for r in range(1, p + 1) for f in itertools.combinations(full, r)]
+        flags, last = [(full,)], [None]
+        for n, sub in enumerate(proper):
+            for pos, (flag, *_) in enumerate(tables[len(sub) - 1]):
+                flags.append(tuple(tuple(sub[v] for v in f) for f in flag) + (full,))
+                last.append((n, pos))
+        index = {f: n for n, f in enumerate(flags)}
+        inner = [[index[f[:i] + f[i + 1 :]] for i in range(len(f) - 1)] for f in flags]
+        tables.append([(f, a, b, f"{len(f) - 1}, {f!r})") for f, a, b in zip(flags, inner, last)])
+        cuts.append([tuple(v for v in reversed(full) if v not in sub) for sub in proper])
+    names, gens, faces, carrier, table = {}, {}, {}, {}, x.table
+    for p in sorted(x.generators):
+        names[p] = []
+        for m, g in enumerate(x.gens(p)):
+            pg, head = (p, g), f"(({p!r}, {delta.genkey(g)}), "
+            own = [(pg, len(flag) - 1, flag) for flag, *_ in tables[p]]
+            names[p].append(own)
+            below = []
+            for missing in cuts[p]:
+                h, d = m, p
+                for v in missing:
+                    h, d = table[d][h * (d + 1) + v], d - 1
+                below.append(names[d][h])
+            for name, (flag, inner, last, tail) in zip(own, tables[p]):
+                k = name[1]
+                gens.setdefault(k, []).append((head + tail, name))
+                carrier[name] = (p, g, flag)
+                for i, n in enumerate(inner):
+                    faces[(k, name, i)] = own[n]
+                if last:
+                    faces[(k, name, k)] = below[last[0]][last[1]]
+    gens = {k: tuple(name for _, name in sorted(v, key=lambda e: e[0])) for k, v in gens.items()}
+    return prism.SubdividedDeltaSet(delta.DeltaSet(gens, faces, f"sd {x.name}"), carrier)

@@ -79,6 +79,33 @@ def test_validate_repeated_generator_exit_1(tmp_path, capsys):
     assert "DeltaStructureError" in err and "'a' repeats in degree 0" in err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("d 1 zz 0 a", "(1, 'zz', 0)"),  # unknown generator
+        ("d 1 e 7 a", "(1, 'e', 7)"),  # index out of range
+        ("d 0 a 0 b", "(0, 'a', 0)"),  # a face in degree 0
+    ],
+    ids=["unknown-generator", "index", "degree-0"],
+)
+def test_validate_stray_face_line_exit_1(tmp_path, capsys, line, key):
+    path = tmp_path / "stray.dset"
+    path.write_text(f"dset X\ng 0 a\ng 0 b\ng 1 e\nd 1 e 0 a\n{line}\nd 1 e 1 b\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "DeltaStructureError" in err and f"face key {key} names no face" in err
+
+
+def test_validate_repeated_face_line_exit_1(tmp_path, capsys):
+    path = tmp_path / "twice.dset"
+    path.write_text("dset X\ng 0 a\ng 0 b\ng 1 e\nd 1 e 0 a\nd 1 e 1 b\nd 1 e 0 b\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "DeltaStructureError" in err and "repeated face line 'd 1 e 0 b'" in err
+
+
 def test_vertex_without_id_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.cplx"
     path.write_text("complex K ambient=1\nv\n")

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    dict_chain_complex_of,
+    dict_check_identities,
+    dict_delta_set_of,
+    dict_morphism_check,
+    dict_sd_delta,
+    dict_weak_chain_delta_set,
+)
 from plkernel import complexes, delta, homology, prism, suite
 
 
@@ -53,6 +62,33 @@ def test_repeated_generator_raises():
     # chains, indexed by generator, see chi = 1
     with pytest.raises(delta.DeltaStructureError, match="'a' repeats in degree 0"):
         delta.DeltaSet({0: ("a", "a", "b"), 1: ("e",)}, {(1, "e", 0): "a", (1, "e", 1): "b"})
+
+
+@pytest.mark.parametrize(
+    "key", [(1, "zz", 0), (1, "e", 7), (0, "a", 0), (2, "e", 0), (1, "e"), "loose"]
+)
+def test_stray_face_key_raises(key):
+    faces = {(1, "e", 0): "a", key: "a", (1, "e", 1): "b"}
+    with pytest.raises(delta.DeltaStructureError, match=re.escape(f"face key {key!r} names no face")):
+        delta.DeltaSet({0: ("a", "b"), 1: ("e",)}, faces)
+
+
+def test_repeated_face_line_raises():
+    with pytest.raises(delta.DeltaStructureError, match="repeated face line 'd 1 e 0 b'"):
+        delta.loads("dset X\ng 0 a\ng 0 b\ng 1 e\nd 1 e 0 a\nd 1 e 1 b\nd 1 e 0 b\n")
+
+
+def test_from_table_checks():
+    gens = {0: ("a", "b"), 1: ("e",)}
+    x = delta.DeltaSet.from_table(gens, {1: (0, 1)}, "I")
+    assert x == delta.DeltaSet(gens, {(1, "e", 0): "a", (1, "e", 1): "b"}, "I")
+    with pytest.raises(delta.DeltaStructureError, match="'a' repeats in degree 0"):
+        delta.DeltaSet.from_table({0: ("a", "b", "a")}, {})
+    with pytest.raises(delta.DeltaStructureError, match="row of degree 1 has 1 entries, not 2"):
+        delta.DeltaSet.from_table(gens, {1: (0,)})
+    for row in ((0, 2), (0, -1)):
+        with pytest.raises(delta.DeltaStructureError, match="face d_1 of 'e' is not a generator of degree 0"):
+            delta.DeltaSet.from_table(gens, {1: row})
 
 
 def test_morphism_check():
@@ -211,30 +247,6 @@ def test_check_identities_witness_is_first_failure(sets):
 # ---------------------------------------------------------------------------
 
 
-def dict_check_identities(x):
-    """check_identities on the faces dict, as it was before the face table:
-    the same scan order, each face looked up by its generator's name."""
-    faces = x.faces
-    for k in sorted(x.generators):
-        if k < 2:
-            continue
-        pairs = tuple(itertools.combinations(range(k + 1), 2))
-        below = {h: [faces[(k - 1, h, i)] for i in range(k)] for h in x.gens(k - 1)}
-        for g in x.gens(k):
-            d = [below[faces[(k, g, i)]] for i in range(k + 1)]
-            for i, j in pairs:
-                if d[j][i] != d[i][j - 1]:
-                    return delta.IdentityReport(False, (k, g, i, j))
-    return delta.IdentityReport(True)
-
-
-def dict_chain_complex_of(x):
-    """chain_complex_of on the faces dict, as it was before the face table."""
-    faces = x.faces
-    signs = {k: [(i, (-1) ** i) for i in range(k + 1)] for k in range(x.dimension + 1)}
-    return homology._chains(x.generators, lambda k, g: [(faces[(k, g, i)], c) for i, c in signs[k]])
-
-
 @st.composite
 def tabled_delta_sets(draw):
     """A closure of a random complex, a corruption of it that fails the
@@ -300,7 +312,10 @@ for _ in range(2):
     x = prism.sd_delta(x).delta_set
 print(delta.dumps(x))
 print(x.table)
-print(homology.homology_of_delta_set(nerve.nerve(nerve.demo_cobordism_category(), 4)).report())
+n = nerve.nerve(nerve.demo_cobordism_category(), 4)
+print(n.table)
+print(prism.weak_chain_delta_set(prism.build_R(2).complex, 3).table)
+print(homology.homology_of_delta_set(n).report())
 """
 
 
@@ -316,3 +331,117 @@ def test_tables_and_homology_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the table writers against the dict writers of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+
+def same_build(build, oracle):
+    """The builder's Δ-set (or sd) equals the oracle's, which went through
+    the validating constructor, on generators, table and name; or both
+    raise the same error."""
+
+    def outcome(make):
+        try:
+            return make()
+        except delta.DeltaStructureError as exc:
+            return type(exc), str(exc)
+
+    ours = outcome(build)
+    assert ours == outcome(oracle)
+    built = ours.delta_set if isinstance(ours, prism.SubdividedDeltaSet) else ours
+    if isinstance(built, delta.DeltaSet):
+        assert "faces" not in built.__dict__
+    return ours
+
+
+@settings(max_examples=100, deadline=None)
+@given(tabled_delta_sets())
+def test_sd_delta_matches_the_dict_writer(x):
+    # sd of the sd of a 4-dimensional closure has about 10^5 generators
+    assume(x.dimension <= 3 or not x.name.startswith("sd"))
+    same_build(lambda: prism.sd_delta(x), lambda: dict_sd_delta(x))
+
+
+@st.composite
+def ordered_complexes(draw):
+    nv = draw(st.integers(1, 6))
+    tops = draw(st.lists(
+        st.integers(1, 5).flatmap(lambda r: st.sampled_from(list(itertools.combinations(range(nv), min(r, nv))))),
+        min_size=1, max_size=5,
+    ))
+    return complexes.OrderedComplex.from_maximal(tops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordered_complexes())
+def test_delta_set_of_matches_the_dict_writer(k):
+    same_build(lambda: complexes.delta_set_of(k), lambda: dict_delta_set_of(k))
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_prism_delta_sets_match_the_dict_writers(p):
+    ec = prism.build_R(p).complex
+    same_build(lambda: complexes.delta_set_of(ec), lambda: dict_delta_set_of(ec))
+    for degree in range(5):
+        same_build(
+            lambda: prism.weak_chain_delta_set(ec, degree), lambda: dict_weak_chain_delta_set(ec, degree)
+        )
+
+
+@st.composite
+def corrupted_morphisms(draw):
+    """An identity of a closure, of its corruption or of its sd, or the
+    Δ-morphism of a prism map; sometimes with one image removed, or sent
+    to another generator of its degree, to a generator of another degree
+    or to a name that is no generator."""
+    kind = draw(st.sampled_from(["identity", "prism"]))
+    if kind == "identity":
+        f = delta.identity_morphism(draw(tabled_delta_sets()))
+    else:
+        p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        eta = draw(st.sampled_from(prism.monotone_maps(p, q)))
+        f = prism.build_R_map(eta, p, q).to_delta_morphism()
+    edit = draw(st.sampled_from(["none", "remove", "same degree", "other degree", "nowhere"]))
+    if edit == "none":
+        return f
+    mapping = dict(f.mapping)
+    k, g = key = draw(st.sampled_from(sorted(mapping, key=repr)))
+    if edit == "remove":
+        del mapping[key]
+    elif edit == "same degree":
+        mapping[key] = draw(st.sampled_from(f.target.gens(k)))
+    elif edit == "other degree":
+        mapping[key] = draw(st.sampled_from(f.target.gens(draw(st.sampled_from(sorted(f.target.generators))))))
+    else:
+        mapping[key] = "nowhere"
+    return delta.DeltaMorphism(f.source, f.target, mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_morphisms())
+def test_morphism_check_matches_the_dict_walk(f):
+    assert f.check() == dict_morphism_check(f)
+
+
+def test_table_users_leave_the_faces_underived():
+    from plkernel import nerve
+
+    prism._r_delta_set.cache_clear()
+    torus = complexes.delta_set_of(suite.torus_7())
+    built = [
+        torus,
+        prism.sd_delta(torus).delta_set,
+        nerve.nerve(nerve.demo_cobordism_category(), 3),
+        prism.weak_chain_delta_set(prism.build_R(2).complex, 3),
+    ]
+    for x in built:
+        assert delta.check_identities(x).ok
+        homology.chain_complex_of(x)
+        assert delta.identity_morphism(x).check().ok
+    f = prism.build_R_map((0, 1, 1), 2, 1).to_delta_morphism()
+    assert f.check().ok
+    for x in built + [f.source, f.target]:
+        assert "faces" not in x.__dict__

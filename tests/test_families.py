@@ -127,6 +127,25 @@ def test_same_point_set():
     assert not families.same_point_set(a, c)
 
 
+def test_same_point_set_reads_lower_dimensional_maximal_simplices():
+    coords = {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1)), 3: (F(2), F(0)),
+              4: (F(3, 2), F(0)), 5: (F(3), F(3))}
+
+    def build(maximal):
+        used = {v for s in maximal for v in s}
+        return complexes.EuclideanComplex.build(maximal, {v: coords[v] for v in used})
+
+    triangle = build([(0, 1, 2)])
+    with_edge = build([(0, 1, 2), (1, 3)])
+    assert not families.same_point_set(triangle, with_edge)
+    assert not families.same_point_set(with_edge, triangle)
+    assert not families.same_point_set(triangle, build([(0, 1, 2), (5,)]))
+    # the dangling edge split at its midpoint
+    split = build([(0, 1, 2), (1, 4), (3, 4)])
+    assert families.same_point_set(with_edge, split) and families.same_point_set(split, with_edge)
+    assert not families.same_point_set(with_edge, build([(0, 1, 2), (1, 4)]))
+
+
 coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
 
 

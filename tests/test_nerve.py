@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import dict_nerve
 
 from plkernel import complexes, delta, homology, nerve, suite
 
@@ -332,3 +333,36 @@ def test_nerve_matches_string_closure_on_demo():
     assert _outcome(lambda: nerve.nerve(non_associative_category(), max_degree=4)) == _outcome(
         lambda: reference_nerve(non_associative_category(), 4)
     )
+
+
+# Z/2 with z0 * z0 left out: d_2 of (z0, z1, z1) is (z0, z0), which is not
+# a string of the nerve
+Z2_WITHOUT_SQUARE = nerve.FiniteNonUnitalCategory(
+    ("*",), ("z0", "z1"), {"z0": "*", "z1": "*"}, {"z0": "*", "z1": "*"},
+    {("z0", "z1"): "z1", ("z1", "z0"): "z1", ("z1", "z1"): "z0"}, "Z2",
+)
+
+
+def _built(build):
+    try:
+        x = build()
+    except (nerve.CategoryStructureError, delta.DeltaStructureError) as exc:
+        return type(exc), str(exc)
+    assert "faces" not in x.__dict__
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories())
+@example(Z2_WITHOUT_SQUARE)
+@example(non_associative_category())
+def test_nerve_matches_the_dict_writer(c):
+    # equal Δ-sets have equal generators, face tables and names
+    assert _built(lambda: nerve.nerve(c, max_degree=4)) == _built(lambda: dict_nerve(c, 4))
+
+
+def test_nerve_reports_a_face_that_is_not_a_string():
+    with pytest.raises(delta.DeltaStructureError, match=r"face d_2 of \('z0', 'z1', 'z1'\) is not a generator of degree 2"):
+        nerve.nerve(Z2_WITHOUT_SQUARE, max_degree=4)
+    c = nerve.demo_cobordism_category()
+    assert _built(lambda: nerve.nerve(c, 4)) == _built(lambda: dict_nerve(c, 4))

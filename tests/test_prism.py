@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,17 @@ def test_k_map_naturality():
         left = simplicial.compose_simplicial(pm, fq)
         right = simplicial.compose_simplicial(fp, km)
         assert left.mapping == right.mapping
+
+
+def test_fixed_prism_objects_are_built_once():
+    for cached in (prism._product_factors, prism.build_F, prism._k_simplicial_set, prism._r_delta_set):
+        cached.cache_clear()
+    with mock.patch.object(simplicial, "product", wraps=simplicial.product) as product:
+        assert prism.build_F(2) is prism.build_F(2)
+        prism.product_map_of((0, 1, 2), 2, 2)
+    assert product.call_count == 1  # Δ^1 × Δ^2, once
+    assert prism.build_K(2).simplicial_set() is prism.build_K(2).simplicial_set()
+    assert prism.build_R(2).delta_set() is prism.build_R(2).delta_set()
 
 
 def test_dimension_cap():
