@@ -404,16 +404,14 @@ class IncompatibleHornError(ValueError):
     pass
 
 
-def check_horn_compatibility(x: DeltaSet, p: int, j: int, assignment: Mapping[int, Hashable]):
-    """The faces of a Λ^p_j horn must satisfy d_i x_k = d_{k-1} x_i (i<k)."""
+def check_horn_compatibility(face, p: int, j: int, assignment: Mapping[int, Hashable]):
+    """The faces x_i of a Λ^p_j horn, read with face(s, i) = d_i s, must
+    cover every i != j and satisfy d_i x_k = d_{k-1} x_i (i < k)."""
     idx = sorted(assignment)
     if idx != [i for i in range(p + 1) if i != j]:
         raise IncompatibleHornError(f"horn assignment must cover all i != {j}")
-    if p < 2:
-        return
     for i, k in itertools.combinations(idx, 2):
-        left = x.face(p - 1, assignment[k], i)
-        right = x.face(p - 1, assignment[i], k - 1)
+        left, right = face(assignment[k], i), face(assignment[i], k - 1)
         if left != right:
             raise IncompatibleHornError((i, k, left, right))
 
@@ -424,7 +422,7 @@ def kan_fill(x: DeltaSet, p: int, j: int, assignment: Mapping[int, Hashable]):
     Returns the lexicographically least filler, or None after exhaustively
     visiting every p-generator.
     """
-    check_horn_compatibility(x, p, j, assignment)
+    check_horn_compatibility(lambda s, i: x.face(p - 1, s, i), p, j, assignment)
     for g in sorted(x.gens(p), key=genkey):
         if all(x.face(p, g, i) == assignment[i] for i in assignment):
             return g

@@ -10,11 +10,13 @@ space; the vertical differential is twisted by (-1)^p.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .delta import DeltaMorphism, DeltaSet, _token, check_identities, genkey
+from .delta import DeltaMorphism, DeltaSet, _token, check_identities, compose, genkey
 from .homology import ChainComplex, HomologyProfile, _chains, homology
 
 
@@ -108,7 +110,9 @@ def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
     The face table is written as the strings grow: d_k is the parent's
     position, and the other faces are looked up among the strings of the
     degree below (-1 marks one that is not a string there)."""
-    mors = sorted(c.morphisms, key=genkey)
+    if max_degree < 0:
+        raise ValueError(f"nerve max_degree must be at least 0, not {max_degree}")
+    mors = sorted(c.morphisms, key=genkey) if max_degree else []  # degree 0 has no strings
     by_src: dict = {}
     for g in mors:
         by_src.setdefault(c.src[g], []).append(g)
@@ -180,45 +184,42 @@ class SimplicialCategory:
 
 @dataclass(frozen=True)
 class BiDeltaSet:
-    """Bigraded generators with commuting horizontal and vertical faces."""
+    """A Δ-set of Δ-sets: rows[p] is row p, whose faces are the vertical
+    faces, and horizontal[p] holds the horizontal faces d^h_0 ... d^h_p :
+    rows[p] -> rows[p-1] as Δ-morphisms (horizontal[0] is empty)."""
 
-    generators: Mapping[tuple, tuple]  # (p, q) -> gens
-    h_faces: Mapping[tuple, Hashable]  # (p, q, g, i) -> gen at (p-1, q)
-    v_faces: Mapping[tuple, Hashable]  # (p, q, g, i) -> gen at (p, q-1)
+    rows: tuple  # of DeltaSet
+    horizontal: tuple  # of tuples of DeltaMorphism
     name: str = "B"
+
+    @functools.cached_property
+    def generators(self) -> Mapping[tuple, tuple]:
+        """(p, q) -> gens, for every nonempty (p, q)."""
+        return MappingProxyType(
+            {(p, q): gs for p, x in enumerate(self.rows) for q, gs in sorted(x.generators.items())}
+        )
 
     def gens(self, p: int, q: int) -> tuple:
         return self.generators.get((p, q), ())
 
     def check(self) -> bool:
-        for (p, q), gs in self.generators.items():
-            for g in gs:
-                if p >= 2:
-                    for i, j in itertools.combinations(range(p + 1), 2):
-                        a = self.h_faces[(p - 1, q, self.h_faces[(p, q, g, j)], i)]
-                        b = self.h_faces[(p - 1, q, self.h_faces[(p, q, g, i)], j - 1)]
-                        if a != b:
-                            return False
-                if q >= 2:
-                    for i, j in itertools.combinations(range(q + 1), 2):
-                        a = self.v_faces[(p, q - 1, self.v_faces[(p, q, g, j)], i)]
-                        b = self.v_faces[(p, q - 1, self.v_faces[(p, q, g, i)], j - 1)]
-                        if a != b:
-                            return False
-                if p >= 1 and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            a = self.v_faces[(p - 1, q, self.h_faces[(p, q, g, i)], j)]
-                            b = self.h_faces[(p, q - 1, self.v_faces[(p, q, g, j)], i)]
-                            if a != b:
-                                return False
-        return True
+        """Each row satisfies the face identities, each horizontal face is a
+        Δ-morphism, and d^h_i d^h_j = d^h_{j-1} d^h_i for i < j."""
+        return (
+            all(map(check_identities, self.rows))
+            and all(d.check() for ds in self.horizontal for d in ds)
+            and all(
+                compose(d[j], below[i]).mapping == compose(d[i], below[j - 1]).mapping
+                for d, below in zip(self.horizontal[2:], self.horizontal[1:])
+                for i, j in itertools.combinations(range(len(d)), 2)
+            )
+        )
 
 
 def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
-    """Bi-Δ-set nerve: (p, q)-generators are q-strings of composable
-    p-morphisms; horizontal faces apply the morphism Δ-set faces
-    entrywise, vertical faces are the nerve faces of the level category."""
+    """Bi-Δ-set nerve: row p is the nerve of the level-p category, whose
+    q-strings of composable p-morphisms are the (p, q)-generators; the
+    horizontal faces apply the object and morphism Δ-set faces entrywise."""
     degrees = sorted(set(c.objects.generators) | set(c.morphisms.generators))
     levels = {}
     for p in degrees:
@@ -227,35 +228,23 @@ def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
         if not rep:
             raise CategoryStructureError((p, rep.issues[0]))
         levels[p] = lev
-    nerves = {p: nerve(levels[p], max_degree=max_q) for p in degrees}
-    generators = {}
-    h_faces = {}
-    v_faces = {}
-    for p in degrees:
-        for q in sorted(nerves[p].generators):
-            gs = nerves[p].gens(q)
-            if gs:
-                generators[(p, q)] = gs
+    rows = tuple(nerve(levels[p], max_degree=max_q) for p in degrees)
+    horizontal = [()]
+    for p in degrees[1:]:
+        maps = [{} for _ in range(p + 1)]
+        for q, gs in sorted(rows[p].generators.items()):
+            below = set(rows[p - 1].gens(q))
             for g in gs:
-                for j in range(q + 1):
-                    if q > 0:
-                        v_faces[(p, q, g, j)] = nerves[p].face(q, g, j)
-                if p == 0:
-                    continue
-                for i in range(p + 1):
-                    if q == 0:
-                        h_faces[(p, q, g, i)] = c.objects.face(p, g, i)
-                    else:
-                        img = tuple(c.morphisms.face(p, f, i) for f in g)
-                        h_faces[(p, q, g, i)] = img
-    b = BiDeltaSet(generators, h_faces, v_faces, name=f"N({c.name})")
-    for key, img in b.h_faces.items():
-        p, q = key[0] - 1, key[1]
-        if img not in b.gens(p, q):
-            raise CategoryStructureError(
-                f"horizontal face leaves the nerve at {key}: a face of a "
-                f"composable string is not composable"
-            )
+                for i, m in enumerate(maps):
+                    img = tuple(c.morphisms.face(p, f, i) for f in g) if q else c.objects.face(p, g, i)
+                    if img not in below:
+                        raise CategoryStructureError(
+                            f"horizontal face leaves the nerve at {(p, q, g, i)}: a face "
+                            f"of a composable string is not composable"
+                        )
+                    m[(q, g)] = img
+        horizontal.append(tuple(DeltaMorphism(rows[p], rows[p - 1], m) for m in maps))
+    b = BiDeltaSet(rows, tuple(horizontal), name=f"N({c.name})")
     if not b.check():
         raise CategoryStructureError("bi-Δ-set identities fail")
     return b
@@ -283,11 +272,9 @@ def total_complex(b: BiDeltaSet) -> ChainComplex:
 
     def terms(n, pqg):
         p, q, g = pqg
-        out = []
-        if p:
-            out += [((p - 1, q, b.h_faces[(p, q, g, i)]), (-1) ** i) for i in range(p + 1)]
+        out = [((p - 1, q, d(q, g)), (-1) ** i) for i, d in enumerate(b.horizontal[p])]
         if q:
-            out += [((p, q - 1, b.v_faces[(p, q, g, j)]), (-1) ** (p + j)) for j in range(q + 1)]
+            out += [((p, q - 1, b.rows[p].face(q, g, j)), (-1) ** (p + j)) for j in range(q + 1)]
         return out
 
     return _chains(gens, terms)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .delta import DeltaSet, IdentityReport, genkey
+from .delta import DeltaSet, IdentityReport, check_horn_compatibility, genkey
 
 
 def word_insert(word: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -424,15 +424,7 @@ def kan_fill_simplicial(x: SimplicialSetFP, p: int, j: int, assignment: Mapping[
     Returns the lexicographically least filler or None (exhaustive search
     over every p-simplex of the finite presentation).
     """
-    from .delta import IncompatibleHornError
-
-    idx = sorted(assignment)
-    if idx != [i for i in range(p + 1) if i != j]:
-        raise IncompatibleHornError(f"horn assignment must cover all i != {j}")
-    if p >= 2:
-        for i, k in itertools.combinations(idx, 2):
-            if x.face(i, assignment[k]) != x.face(k - 1, assignment[i]):
-                raise IncompatibleHornError((i, k))
+    check_horn_compatibility(lambda s, i: x.face(i, s), p, j, assignment)
     for s in x.all_simplices(p):
         if all(x.face(i, s) == assignment[i] for i in assignment):
             return s

@@ -265,6 +265,15 @@ def test_nerve_requires_allow_partial_for_demo(tmp_path, capsys):
     assert "(2, 23, 169)" in out
 
 
+@pytest.mark.parametrize("degree, code, text", [("0", 0, "nerve f-vector=(2,)"), ("-1", 1, "max_degree")])
+def test_nerve_max_degree_below_one(tmp_path, capsys, degree, code, text):
+    path = tmp_path / "cob.cat"
+    nerve.dump(nerve.demo_cobordism_category(), path)
+    got, out, err = run_cli(["nerve", str(path), "--allow-partial", "--max-degree", degree], capsys)
+    assert got == code
+    assert text in out + err
+
+
 def test_export_off(tmp_path, capsys):
     path = tmp_path / "t.cplx"
     complexes.dump(suite.boundary_tetrahedron(), path)

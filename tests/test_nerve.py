@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -153,9 +155,9 @@ def reference_total_boundary(b, n):
     out = [[0] * len(cols) for _ in rows]
     for c, (p, q, g) in enumerate(cols):
         for i in range(p + 1 if p else 0):
-            out[rows.index((p - 1, q, b.h_faces[(p, q, g, i)]))][c] += (-1) ** i
+            out[rows.index((p - 1, q, b.horizontal[p][i](q, g)))][c] += (-1) ** i
         for j in range(q + 1 if q else 0):
-            out[rows.index((p, q - 1, b.v_faces[(p, q, g, j)]))][c] += (-1) ** (p + j)
+            out[rows.index((p, q - 1, b.rows[p].face(q, g, j)))][c] += (-1) ** (p + j)
     return out
 
 
@@ -171,17 +173,99 @@ def _circle_times(c):
     return nerve.nerve_simplicial(times_delta_set(c, circle), max_q=3)
 
 
+def _sphere_times(c):
+    sphere = complexes.delta_set_of(suite.boundary_tetrahedron())
+    return nerve.nerve_simplicial(times_delta_set(c, sphere), max_q=3)
+
+
+def assert_boundary_squares_to_zero(cc):
+    for n in range(2, cc.top_degree + 1):
+        dd = homology._mat_mul(dense_boundary(cc, n - 1), dense_boundary(cc, n))
+        assert not any(map(any, dd)), n
+
+
 def test_bidelta_total_homology_of_chain_times_circle():
     # B(C × S^1) = BC × S^1 with BC contractible.  Here p runs to 1, so the
     # horizontal faces and the (-1)^p twist of the vertical ones are read;
     # without the twist H is still H(S^1), but ∂∂ is not zero
     b = _circle_times(chain_category())
     assert b.check()
-    cc = nerve.total_complex(b)
-    for n in range(2, cc.top_degree + 1):
-        dd = homology._mat_mul(dense_boundary(cc, n - 1), dense_boundary(cc, n))
-        assert not any(map(any, dd)), n
+    assert_boundary_squares_to_zero(nerve.total_complex(b))
     assert nerve.total_homology(b) == homology.homology_of_complex(suite.circle_3())
+
+
+def test_bidelta_total_homology_of_chain_times_sphere():
+    # p runs to 2, so the horizontal identities d^h_i d^h_j = d^h_{j-1} d^h_i
+    # are read on a passing input
+    b = _sphere_times(chain_category())
+    assert b.check()
+    assert max(p for p, _ in b.generators) == 2
+    assert_boundary_squares_to_zero(nerve.total_complex(b))
+    assert nerve.total_homology(b) == homology.homology_of_complex(suite.boundary_tetrahedron())
+
+
+def _with_morphism_faces(sc, edits):
+    """sc with some faces of its morphism Δ-set replaced; src and tgt are
+    left as they were."""
+    m = sc.morphisms
+    mor = delta.DeltaSet(m.generators, {**m.faces, **edits}, m.name)
+    return nerve.SimplicialCategory(sc.objects, mor, sc.src, sc.tgt, sc.comp, sc.name)
+
+
+def _chain_times_circle_edit(name):
+    circle = complexes.delta_set_of(suite.circle_3())
+    e = circle.gens(1)[0]
+    d0, d1 = circle.face(1, e, 0), circle.face(1, e, 1)
+    edits = {
+        # d_0 (f, e) = (g, d_0 e): the face of the string (f, g) is (g, g)
+        "f-to-g": {(1, ("f", e), 0): ("g", d0)},
+        # d_0 (g, e) = (f, d_0 e): the face of the string (f, g) is (f, f)
+        "g-to-f": {(1, ("g", e), 0): ("f", d0)},
+        # d_0 (m, e) = (m, d_1 e) for every m: strings go to strings, but
+        # d^h_0 no longer commutes with src and tgt
+        "d0-to-d1": {(1, (m, e), 0): (m, d1) for m in chain_category().morphisms},
+    }[name]
+    return _with_morphism_faces(times_delta_set(chain_category(), circle), edits)
+
+
+LEAVES_AT_FG = re.escape("horizontal face leaves the nerve at (1, 2, (('f', (0, 1)), ('g', (0, 1))), 0)")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [("f-to-g", LEAVES_AT_FG), ("g-to-f", LEAVES_AT_FG), ("d0-to-d1", "bi-Δ-set identities fail")],
+    ids=["f-to-g", "g-to-f", "d0-to-d1"],
+)
+def test_nerve_simplicial_rejects_a_corrupted_category(edit, message):
+    with pytest.raises(nerve.CategoryStructureError, match=message):
+        nerve.nerve_simplicial(_chain_times_circle_edit(edit), max_q=3)
+
+
+def test_bidelta_check_reads_the_row_identities():
+    # one row, no horizontal faces: d_0 d_2 t = 1 but d_1 d_0 t = 0
+    row = delta.DeltaSet(
+        {0: (0, 1), 1: ("e",), 2: ("t",)},
+        {(1, "e", 0): 1, (1, "e", 1): 0, **{(2, "t", i): "e" for i in range(3)}},
+    )
+    assert not delta.check_identities(row)
+    assert not nerve.BiDeltaSet((row,), ((),)).check()
+
+
+def test_bidelta_check_reads_the_horizontal_identities():
+    b = _sphere_times(chain_category())
+    d0, d1, d2 = b.horizontal[2]
+    swapped = nerve.BiDeltaSet(b.rows, b.horizontal[:2] + ((d1, d0, d2),), b.name)
+    # each swapped face is still a Δ-morphism, and every row still holds
+    assert all(d.check() for d in swapped.horizontal[2])
+    assert all(map(delta.check_identities, swapped.rows))
+    assert not swapped.check()
+
+
+def test_nerve_to_degree_zero():
+    c = nerve.demo_cobordism_category()
+    assert nerve.nerve(c, 0).f_vector() == (2,)
+    with pytest.raises(ValueError, match="max_degree"):
+        nerve.nerve(c, -1)
 
 
 @pytest.mark.parametrize(
@@ -190,8 +274,9 @@ def test_bidelta_total_homology_of_chain_times_circle():
         lambda: nerve.nerve_simplicial(nerve.constant_simplicial_category(chain_category()), 3),
         lambda: _circle_times(chain_category()),
         lambda: _circle_times(_cyclic(2)),
+        lambda: _sphere_times(chain_category()),
     ],
-    ids=["constant-chain", "chain-x-circle", "Z2-x-circle"],
+    ids=["constant-chain", "chain-x-circle", "Z2-x-circle", "chain-x-sphere"],
 )
 def test_total_complex_matches_the_definition(build):
     b = build()

@@ -1,3 +1,5 @@
+import pytest
+
 from plkernel import delta, homology, simplicial
 
 
@@ -71,3 +73,18 @@ def test_kan_fill_simplicial_degenerate_filler():
     e = ((0,), (0,))
     filler = simplicial.kan_fill_simplicial(x, 2, 1, {0: e, 2: e})
     assert filler is not None
+
+
+def test_kan_fill_simplicial_rejects_a_bad_horn():
+    x = simplicial.nerve_of_monoid(range(2), lambda a, b: (a + b) % 2, 0, cap=4)
+    s = ((), ("n", 1, 1, 1))
+    horn = {i: x.face(i, s) for i in (0, 2, 3)}
+    assert simplicial.kan_fill_simplicial(x, 3, 1, horn) == s
+    with pytest.raises(delta.IncompatibleHornError, match="cover all i != 1"):
+        simplicial.kan_fill_simplicial(x, 3, 1, {0: horn[0], 2: horn[2]})
+    # x_2 = (1, 1) in place of its degenerate d_2 s: d_0 x_2 = (1), while
+    # d_1 x_0 = (0) is the degenerate edge s_0 of the vertex
+    horn[2] = ((), ("n", 1, 1))
+    with pytest.raises(delta.IncompatibleHornError) as exc:
+        simplicial.kan_fill_simplicial(x, 3, 1, horn)
+    assert exc.value.args == ((0, 2, ((), ("n", 1)), ((0,), ("n",))),)
