@@ -14,6 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Hashable, Mapping
 
 from . import linalg, polytope
@@ -107,6 +108,8 @@ class EuclideanComplex:
     base: OrderedComplex
     ambient_dim: int
     coords: Mapping[int, Vec]
+    # simplex -> its integer functionals, filled by `functionals`
+    _functionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(maximal, coords, labels=None, name="K") -> "EuclideanComplex":
@@ -151,16 +154,44 @@ class EuclideanComplex:
     def maximal_simplices(self):
         return self.base.maximal_simplices()
 
+    @functools.cached_property
+    def integer_coords(self) -> dict[int, tuple[int, ...]]:
+        """Homogeneous integer coordinates (D x, D) of every vertex, over
+        the lcm D of all coordinate denominators (`polytope.homogeneous`),
+        computed once."""
+        vertices = self.base.vertices
+        return dict(zip(vertices, polytope.homogeneous([self.coords[v] for v in vertices])))
+
+    def functionals(self, simplex):
+        """The `polytope._integer_functionals` of a simplex of the complex,
+        or None when it is affinely dependent; computed once per simplex."""
+        table = self._functionals
+        if simplex not in table:
+            coords = self.integer_coords
+            table[simplex] = polytope._integer_functionals([coords[v] for v in simplex])
+        return table[simplex]
+
+    def integer_simplex(self, simplex) -> polytope.IntegerSimplex:
+        """A simplex of the complex in the integer form of
+        `polytope.intersect_simplices`."""
+        coords = self.integer_coords
+        return polytope.IntegerSimplex(
+            [coords[v] for v in simplex], self.functionals(simplex) is not None
+        )
+
     def total_volume(self) -> Fraction:
         """Sum of top-dimensional simplex volumes, for a complex that is
-        full-dimensional in its ambient space."""
+        full-dimensional in its ambient space: the integer determinants of
+        the top simplices, over d! D^d."""
         d = self.dimension
-        total = Fraction(0)
+        total = 0
         for s in self.base.simplices_of_dim(d):
             if d != self.ambient_dim:
                 raise ValueError("total volume of a complex that is not full-dimensional")
-            total += polytope.simplex_volume_in_chart(self.points(s))
-        return total
+            x0, *rest = (self.integer_coords[v] for v in s)
+            total += abs(linalg.det([[a - b for a, b in zip(x[:-1], x0)] for x in rest]))
+        # x0[-1] is the complex's denominator D; an empty complex has none
+        return Fraction(total, factorial(d) * x0[-1] ** d) if total else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +214,8 @@ def validate(k: EuclideanComplex) -> ValidityReport:
 
     Affine independence and intersections are checked on maximal simplices
     only; both properties are inherited by faces.  Every test runs on the
-    vertex coordinates scaled to integers, and reads each maximal
-    simplex's integer facet functionals, computed once.  Pairwise
+    complex's homogeneous integer coordinates and reads each maximal
+    simplex's integer facet functionals, both held by the complex.  Pairwise
     intersections are decided in three tiers, each exact and each in
     plain Python:
 
@@ -208,12 +239,9 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     if not k.base.is_face_closed():
         issues.append("simplex set is not closed under faces")
     maximal = k.maximal_simplices()
-    # homogeneous integer coordinates: all coordinates times their lcm
-    ipts, _ = linalg.integer_points([k.coords[v] for v in k.base.vertices])
-    icoords = {v: x + (1,) for v, x in zip(k.base.vertices, ipts)}
-    functionals = {}
+    icoords = k.integer_coords
+    functionals = {s: k.functionals(s) for s in maximal}
     for s in maximal:
-        functionals[s] = polytope._integer_functionals([icoords[v][:-1] for v in s])
         if functionals[s] is None:
             issues.append(f"simplex {s} is not affinely independent")
     if not issues:

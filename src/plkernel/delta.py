@@ -417,16 +417,22 @@ def check_horn_compatibility(face, p: int, j: int, assignment: Mapping[int, Hash
 
 
 def kan_fill(x: DeltaSet, p: int, j: int, assignment: Mapping[int, Hashable]):
-    """Search for a p-generator whose faces match the horn assignment.
+    """Search for a p-generator whose faces match the horn assignment,
+    comparing face positions in the face table.
 
     Returns the lexicographically least filler, or None after exhaustively
     visiting every p-generator.
     """
-    check_horn_compatibility(lambda s, i: x.face(p - 1, s, i), p, j, assignment)
-    for g in sorted(x.gens(p), key=genkey):
-        if all(x.face(p, g, i) == assignment[i] for i in assignment):
-            return g
-    return None
+    where = {g: n for n, g in enumerate(x.gens(p - 1))}
+    lower, below = x.table.get(p - 1), x.gens(p - 2)
+    check_horn_compatibility(lambda s, i: below[lower[where[s] * p + i]], p, j, assignment)
+    # a horn face that is no (p-1)-generator has no position and no filler
+    want = [(i, where.get(s)) for i, s in assignment.items()]
+    row, w = x.table.get(p, ()), p + 1
+    fillers = [
+        g for n, g in enumerate(x.gens(p)) if all(row[n * w + i] == t for i, t in want)
+    ]
+    return min(fillers, key=genkey, default=None)
 
 
 # ---------------------------------------------------------------------------

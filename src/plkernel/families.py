@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -63,6 +63,8 @@ class AffineSimplicialMap:
     source: EuclideanComplex
     target: EuclideanComplex
     vertex_images: Mapping[int, Vec]
+    # simplex -> its image in integer form, filled by `image_simplex`
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -75,9 +77,24 @@ class AffineSimplicialMap:
             if self.carrier(s) is None:
                 raise FamilyError(f"simplex {s} does not map into a single target simplex")
 
+    @functools.cached_property
+    def integer_images(self) -> dict[int, tuple[int, ...]]:
+        """Homogeneous integer coordinates of every vertex image, over one
+        denominator (`polytope.homogeneous`), computed once."""
+        vertices = list(self.vertex_images)
+        return dict(zip(vertices, polytope.homogeneous([self.vertex_images[v] for v in vertices])))
+
+    def image_simplex(self, simplex) -> polytope.IntegerSimplex:
+        """The images of a simplex's vertices in the integer form of
+        `polytope.intersect_simplices`; computed once per simplex."""
+        if simplex not in self._images:
+            hom = [self.integer_images[v] for v in simplex]
+            self._images[simplex] = polytope.IntegerSimplex(hom, polytope._independent(hom))
+        return self._images[simplex]
+
     def carrier(self, simplex) -> tuple[int, ...] | None:
         """Lexicographically first maximal target simplex containing the image."""
-        return _carrier(self.target, [self.vertex_images[v] for v in simplex])
+        return _carrier(self.target, [self.integer_images[v] for v in simplex])
 
     def apply(self, simplex, point) -> Vec:
         """Value at a point of |simplex| (affine extension)."""
@@ -89,11 +106,18 @@ class AffineSimplicialMap:
         return tuple(sum(bc[i] * imgs[i][j] for i in range(len(imgs))) for j in range(n))
 
 
-def _carrier(k: EuclideanComplex, points) -> tuple[int, ...] | None:
-    """The first maximal simplex of k whose hull holds every point, or None."""
+def _carrier(k: EuclideanComplex, hom) -> tuple[int, ...] | None:
+    """The first maximal simplex of k whose hull holds every point, given
+    in homogeneous integer form; reads k's functionals."""
     return next(
-        (t for t in k.maximal_simplices() if polytope.contains(k.points(t), points)), None
+        (t for t in k.maximal_simplices() if polytope.contains(k.functionals(t), hom)), None
     )
+
+
+def _base_part(x, base_dim):
+    """The projection of a homogeneous point onto its first base_dim
+    coordinates, as a homogeneous point."""
+    return x[:base_dim] + x[-1:]
 
 
 def identity_map(k: EuclideanComplex) -> AffineSimplicialMap:
@@ -106,7 +130,7 @@ def compose_maps(second: AffineSimplicialMap, first: AffineSimplicialMap) -> Aff
     images = {}
     for v in first.source.base.vertices:
         x = first.vertex_images[v]
-        t = _carrier(second.source, [x])
+        t = _carrier(second.source, [first.integer_images[v]])
         if t is None:
             raise FamilyError(f"image of vertex {v} misses the middle complex")
         images[v] = second.apply(t, x)
@@ -132,19 +156,23 @@ class PolyhedralFamily:
     def base_dim(self) -> int:
         return self.base.ambient_dim
 
-    def project_point(self, x) -> Vec:
-        return tuple(x[: self.base_dim])
-
-    def fiber_part(self, x) -> Vec:
-        return tuple(x[self.base_dim :])
-
-    def split_points(self, sigma) -> tuple[list[Vec], list[Vec]]:
-        """Base and fiber parts of the vertices of a total simplex."""
-        pts = self.total.points(sigma)
-        return [self.project_point(x) for x in pts], [self.fiber_part(x) for x in pts]
-
     def is_empty(self) -> bool:
         return not self.total.base.vertices
+
+    @functools.cached_property
+    def integer_parts(self) -> dict:
+        """Each maximal total simplex -> its base and fiber parts, each a
+        `polytope.IntegerSimplex` read off the total's integer coordinates
+        and computed once."""
+        coords, b = self.total.integer_coords, self.base_dim
+        parts = {}
+        for sigma in self.total.maximal_simplices():
+            base = [_base_part(coords[v], b) for v in sigma]
+            fiber = [coords[v][b:] for v in sigma]
+            parts[sigma] = tuple(
+                polytope.IntegerSimplex(hom, polytope._independent(hom)) for hom in (base, fiber)
+            )
+        return parts
 
 
 def empty_family(base: EuclideanComplex, fiber_dim: int, name="empty") -> PolyhedralFamily:
@@ -172,12 +200,11 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     kmax = k.maximal_simplices()
     coverage = {t: Fraction(0) for t in kmax}
     for s in sub.maximal_simplices():
-        pts = sub.points(s)
-        home = _carrier(k, pts)
+        home = _carrier(k, [sub.integer_coords[v] for v in s])
         if home is None:
             return False
         if len(s) == len(home):
-            coverage[home] += polytope.relative_volume(pts, k.points(home))
+            coverage[home] += polytope.relative_volume(sub.points(s), k.points(home))
     d = k.dimension
     for t in kmax:
         if len(t) == d + 1 and coverage[t] != Fraction(1, factorial(d)):
@@ -219,8 +246,8 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
         if cell not in w.subdivision.simplices:
             issues.append(f"assigned cell {cell} is not in the subdivision")
             continue
-        projected = [w.project_point(x) for x in w.total.points(s)]
-        if projects and not polytope.contains(w.subdivision.points(cell), projected):
+        projected = [_base_part(w.total.integer_coords[v], w.base_dim) for v in s]
+        if projects and not polytope.contains(w.subdivision.functionals(cell), projected):
             issues.append(f"projection of simplex {s} leaves its cell {cell}")
     return FamilyReport(not issues, tuple(issues))
 
@@ -283,10 +310,9 @@ class _ComplexAccumulator:
         self.simplices: list[tuple[Vec, ...]] = []
 
     def add_polytope(self, verts: list[Vec]):
-        """Triangulate a polytope (vertex list) and keep its top simplices."""
-        verts = sorted(set(map(as_vec, verts)))
-        if not verts:
-            return
+        """Triangulate a polytope, given by its sorted, distinct vertices as
+        `polytope.intersect_simplices` and `hull_vertices` return them, and
+        keep its top simplices."""
         for tri in polytope.placing_triangulation(verts):
             self.simplices.append(tuple(verts[i] for i in tri))
 
@@ -314,28 +340,26 @@ def pullback(f: AffineSimplicialMap, w: PolyhedralFamily, name=None) -> Polyhedr
     p = f.source
     sub_acc = _ComplexAccumulator(p.ambient_dim)
     tot_acc = _ComplexAccumulator(p.ambient_dim + w.fiber_dim)
-    cells = [w.subdivision.points(cell) for cell in w.subdivision.maximal_simplices()]
-    sigmas = [w.split_points(sigma) for sigma in w.total.maximal_simplices()]
+    cells = [w.subdivision.integer_simplex(cell) for cell in w.subdivision.maximal_simplices()]
+    sigmas = w.integer_parts.values()
     for s in p.maximal_simplices():
-        src_pts = p.points(s)
-        img_pts = [f.vertex_images[v] for v in s]
+        src = p.integer_simplex(s)
+        img = f.image_simplex(s)
         # the piece of s over each cell, read in source coordinates
-        for cell_pts in cells:
-            verts = polytope.intersect_simplices(img_pts, cell_pts, src_pts)
+        for cell in cells:
+            verts = polytope.intersect_simplices(img, cell, src)
             if len(verts) > p.dimension:
                 sub_acc.add_polytope(verts)
         # (x, y) with x in s and (f(x), y) in sigma
-        for base_pts, fiber_pts in sigmas:
-            tot_acc.add_polytope(
-                polytope.intersect_simplices(img_pts, base_pts, src_pts, fiber_pts)
-            )
+        for base, fiber in sigmas:
+            tot_acc.add_polytope(polytope.intersect_simplices(img, base, src, fiber))
     sub = sub_acc.build(name=f"{p.name} refined")
     total = tot_acc.build(name=name or f"pullback({w.name})")
     if not total.base.vertices:
         return empty_family(p, w.fiber_dim, name or f"pullback({w.name})")
     projection = {}
     for s in total.maximal_simplices():
-        home = _carrier(sub, [x[: p.ambient_dim] for x in total.points(s)])
+        home = _carrier(sub, [_base_part(total.integer_coords[v], p.ambient_dim) for v in s])
         if home is None:
             raise FamilyError(f"no subdivision cell contains the projection of {s}")
         projection[s] = home
@@ -349,12 +373,13 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
     q0 = as_vec(q0)
     if len(q0) != w.base_dim:
         raise FamilyError("point dimension does not match the base ambient")
-    if _carrier(w.base, [q0]) is None:
+    point = polytope.integer_simplex([q0])
+    if _carrier(w.base, point.points) is None:
         raise FamilyError("point lies outside the base")
     acc = _ComplexAccumulator(w.fiber_dim)
-    for sigma in w.total.maximal_simplices():
-        base_pts, fiber_pts = w.split_points(sigma)
-        acc.add_polytope(polytope.intersect_simplices([q0], base_pts, [()], fiber_pts))
+    no_output = polytope.integer_simplex([()])
+    for base, fiber in w.integer_parts.values():
+        acc.add_polytope(polytope.intersect_simplices(point, base, no_output, fiber))
     return acc.build(name=f"{w.name}|{'/'.join(map(str, q0))}")
 
 
@@ -363,8 +388,9 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
 # ---------------------------------------------------------------------------
 
 
-def _chart_polytope_volume(chart_pts, dim) -> Fraction:
-    verts = sorted(set(map(as_vec, chart_pts)))
+def _chart_polytope_volume(verts, dim) -> Fraction:
+    """The dim-volume of a polytope in a chart, given by its sorted,
+    distinct vertices."""
     total = Fraction(0)
     for tri in polytope.placing_triangulation(verts):
         if len(tri) == dim + 1:
@@ -373,7 +399,7 @@ def _chart_polytope_volume(chart_pts, dim) -> Fraction:
 
 
 def _maximal_cells(ec: EuclideanComplex) -> set:
-    return {frozenset(map(as_vec, ec.points(s))) for s in ec.maximal_simplices()}
+    return {frozenset(ec.points(s)) for s in ec.maximal_simplices()}
 
 
 def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
@@ -394,36 +420,37 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         return False
     from .prism import delta_vertex
 
-    if _maximal_cells(a) == _maximal_cells(b):
+    a_cells, b_cells = _maximal_cells(a), _maximal_cells(b)
+    if a_cells == b_cells:
         return True
     d = a.dimension
-    for src, other in ((a, b), (b, a)):
-        other_cells = _maximal_cells(other)
+    for src, other, other_cells in ((a, b, b_cells), (b, a, a_cells)):
         # per k: the volume of Δ^k, its vertices, and each simplex t of other
         # of dimension >= k with its bounding box; intersections are read in
         # the chart of s, whose vertices go to those of Δ^k
         per_dim = {}
         for s in sorted(src.maximal_simplices()):
             pts = src.points(s)
-            if frozenset(map(as_vec, pts)) in other_cells:
+            if frozenset(pts) in other_cells:
                 continue
             k = len(s) - 1
             if k not in per_dim:
                 pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
                 per_dim[k] = (
                     Fraction(1, factorial(k)),
-                    [delta_vertex(k, i) for i in range(k + 1)],
+                    polytope.integer_simplex([delta_vertex(k, i) for i in range(k + 1)]),
                     [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
                 )
             full, chart, around = per_dim[k]
             box = polytope.bounding_box(pts)
+            piece = src.integer_simplex(s)
             covered = Fraction(0)
             for t, tbox in around:
                 if not polytope.boxes_meet(box, tbox):
                     continue
-                if len(t) > k + 1 and polytope.on_a_facet_wall(other.points(t), pts):
+                if len(t) > k + 1 and polytope.on_a_facet_wall(other.functionals(t), piece.points):
                     continue
-                inter = polytope.intersect_simplices(pts, other.points(t), chart)
+                inter = polytope.intersect_simplices(piece, other.integer_simplex(t), chart)
                 if len(inter) >= k + 1:
                     covered += _chart_polytope_volume(inter, k)
                 if covered == full:
@@ -449,9 +476,11 @@ class FiberCertificate:
 def _fiber_at(f: AffineSimplicialMap, lam) -> tuple[EuclideanComplex, tuple]:
     acc = _ComplexAccumulator(f.source.ambient_dim)
     piece_shapes = []
+    point, no_output = polytope.integer_simplex([lam]), polytope.integer_simplex([()])
     for s in f.source.maximal_simplices():
-        imgs = [f.vertex_images[v] for v in s]
-        verts = polytope.intersect_simplices([lam], imgs, [()], f.source.points(s))
+        verts = polytope.intersect_simplices(
+            point, f.image_simplex(s), no_output, f.source.integer_simplex(s)
+        )
         if verts:
             acc.add_polytope(verts)
             piece_shapes.append((s, len(verts)))
@@ -480,9 +509,9 @@ def regular_fiber(f: AffineSimplicialMap, lam) -> FiberCertificate:
         raise FamilyError("target must be a single simplex")
     top = tmax[0]
     tpts = tgt.points(top)
-    vert_set = {as_vec(x) for x in tpts}
+    vert_set = set(tpts)
     for v in f.source.base.vertices:
-        if as_vec(f.vertex_images[v]) not in vert_set:
+        if f.vertex_images[v] not in vert_set:
             raise FamilyError("map is not simplicial: a vertex misses the target vertices")
     lam = as_vec(lam)
     bc = linalg.barycentric_coordinates(lam, tpts)
@@ -540,7 +569,9 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
         if i == j:
             continue
         facet = [v for t, v in enumerate(verts) if t != i]
-        cone_verts = polytope.intersect_simplices(verts, [q] + facet)
+        cone_verts = polytope.intersect_simplices(
+            polytope.integer_simplex(verts), polytope.integer_simplex([q] + facet)
+        )
         if len(cone_verts) > p:
             acc.add_polytope(cone_verts)
             cone_of.append((i, cone_verts))
@@ -573,12 +604,12 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
 def _verify_retraction(r: AffineSimplicialMap, horn: EuclideanComplex):
     # image inside the horn
     for v in r.source.base.vertices:
-        if _carrier(horn, [r.vertex_images[v]]) is None:
+        if _carrier(horn, [r.integer_images[v]]) is None:
             raise FamilyError("retraction image leaves the horn")
     # identity on the horn: every source vertex lying on the horn is fixed
     for v in r.source.base.vertices:
-        x = r.source.coords[v]
-        if r.vertex_images[v] != x and _carrier(horn, [x]) is not None:
+        moved = r.vertex_images[v] != r.source.coords[v]
+        if moved and _carrier(horn, [r.source.integer_coords[v]]) is not None:
             raise FamilyError("retraction moves a horn point")
 
 
@@ -699,11 +730,9 @@ def transport_total(fam: PolyhedralFamily, chart_pts, base_ambient: int) -> Eucl
 def restrict_total(w: PolyhedralFamily, base_pts) -> EuclideanComplex:
     """The part of W's total space sitting over a simplex of |base|."""
     acc = _ComplexAccumulator(w.base.ambient_dim + w.fiber_dim)
-    for sigma in w.total.maximal_simplices():
-        sigma_base, sigma_fiber = w.split_points(sigma)
-        acc.add_polytope(
-            polytope.intersect_simplices(base_pts, sigma_base, q_out=sigma_fiber)
-        )
+    chart = polytope.integer_simplex(base_pts)
+    for base, fiber in w.integer_parts.values():
+        acc.add_polytope(polytope.intersect_simplices(chart, base, q_out=fiber))
     return acc.build(name="restricted")
 
 
@@ -716,7 +745,7 @@ def reassemble(assignment: dict, carrier_base: EuclideanComplex, w: PolyhedralFa
         chart_pts = [carrier_base.coords[v] for v in s]
         piece = transport_total(assignment[s], chart_pts, w.base.ambient_dim)
         for sigma in piece.maximal_simplices():
-            acc.add_polytope(piece.points(sigma))
+            acc.add_polytope(sorted(piece.points(sigma)))
     return acc.build(name="reassembled")
 
 

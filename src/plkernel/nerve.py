@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .delta import DeltaMorphism, DeltaSet, _token, check_identities, compose, genkey
+from .delta import (
+    DeltaMorphism,
+    DeltaSet,
+    IdentityReport,
+    _token,
+    check_identities,
+    compose,
+    genkey,
+)
 from .homology import ChainComplex, HomologyProfile, _chains, homology
 
 
@@ -202,18 +210,30 @@ class BiDeltaSet:
     def gens(self, p: int, q: int) -> tuple:
         return self.generators.get((p, q), ())
 
-    def check(self) -> bool:
+    def check(self) -> IdentityReport:
         """Each row satisfies the face identities, each horizontal face is a
-        Δ-morphism, and d^h_i d^h_j = d^h_{j-1} d^h_i for i < j."""
-        return (
-            all(map(check_identities, self.rows))
-            and all(d.check() for ds in self.horizontal for d in ds)
-            and all(
-                compose(d[j], below[i]).mapping == compose(d[i], below[j - 1]).mapping
-                for d, below in zip(self.horizontal[2:], self.horizontal[1:])
-                for i, j in itertools.combinations(range(len(d)), 2)
-            )
-        )
+        Δ-morphism, and d^h_i d^h_j = d^h_{j-1} d^h_i for i < j.  The
+        witness is the first failure in that order: a row's or a
+        morphism's own witness, or (p, (q, g), i, j) for the first
+        generator of row p on which a horizontal identity fails."""
+        for rep in itertools.chain(
+            map(check_identities, self.rows),
+            (d.check() for ds in self.horizontal for d in ds),
+        ):
+            if not rep:
+                return rep
+        for p, (d, below) in enumerate(zip(self.horizontal[2:], self.horizontal[1:]), 2):
+            for i, j in itertools.combinations(range(len(d)), 2):
+                left = compose(d[j], below[i]).mapping
+                right = compose(d[i], below[j - 1]).mapping
+                if left != right:
+                    none = object()
+                    key = next(
+                        k for k in itertools.chain(left, right)
+                        if left.get(k, none) != right.get(k, none)
+                    )
+                    return IdentityReport(False, (p, key, i, j))
+        return IdentityReport(True)
 
 
 def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
@@ -245,8 +265,9 @@ def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
                     m[(q, g)] = img
         horizontal.append(tuple(DeltaMorphism(rows[p], rows[p - 1], m) for m in maps))
     b = BiDeltaSet(rows, tuple(horizontal), name=f"N({c.name})")
-    if not b.check():
-        raise CategoryStructureError("bi-Δ-set identities fail")
+    rep = b.check()
+    if not rep:
+        raise CategoryStructureError(f"bi-Δ-set identities fail: {rep.witness}")
     return b
 
 

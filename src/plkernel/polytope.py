@@ -5,23 +5,38 @@ as H-systems {x : E x = f, A x <= b}.  All predicates are exact; point
 order is always the lexicographic order on coordinate tuples so that every
 construction is deterministic.
 
+Every predicate reads points in one integer form: homogeneous integer
+coordinates (D x, D), with D the lcm of the denominators
+(`homogeneous`).  The form is held, not rebuilt per call:
+`EuclideanComplex.integer_coords` holds a complex's vertices in it, over
+the complex's own D, and `EuclideanComplex.functionals` each simplex's
+functionals; an affine map holds its vertex images and a family its
+simplices' base and fiber parts.  Only raw points from outside a complex
+(query points, charts, tests) are scaled, by `homogeneous` and
+`integer_simplex`, and Fractions come back only in results.
+
 Which side of a simplex's facet a point lies on is decided by one routine,
 `_integer_functionals`: the integer facet functionals and affine-hull
-equations of a simplex with integer vertices.  Placing triangulations,
-hull vertices, the separating walls of `complexes.validate` and the
-point-in-simplex test `contains` all read it, on points scaled to
-integers by `linalg.integer_points`.  Placing runs only on affinely
-dependent point sets: `placing_triangulation` returns an independent set
-as its one simplex, and `hull_vertices` returns it whole, after one
-integer independence test (`_independent`).
+equations of a simplex with homogeneous integer vertices.  A functional
+read at (E y, E), E > 0, has the sign of the affine functional at y, so
+points and simplices need not share a denominator.  Placing
+triangulations, hull vertices, the separating walls of
+`complexes.validate` and the point-in-simplex test `contains` all read it.
+Placing runs only on affinely dependent point sets:
+`placing_triangulation` returns an independent set as its one simplex,
+and `hull_vertices` returns it whole, after one integer independence test
+(`_independent`).
 
 Every simplex-pair polytope comes from `intersect_simplices`: one clip of
 the joint weight simplex of both simplices by double description over
 integer weights (`_clip_simplex`), whichever side is affinely dependent.
+Each side comes as an `IntegerSimplex`, its homogeneous points and its
+known independence, so a clip scales nothing and tests no independence.
 The pieces of `families`, point-set comparison and the cones of the horn
-retraction all read it.  The common-face test of `complexes.validate`
-runs the same clip on its own integer points.  `enumerate_basic_solutions`
-and `h_polytope_vertices` have no caller here; they are the independent
+retraction all read it; it returns them sorted and distinct, as placing
+takes them.  The common-face test of `complexes.validate` runs the same
+clip on the complex's integer points.  `enumerate_basic_solutions` and
+`h_polytope_vertices` have no caller here; they are the independent
 references the tests compare the clip against.
 """
 
@@ -31,6 +46,7 @@ import itertools
 import operator
 from fractions import Fraction
 from math import factorial, gcd
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import Vec, as_vec, dot
@@ -44,17 +60,16 @@ def hull_vertices(points) -> list[Vec]:
     the facets are read off the boundary of the placing triangulation.
     """
     pts = sorted(set(as_vec(p) for p in points))
-    ipts, _ = linalg.integer_points(pts)
+    hom = homogeneous(pts)
     # affinely independent point sets (the empty one too) are entirely
     # extreme
-    if _independent(ipts):
+    if _independent(hom):
         return pts
-    _, boundary, equations = _place(ipts)
+    _, boundary, equations = _place(hom)
     facet_rows = {tuple(row) for row in boundary.values()}
     n = len(pts[0])
     out = []
-    for p, x in zip(pts, ipts):
-        x = x + (1,)
+    for p, x in zip(pts, hom):
         tight = [list(row) for row in facet_rows if _value(row, x) == 0]
         if len(linalg.eliminate(tight + [list(row) for row in equations])[0]) == n:
             out.append(p)
@@ -131,58 +146,81 @@ def h_polytope_vertices(eqs, ineqs) -> list[Vec]:
     return sorted(verts)
 
 
-def intersect_simplices(p_points, q_points, p_out=None, q_out=None) -> list[Vec]:
+class IntegerSimplex(NamedTuple):
+    """A point list in the integer form the predicates read: homogeneous
+    integer points (D x, D), all over one denominator D > 0, and whether
+    the points are affinely independent."""
+
+    points: list[tuple[int, ...]]
+    independent: bool
+
+
+def homogeneous(points) -> list[tuple[int, ...]]:
+    """The homogeneous integer coordinates (D x, D) of points with int or
+    Fraction coordinates, where D is the lcm of all their denominators:
+    the form every predicate here reads."""
+    ipts, den = linalg.integer_points(points)
+    return [x + (den,) for x in ipts]
+
+
+def integer_simplex(points) -> IntegerSimplex:
+    """The integer form of raw points, for callers that hold no complex."""
+    hom = homogeneous(points)
+    return IntegerSimplex(hom, _independent(hom))
+
+
+def intersect_simplices(p, q, p_out=None, q_out=None) -> list[Vec]:
     """Vertices of the polytope of weights on two simplices whose points agree.
 
-    Over lambda, mu >= 0 with sum(lambda) = sum(mu) = 1 and
-    sum(lambda_i p_i) = sum(mu_j q_j), returns the hull vertices of the
-    points sum(lambda_i p_out_i) ++ sum(mu_j q_out_j).  The defaults
-    (p_out = p_points, q_out empty) give hull(P) ∩ hull(Q); other outputs
-    read the same polytope through the affine maps that send p_i to
-    p_out_i and q_j to q_out_j.
+    Every argument is an `IntegerSimplex`.  Over lambda, mu >= 0 with
+    sum(lambda) = sum(mu) = 1 and sum(lambda_i p_i) = sum(mu_j q_j),
+    returns the hull vertices of the points sum(lambda_i p_out_i) ++
+    sum(mu_j q_out_j), sorted and distinct.  The defaults (p_out = p,
+    q_out empty) give hull(P) ∩ hull(Q); other outputs read the same
+    polytope through the affine maps that send p_i to p_out_i and q_j to
+    q_out_j.
 
-    The joint weights (lambda, mu) range over the standard simplex on the
-    homogeneous integer points (p_i, 1) and -(q_j, 1); one clip by the
-    unit equations of their sum (`_clip_simplex`) leaves the rays with
-    sum(lambda_i (p_i, 1)) = sum(mu_j (q_j, 1)), whose last coordinate
-    makes both weight sums equal.  Either side may be affinely dependent.
+    The joint weights range over the standard simplex on the homogeneous
+    points (D_P p_i, D_P) and -(D_Q q_j, D_Q); one clip by the unit
+    equations of their sum (`_clip_simplex`) leaves the rays on which both
+    sides name the same point.  Each side's weights, divided by their own
+    sum, are its barycentric weights, so each side keeps its own
+    denominator.  Either side may be affinely dependent.
     """
-    P = [as_vec(p) for p in p_points]
-    Q = [as_vec(q) for q in q_points]
-    if not P or not Q:
+    if not p.points or not q.points:
         return []
-    p_out = P if p_out is None else [as_vec(x) for x in p_out]
-    q_out = [()] * len(Q) if q_out is None else [as_vec(x) for x in q_out]
-    m = len(P)
-    ipts, _ = linalg.integer_points(P + Q)
-    joint = [x + (1,) for x in ipts[:m]] + [tuple(-c for c in x) + (-1,) for x in ipts[m:]]
+    if p_out is None:
+        p_out = p
+    if q_out is None:  # no outputs: one empty point per vertex of Q
+        q_out = IntegerSimplex([(1,)] * len(q.points), len(q.points) == 1)
+    m = len(p.points)
+    joint = p.points + [tuple(-c for c in x) for x in q.points]
     n = len(joint[0])
     units = [[int(i == t) for i in range(n)] for t in range(n)]
-    # outputs as integer columns over one denominator, read at the weights
-    # w / sum(lambda)
-    outs, den = linalg.integer_points(p_out + q_out)
-    p_cols, q_cols = list(zip(*outs[:m])), list(zip(*outs[m:]))
+    # outputs as integer columns, read at the weights of each side over
+    # that side's weight sum and output denominator
+    p_den, q_den = p_out.points[0][-1], q_out.points[0][-1]
+    p_cols = list(zip(*p_out.points))[:-1]
+    q_cols = list(zip(*q_out.points))[:-1]
     pts = []
     for w in _clip_simplex(joint, [], units):
         lam, mu = w[:m], w[m:]
-        total = sum(lam) * den
+        p_total, q_total = sum(lam) * p_den, sum(mu) * q_den
         pts.append(
-            tuple(Fraction(_value(col, lam), total) for col in p_cols)
-            + tuple(Fraction(_value(col, mu), total) for col in q_cols)
+            tuple(Fraction(_value(col, lam), p_total) for col in p_cols)
+            + tuple(Fraction(_value(col, mu), q_total) for col in q_cols)
         )
     # outputs that determine the weights keep the vertices apart: lambda,
     # read off an independent p_out, fixes the point and so mu on an
     # independent Q; likewise with the sides swapped
-    if (_independent(outs[:m]) and _independent(ipts[m:])) or (
-        _independent(outs[m:]) and _independent(ipts[:m])
-    ):
+    if (p_out.independent and q.independent) or (q_out.independent and p.independent):
         return sorted(pts)
     return hull_vertices(pts)
 
 
-def _independent(ipts) -> bool:
-    """Whether the integer points are affinely independent."""
-    return len(linalg.eliminate([list(x) + [1] for x in ipts])[0]) == len(ipts)
+def _independent(hom) -> bool:
+    """Whether the homogeneous integer points are affinely independent."""
+    return len(linalg.eliminate([list(x) for x in hom])[0]) == len(hom)
 
 
 def _clip_simplex(points, facets, equations) -> list[tuple[int, ...]]:
@@ -266,22 +304,24 @@ def relative_volume(simplex_points, chart_basis) -> Fraction:
 
 
 def placing_triangulation(points) -> list[tuple[int, ...]]:
-    """Triangulate the hull of `points` by lexicographic placing.
+    """Triangulate the hull of sorted, distinct points by lexicographic
+    placing.
 
-    Returns the top-dimensional simplices as sorted index tuples into the
-    lex-sorted list of distinct points.  An affinely independent set is
-    returned as its one simplex, which is all that placing would build;
-    only dependent sets are placed.  Placing takes every point, so points
-    not in convex position (which hull_vertices / vertex enumeration never
-    produce) become vertices of the triangulation too.
+    `intersect_simplices` and `hull_vertices` return their points in that
+    form, so nothing here sorts or deduplicates them again.  Returns the
+    top-dimensional simplices as sorted index tuples into `points`.  An
+    affinely independent set is returned as its one simplex, which is all
+    that placing would build; only dependent sets are placed.  Placing
+    takes every point, so points not in convex position (which
+    hull_vertices / vertex enumeration never produce) become vertices of
+    the triangulation too.
     """
-    pts = sorted(set(as_vec(p) for p in points))
-    if not pts:
+    if not points:
         return []
-    ipts, _ = linalg.integer_points(pts)
-    if _independent(ipts):
-        return [tuple(range(len(pts)))]
-    return sorted(_place(ipts)[0])
+    hom = homogeneous(points)
+    if _independent(hom):
+        return [tuple(range(len(points)))]
+    return sorted(_place(hom)[0])
 
 
 def _value(row, x) -> int:
@@ -299,21 +339,20 @@ def boxes_meet(a, b) -> bool:
     return all(map(operator.le, a[0], b[1])) and all(map(operator.le, b[0], a[1]))
 
 
-def _place(ipts):
-    """Lexicographic placing of the integer scaling `ipts` of sorted
-    distinct points.
+def _place(hom):
+    """Lexicographic placing of the homogeneous integer points `hom` of
+    sorted distinct points.
 
     Each point in turn is coned over every simplex when an equation of
     their affine span is nonzero at it, else over each boundary ridge
     whose owner's facet functional is negative at it.  Returns (top
     simplices, {boundary ridge: its owner's facet functional}, the
-    span's equations); the functionals are integer rows (a, b) read at x
-    as a.x + b.
+    span's equations), all rows of `_integer_functionals`.
     """
-    simplices = {(0,): _integer_functionals(ipts[:1])[0]}
+    simplices = {(0,): _integer_functionals(hom[:1])[0]}
     boundary: dict[tuple[int, ...], list[int]] = {}
-    for idx in range(1, len(ipts)):
-        x = ipts[idx] + (1,)
+    for idx in range(1, len(hom)):
+        x = hom[idx]
         first, rows = next(iter(simplices.items()))
         if any(_value(row, x) for row in rows[len(first) :: 2]):
             cones, simplices, boundary = list(simplices), {}, {}
@@ -321,7 +360,7 @@ def _place(ipts):
             cones = [f for f, row in boundary.items() if _value(row, x) < 0]
         for f in cones:
             s = f + (idx,)
-            simplices[s] = rows = _integer_functionals([ipts[v] for v in s])[0]
+            simplices[s] = rows = _integer_functionals([hom[v] for v in s])[0]
             for i, row in enumerate(rows[: len(s)]):
                 ridge = s[:i] + s[i + 1 :]
                 if boundary.pop(ridge, None) is None:
@@ -330,65 +369,61 @@ def _place(ipts):
     return list(simplices), boundary, rows[len(first) :: 2]
 
 
-def contains(simplex_points, points) -> bool:
+def contains(functionals, points) -> bool:
     """Whether every point lies in the hull of an affinely independent
-    simplex: every row of its `_integer_functionals` is >= 0 at every
+    simplex, given its `_integer_functionals` and the points in
+    homogeneous integer form (`homogeneous`): every row is >= 0 at every
     point.  The affine-hull equations come with both signs, so >= 0 on
     both rows is = 0.
 
-    Raises ValueError when the simplex is affinely dependent or a point's
-    dimension differs from the simplex's.
+    Raises ValueError when the functionals are None (the simplex is
+    affinely dependent) or a point's dimension differs from the simplex's.
     """
-    (rows, _), ipts = _functionals_at(simplex_points, points)
-    return all(_value(row, x + (1,)) >= 0 for x in ipts for row in rows)
+    rows, _ = _checked(functionals, points)
+    return all(_value(row, x) >= 0 for x in points for row in rows)
 
 
-def on_a_facet_wall(simplex_points, points) -> bool:
+def on_a_facet_wall(functionals, points) -> bool:
     """Whether one facet functional of an affinely independent simplex
     vanishes at every point, that is, whether the points lie in the
-    hyperplane through one of its facets.  Raises ValueError as
-    `contains` does."""
-    (rows, off), ipts = _functionals_at(simplex_points, points)
+    hyperplane through one of its facets.  Takes and raises as `contains`
+    does."""
+    rows, off = _checked(functionals, points)
     return any(
-        o >= 0 and all(_value(row, x + (1,)) == 0 for x in ipts) for row, o in zip(rows, off)
+        o >= 0 and all(_value(row, x) == 0 for x in points) for row, o in zip(rows, off)
     )
 
 
-def _functionals_at(simplex_points, points):
-    """The `_integer_functionals` of a simplex and the points, scaled
-    together to integers."""
-    m = len(simplex_points)
-    ipts, _ = linalg.integer_points([as_vec(x) for x in itertools.chain(simplex_points, points)])
-    if any(len(x) != len(ipts[0]) for x in ipts[m:]):
-        raise ValueError("point dimension does not match the simplex")
-    functionals = _integer_functionals(ipts[:m])
+def _checked(functionals, points):
+    """The functionals, once they exist and match the points' dimension."""
     if functionals is None:
         raise ValueError("simplex is not affinely independent")
-    return functionals, ipts[m:]
+    if any(len(x) != len(functionals[0][0]) for x in points):
+        raise ValueError("point dimension does not match the simplex")
+    return functionals
 
 
-def _integer_functionals(ipts):
-    """Facet and affine-hull functionals of a simplex with integer vertices.
+def _integer_functionals(hom):
+    """Facet and affine-hull functionals of a simplex with homogeneous
+    integer vertices (`homogeneous`).
 
     Returns None when the vertices are affinely dependent, else
-    (rows, off_vertex) where each row is an integer (a_1..a_n, b)
-    with a.x + b = 0 on a wall through all vertices except off_vertex
-    (off_vertex = -1 for affine-hull equations, where the wall is all of
-    the simplex) and a.x + b > 0 at off_vertex.  Facet rows come first, in
+    (rows, off_vertex) where each row r is an integer vector with r.x = 0
+    at every vertex x except off_vertex (off_vertex = -1 for affine-hull
+    equations, where the wall is all of the simplex) and r.x > 0 at
+    off_vertex.  A row read at a homogeneous point (E y, E), E > 0, has
+    the sign of its affine functional at y.  Facet rows come first, in
     vertex order; equations follow, each with both signs.
     """
-    m = len(ipts)
-    n = len(ipts[0])
-    # rows [v_j 1 | e_j]; eliminating the left block leaves E [V 1] = R in
+    m = len(hom)
+    n = len(hom[0])
+    # rows [v_j | e_j]; eliminating the left block leaves E V = R in
     # reduced form with the transform E on the right
-    aug = [
-        list(p) + [1] + [1 if j == i else 0 for j in range(m)]
-        for i, p in enumerate(ipts)
-    ]
-    pivots, _ = linalg.eliminate(aug, n + 1)
+    aug = [list(p) + [1 if j == i else 0 for j in range(m)] for i, p in enumerate(hom)]
+    pivots, _ = linalg.eliminate(aug, n)
     if len(pivots) < m:
         return None
-    d = aug[0][pivots[0]]  # shared by all pivot rows; column n is never 0
+    d = aug[0][pivots[0]]  # shared by all pivot rows; the last column is never 0
 
     def primitive(vec):
         # the primitive integer vector on the ray of vec / d
@@ -397,19 +432,19 @@ def _integer_functionals(ipts):
 
     out_rows, out_off = [], []
     for i in range(m):
-        vec = [0] * (n + 1)
+        vec = [0] * n
         for r, c in enumerate(pivots):
-            vec[c] = aug[r][n + 1 + i]
+            vec[c] = aug[r][n + i]
         vec = primitive(vec)
-        if sum(x * y for x, y in zip(vec, ipts[i])) + vec[n] < 0:
+        if _value(vec, hom[i]) < 0:
             vec = [-x for x in vec]
         out_rows.append(vec)
         out_off.append(i)
-    # affine-hull equations: nullspace of the same [v_j 1] matrix
-    for fc in range(n + 1):
+    # affine-hull equations: nullspace of the same matrix V
+    for fc in range(n):
         if fc in pivots:
             continue
-        vec = [0] * (n + 1)
+        vec = [0] * n
         vec[fc] = d
         for r, c in enumerate(pivots):
             vec[c] = -aug[r][fc]
@@ -421,8 +456,8 @@ def _integer_functionals(ipts):
     # safety net for the fraction-free elimination: verify the defining
     # sign pattern of every functional before it is used in a predicate
     for vec, off in zip(out_rows, out_off):
-        for j, p in enumerate(ipts):
-            val = sum(vec[t] * p[t] for t in range(n)) + vec[n]
+        for j, p in enumerate(hom):
+            val = _value(vec, p)
             ok = val > 0 if j == off else val == 0
             if not ok:
                 raise ArithmeticError("functional verification failed")

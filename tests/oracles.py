@@ -1,11 +1,18 @@
-"""The dict-walking forms of the Δ-set builders and checks, kept as test
-oracles for the face-table forms in the library.  Each builder writes a
-faces dict keyed by (degree, generator, i) and hands it to the validating
-``DeltaSet`` constructor, which builds the table from it."""
+"""Earlier forms of library routines, kept as test oracles.
+
+The dict-walking forms of the Δ-set builders and checks are the oracles
+for the face-table forms in the library.  Each builder writes a faces
+dict keyed by (degree, generator, i) and hands it to the validating
+``DeltaSet`` constructor, which builds the table from it.
+
+`raw_intersect_simplices` is the simplex clip on raw points, scaled to
+integers over one joint denominator per call, for the integer-form
+`polytope.intersect_simplices`."""
 
 import itertools
+from fractions import Fraction
 
-from plkernel import delta, homology, nerve, prism
+from plkernel import delta, homology, linalg, nerve, polytope, prism
 from plkernel.complexes import EuclideanComplex
 
 
@@ -170,3 +177,39 @@ def dict_sd_delta(x):
                     faces[(k, name, k)] = below[last[0]][last[1]]
     gens = {k: tuple(name for _, name in sorted(v, key=lambda e: e[0])) for k, v in gens.items()}
     return prism.SubdividedDeltaSet(delta.DeltaSet(gens, faces, f"sd {x.name}"), carrier)
+
+
+def raw_intersect_simplices(p_points, q_points, p_out=None, q_out=None):
+    """`polytope.intersect_simplices` on raw points: both sides scaled to
+    integers over one denominator, outputs over another, and the four
+    independence tests run on every call."""
+    P = [linalg.as_vec(p) for p in p_points]
+    Q = [linalg.as_vec(q) for q in q_points]
+    if not P or not Q:
+        return []
+    p_out = P if p_out is None else [linalg.as_vec(x) for x in p_out]
+    q_out = [()] * len(Q) if q_out is None else [linalg.as_vec(x) for x in q_out]
+    m = len(P)
+    ipts, _ = linalg.integer_points(P + Q)
+    joint = [x + (1,) for x in ipts[:m]] + [tuple(-c for c in x) + (-1,) for x in ipts[m:]]
+    n = len(joint[0])
+    units = [[int(i == t) for i in range(n)] for t in range(n)]
+    outs, den = linalg.integer_points(p_out + q_out)
+    p_cols, q_cols = list(zip(*outs[:m])), list(zip(*outs[m:]))
+    pts = []
+    for w in polytope._clip_simplex(joint, [], units):
+        lam, mu = w[:m], w[m:]
+        total = sum(lam) * den
+        pts.append(
+            tuple(Fraction(polytope._value(col, lam), total) for col in p_cols)
+            + tuple(Fraction(polytope._value(col, mu), total) for col in q_cols)
+        )
+
+    def independent(ipts):
+        return len(linalg.eliminate([list(x) + [1] for x in ipts])[0]) == len(ipts)
+
+    if (independent(outs[:m]) and independent(ipts[m:])) or (
+        independent(outs[m:]) and independent(ipts[:m])
+    ):
+        return sorted(pts)
+    return polytope.hull_vertices(pts)

@@ -1,8 +1,8 @@
 """Acceptance gate: every top-level correctness criterion, one test each.
 
 The eleven computational criteria run once (timed); the twelfth reruns
-them and demands a byte-identical report, and the demo nerve's dump must
-not depend on the hash seed.
+them and demands a byte-identical report.  Neither the demo nerve's dump
+nor the `verify-suite --json` report may depend on the hash seed.
 """
 
 import os
@@ -122,3 +122,20 @@ def test_criterion_12_nerve_dump_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
     assert len(digests) == 1
+
+
+def test_verify_suite_independent_of_hash_seed():
+    # no cache or dict the kernel holds may carry an iteration order that
+    # depends on the hash seed into a verdict
+    src = os.path.dirname(os.path.dirname(suite.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "plkernel.cli", "verify-suite", "--json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, delta, linalg, polytope, prism, suite
+from oracles import raw_intersect_simplices
+from plkernel import complexes, delta, families, linalg, polytope, prism, suite
 
 F = Fraction
 
@@ -542,7 +543,7 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
     boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
     for a, b in itertools.combinations(maximal, 2):
         if not polytope.boxes_meet(boxes[a], boxes[b]):
-            assert polytope.intersect_simplices(ec.points(a), ec.points(b)) == []
+            assert polytope.intersect_simplices(ec.integer_simplex(a), ec.integer_simplex(b)) == []
         if complexes._walled(a, b, icoords, functionals[a]) or complexes._walled(
             b, a, icoords, functionals[b]
         ):
@@ -715,7 +716,7 @@ def pair_verdict(coords, a, b):
     intersection polytope from intersect_simplices, in both orders."""
     k = complexes.EuclideanComplex.build([a, b], coords)
     shared = sorted(linalg.as_vec(coords[v]) for v in set(a) & set(b))
-    pa, pb = k.points(a), k.points(b)
+    pa, pb = k.integer_simplex(a), k.integer_simplex(b)
     expected = polytope.intersect_simplices(pa, pb) == shared
     assert (polytope.intersect_simplices(pb, pa) == shared) == expected
     assert complexes.validate(k).ok == expected
@@ -750,3 +751,104 @@ def test_common_face_examples():
     assert not pair_verdict(space, (0, 1, 2), (3, 4))
     space[4] = (F(1, 2), F(1, 2), F(-2))
     assert pair_verdict(space, (0, 1, 2), (3, 4))
+
+
+# -- the integer form a complex holds, against fresh computation -----------
+
+
+def cache_complex(kind, seed):
+    """A complex with rational coordinates and its barycentric subdivision.
+
+    "valid" is sd of a seeded unimodular image of R(1) or R(2); "dependent"
+    adds to it the simplex on a vertex, the barycenter of an edge through
+    it and the edge's other end, which are collinear; "lower-dim" is sd of
+    the torus on the moment curve in ℝ⁵."""
+    if kind == "lower-dim":
+        k = moment_surface(suite.torus_7(), seed, 1)
+    else:
+        p = random.Random(seed).randint(1, 2)
+        k = complexes.barycentric_subdivide(unimodular_image(prism.build_R(p).complex, seed))
+    if kind == "dependent":
+        vid = {s: v for v, (_, s) in k.base.labels.items()}
+        u, v = min(s for s in vid if len(s) == 2)
+        collinear = tuple(sorted((vid[(u,)], vid[(u, v)], vid[(v,)])))
+        k = with_tops(k, k.maximal_simplices() + [collinear])
+    return k, complexes.barycentric_subdivide(k)
+
+
+def random_points(rng, k, count):
+    """Points of k's maximal simplices, on their faces as often as not,
+    and points of k's bounding box with their own denominators."""
+    out = []
+    lo, hi = polytope.bounding_box(list(k.coords.values()))
+    for _ in range(count):
+        if rng.random() < 0.6:
+            s = rng.choice(k.maximal_simplices())
+            weights = [rng.randint(0, 2) for _ in s]
+            weights[rng.randrange(len(s))] += 1
+            out.append(tuple(sum(w * x[i] for w, x in zip(weights, k.points(s))) / sum(weights)
+                             for i in range(k.ambient_dim)))
+        else:
+            out.append(tuple(a + (b - a) * F(rng.randint(0, 6), rng.randint(1, 6))
+                             for a, b in zip(lo, hi)))
+    return out
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def uncached_carrier(k, points):
+    """The first maximal simplex of k holding every point, by `contains` on
+    functionals computed afresh from k's raw points."""
+    for t in k.maximal_simplices():
+        functionals = polytope._integer_functionals(polytope.homogeneous(k.points(t)))
+        if polytope.contains(functionals, polytope.homogeneous(points)):
+            return t
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("valid", "dependent", "lower-dim")), st.integers(0, 2**32))
+@example("valid", 0)
+@example("dependent", 0)
+@example("lower-dim", 0)
+def test_complex_holds_its_integer_form(kind, seed):
+    k, sd = cache_complex(kind, seed)
+    vertices = k.base.vertices
+    ipts, den = linalg.integer_points([k.coords[v] for v in vertices])
+    assert k.integer_coords == {v: x + (den,) for v, x in zip(vertices, ipts)}
+    dependent = []
+    for s in k.maximal_simplices():
+        fresh = polytope._integer_functionals([k.integer_coords[v] for v in s])
+        assert k.functionals(s) == fresh
+        assert k.functionals(s) is k.functionals(s)
+        if fresh is None:
+            dependent.append(s)
+    assert len(dependent) == (kind == "dependent")
+    rng = random.Random(seed)
+    for _ in range(6):
+        points = random_points(rng, k, rng.randint(1, 2))
+        assert outcome(lambda: families._carrier(k, polytope.homogeneous(points))) == outcome(
+            lambda: uncached_carrier(k, points)
+        )
+    # pairs of k and its subdivision, each over its own denominator, read
+    # through raw outputs over theirs
+    boxes = {t: polytope.bounding_box(sd.points(t)) for t in sd.maximal_simplices()}
+    for _ in range(6):
+        a = rng.choice(dependent if dependent and rng.random() < 0.5 else k.maximal_simplices())
+        box = polytope.bounding_box(k.points(a))
+        near = [t for t, tb in boxes.items() if polytope.boxes_meet(box, tb)]
+        b = rng.choice(near or list(boxes))
+        outs = [
+            random_points(rng, k, len(s)) if rng.random() < 0.5 else None for s in (a, b)
+        ]
+        got = polytope.intersect_simplices(
+            k.integer_simplex(a),
+            sd.integer_simplex(b),
+            *(None if x is None else polytope.integer_simplex(x) for x in outs),
+        )
+        assert got == raw_intersect_simplices(k.points(a), sd.points(b), *outs)

@@ -431,16 +431,26 @@ def test_table_users_leave_the_faces_underived():
 
     prism._r_delta_set.cache_clear()
     torus = complexes.delta_set_of(suite.torus_7())
+    # the nerve of the chain poset 0 -> 1 -> 2
+    path = nerve.nerve(
+        nerve.FiniteNonUnitalCategory(
+            (0, 1, 2), ("f", "g", "gf"), {"f": 0, "g": 1, "gf": 0}, {"f": 1, "g": 2, "gf": 2},
+            {("f", "g"): "gf"}, name="path",
+        )
+    )
     built = [
         torus,
         prism.sd_delta(torus).delta_set,
         nerve.nerve(nerve.demo_cobordism_category(), 3),
         prism.weak_chain_delta_set(prism.build_R(2).complex, 3),
+        path,
     ]
     for x in built:
         assert delta.check_identities(x).ok
         homology.chain_complex_of(x)
         assert delta.identity_morphism(x).check().ok
+    assert delta.kan_fill(path, 2, 1, {0: ("g",), 2: ("f",)}) == ("f", "g")
+    assert delta.kan_fill(path, 2, 0, {1: ("f",), 2: ("gf",)}) is None
     f = prism.build_R_map((0, 1, 1), 2, 1).to_delta_morphism()
     assert f.check().ok
     for x in built + [f.source, f.target]:

@@ -1,5 +1,8 @@
 import dataclasses
+import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +199,7 @@ def test_carrier_matches_first_carrier_scan(pts, data):
     free = st.tuples(*[st.fractions(-1, 2, max_denominator=4)] * k.ambient_dim)
     for _ in range(4):
         points = data.draw(st.lists(st.one_of(vertices, midpoints, free), min_size=1, max_size=3))
-        assert families._carrier(k, points) == first_carrier(k, points)
+        assert families._carrier(k, polytope.homogeneous(points)) == first_carrier(k, points)
 
 
 def moved(k, f, name):
@@ -253,7 +256,7 @@ def test_horn_retraction_small():
         horn = families.horn_complex(p, j)
         for s in horn.maximal_simplices():
             for c in horn.points(s):
-                rs = families._carrier(r.source, [c])
+                rs = families._carrier(r.source, polytope.homogeneous([c]))
                 assert r.apply(rs, c) == c
 
 
@@ -286,7 +289,10 @@ def test_horn_retraction_cones_match_h_description(p, j):
         others = [t for t in range(p + 1) if t != i]
         walls = _walls([q] + [verts[t] for t in others])[1:]
         ineqs = _walls(verts) + [w for t, w in zip(others, walls) if t != j]
-        cone = polytope.intersect_simplices(verts, [q] + [verts[t] for t in others])
+        cone = polytope.intersect_simplices(
+            polytope.integer_simplex(verts),
+            polytope.integer_simplex([q] + [verts[t] for t in others]),
+        )
         assert cone == polytope.h_polytope_vertices([], ineqs)
         if len(cone) > p:
             source.update(cone)
@@ -354,3 +360,37 @@ def test_family_file_roundtrip(tmp_path):
     back = families.load(path)
     assert families.check_family(back).ok
     assert families.dumps(back) == families.dumps(w)
+
+
+def test_pullback_law_computes_each_functional_once():
+    """Over one composition-law verdict of criterion 7 (checked families
+    and their point-set comparison), `_integer_functionals` runs only in
+    placing and in the complexes' caches, once per (complex, maximal
+    simplex)."""
+    rng = random.Random(911)
+    P, Q, R = (families.standard_simplex_complex(d) for d in (2, 1, 2))
+    f, g = (
+        families.AffineSimplicialMap(
+            a, b, {v: suite._random_point_in(rng, b) for v in a.base.vertices}
+        )
+        for a, b in ((P, Q), (Q, R))
+    )
+    w = families.constant_family(R, suite.segment_fiber())
+    calls = []
+    functionals = polytope._integer_functionals
+
+    def spy(hom):
+        caller = sys._getframe(1)
+        names = caller.f_locals
+        calls.append((caller.f_code.co_name, names.get("self"), names.get("simplex")))
+        return functionals(hom)
+
+    with mock.patch.object(polytope, "_integer_functionals", spy):
+        lhs = families.pullback(families.compose_maps(g, f), w)
+        rhs = families.pullback(f, families.pullback(g, w))
+        assert families.check_family(lhs).ok and families.check_family(rhs).ok
+        assert families.same_point_set(lhs.total, rhs.total)
+    assert {name for name, _, _ in calls} <= {"functionals", "_place"}
+    cached = [(k, s) for name, k, s in calls if name == "functionals"]
+    assert len({(id(k), s) for k, s in cached}) == len(cached)
+    assert all(s in k.maximal_simplices() for k, s in cached)

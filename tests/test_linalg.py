@@ -43,12 +43,18 @@ def test_affine_independence():
     assert not linalg.affinely_independent([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
 
 
+def contains(simplex_points, points):
+    """polytope.contains on raw points, each list in its own integer form."""
+    functionals = polytope._integer_functionals(polytope.homogeneous(simplex_points))
+    return polytope.contains(functionals, polytope.homogeneous(points))
+
+
 def test_contains_raises_on_dependent_simplex():
     line = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
     with pytest.raises(ValueError, match="not affinely independent"):
-        polytope.contains(line, [(F(1, 2), F(1, 2))])
+        contains(line, [(F(1, 2), F(1, 2))])
     with pytest.raises(ValueError, match="dimension"):
-        polytope.contains(line[:2], [(F(0),)])
+        contains(line[:2], [(F(0),)])
 
 
 def test_barycentric_coordinates_roundtrip():
@@ -86,9 +92,9 @@ def test_barycentric_coordinates_reconstruct(data):
         point = tuple(data.draw(coord) for _ in range(n))
     lam = linalg.barycentric_coordinates(point, pts)
     # the facet-functional test agrees with the signs of the coordinates
-    assert polytope.contains(pts, [point]) == (lam is not None and min(lam) >= 0)
+    assert contains(pts, [point]) == (lam is not None and min(lam) >= 0)
     if kind == "facet":
-        assert polytope.contains(pts, [point])
+        assert contains(pts, [point])
     if lam is None:
         # None only for a point off the affine hull
         assert not inside and linalg.affinely_independent(pts + [point])
@@ -282,7 +288,7 @@ def integer_simplices(draw):
 @example([(1, 1, 1), (2, 3, 5)])
 @example([(3,)])
 def test_integer_functionals_sign_pattern(pts):
-    rows, offs = polytope._integer_functionals(pts)
+    rows, offs = polytope._integer_functionals([p + (1,) for p in pts])
     n, m = len(pts[0]), len(pts)
     assert offs == list(range(m)) + [-1] * (2 * (n + 1 - m))
     for row, off in zip(rows, offs):
