@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Hashable, Mapping
 
-from . import linalg, polytope
+from . import polytope
 from .delta import DeltaSet, deletion_table
 from .linalg import Vec, as_vec
 
@@ -182,16 +182,16 @@ class EuclideanComplex:
     def total_volume(self) -> Fraction:
         """Sum of top-dimensional simplex volumes, for a complex that is
         full-dimensional in its ambient space: the integer determinants of
-        the top simplices, over d! D^d."""
+        the top simplices (`polytope.simplex_volume`), over d! D^d."""
         d = self.dimension
         total = 0
         for s in self.base.simplices_of_dim(d):
             if d != self.ambient_dim:
                 raise ValueError("total volume of a complex that is not full-dimensional")
-            x0, *rest = (self.integer_coords[v] for v in s)
-            total += abs(linalg.det([[a - b for a, b in zip(x[:-1], x0)] for x in rest]))
-        # x0[-1] is the complex's denominator D; an empty complex has none
-        return Fraction(total, factorial(d) * x0[-1] ** d) if total else Fraction(0)
+            hom = [self.integer_coords[v] for v in s]
+            total += polytope.simplex_volume(hom)
+        # hom[0][-1] is the complex's denominator D; an empty complex has none
+        return Fraction(total, factorial(d) * hom[0][-1] ** d) if total else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +453,9 @@ def join(a0, l: EuclideanComplex, vertex_id: int | None = None) -> EuclideanComp
     every simplex β.  The new vertex id defaults to max(vertices)+1.
     """
     a0 = as_vec(a0)
+    apex = polytope.homogeneous([a0])[0]
     for beta in sorted(l.simplices):
-        if not linalg.affinely_independent(l.points(beta) + [a0]):
+        if not polytope._independent([l.integer_coords[v] for v in beta] + [apex]):
             raise GeneralPositionError(beta)
     if vertex_id is None:
         vertex_id = max(l.base.vertices, default=-1) + 1

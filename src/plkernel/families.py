@@ -18,7 +18,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Mapping
 
 from . import complexes, homology, linalg, lp, polytope
@@ -98,7 +97,7 @@ class AffineSimplicialMap:
 
     def apply(self, simplex, point) -> Vec:
         """Value at a point of |simplex| (affine extension)."""
-        bc = linalg.barycentric_coordinates(point, self.source.points(simplex))
+        bc = _weights(self.source, simplex, polytope.homogeneous([as_vec(point)])[0])
         if bc is None or any(c < 0 for c in bc):
             raise FamilyError("point outside the simplex")
         imgs = [self.vertex_images[v] for v in simplex]
@@ -112,6 +111,13 @@ def _carrier(k: EuclideanComplex, hom) -> tuple[int, ...] | None:
     return next(
         (t for t in k.maximal_simplices() if polytope.contains(k.functionals(t), hom)), None
     )
+
+
+def _weights(k: EuclideanComplex, simplex, x):
+    """`polytope.weights` of a homogeneous point x of k's space on a simplex of k."""
+    if len(x) != k.ambient_dim + 1:
+        raise FamilyError(f"point of dimension {len(x) - 1} in ambient dimension {k.ambient_dim}")
+    return polytope.weights(k.functionals(simplex), [k.integer_coords[v] for v in simplex], x)
 
 
 def _base_part(x, base_dim):
@@ -195,21 +201,19 @@ class FamilyReport:
 
 def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     """Every maximal simplex of `sub` lies in a maximal simplex of k, and
-    the pieces inside each maximal simplex of k fill it exactly (volume
-    comparison in that simplex's own chart)."""
+    the pieces inside each top simplex of k fill it exactly: the |det|s of
+    their vertices' barycentric weights on it sum to 1."""
     kmax = k.maximal_simplices()
-    coverage = {t: Fraction(0) for t in kmax}
+    coverage = dict.fromkeys(kmax, 0)
     for s in sub.maximal_simplices():
-        home = _carrier(k, [sub.integer_coords[v] for v in s])
+        hom = [sub.integer_coords[v] for v in s]
+        home = _carrier(k, hom)
         if home is None:
             return False
         if len(s) == len(home):
-            coverage[home] += polytope.relative_volume(sub.points(s), k.points(home))
+            coverage[home] += abs(linalg.det([_weights(k, home, x) for x in hom]))
     d = k.dimension
-    for t in kmax:
-        if len(t) == d + 1 and coverage[t] != Fraction(1, factorial(d)):
-            return False
-    return True
+    return all(coverage[t] == 1 for t in kmax if len(t) == d + 1)
 
 
 def check_family(w: PolyhedralFamily) -> FamilyReport:
@@ -317,14 +321,17 @@ class _ComplexAccumulator:
             self.simplices.append(tuple(verts[i] for i in tri))
 
     def build(self, name="K") -> EuclideanComplex:
-        points = sorted({p for s in self.simplices for p in s})
-        vid = {p: i for i, p in enumerate(points)}
-        if not points:
+        first: dict = {}  # each point's id in the order seen, renumbered below
+        seen = [[first.setdefault(p, len(first)) for p in s] for s in self.simplices]
+        if not first:
             return EuclideanComplex(
                 complexes.OrderedComplex((), frozenset(), {}, name), self.ambient, {}
             )
-        maximal = sorted({tuple(sorted(vid[p] for p in s)) for s in self.simplices})
-        coords = {i: p for p, i in vid.items()}
+        points = list(first)
+        order = sorted(range(len(points)), key=points.__getitem__)
+        vid = {j: i for i, j in enumerate(order)}
+        maximal = sorted({tuple(sorted(vid[j] for j in s)) for s in seen})
+        coords = {i: points[j] for i, j in enumerate(order)}
         return EuclideanComplex.build(maximal, coords, name=name)
 
 
@@ -389,13 +396,12 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
 
 
 def _chart_polytope_volume(verts, dim) -> Fraction:
-    """The dim-volume of a polytope in a chart, given by its sorted,
-    distinct vertices."""
-    total = Fraction(0)
-    for tri in polytope.placing_triangulation(verts):
-        if len(tri) == dim + 1:
-            total += polytope.simplex_volume_in_chart([verts[i] for i in tri])
-    return total
+    """dim! times the dim-volume of a polytope in a dim-dimensional chart,
+    given by its sorted, distinct vertices."""
+    hom = polytope.homogeneous(verts)
+    tops = [t for t in polytope.placing_triangulation(verts) if len(t) == dim + 1]
+    total = sum(polytope.simplex_volume([hom[i] for i in t]) for t in tops)
+    return Fraction(total, hom[0][-1] ** dim)
 
 
 def _maximal_cells(ec: EuclideanComplex) -> set:
@@ -406,9 +412,9 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
     """Exact equality of underlying polyhedra, by mutual volume coverage.
 
     Each maximal simplex s of either side, of dimension k, must be covered
-    by the other side: the k-volumes of s ∩ τ, measured in the chart of s,
-    summed over the simplices τ of the other side whose relative interior
-    meets s in a k-dimensional set, must make up all of s.  Those τ are
+    by the other side: k! times the k-volumes of s ∩ τ in the chart Δ^k of
+    s, summed over the simplices τ of the other side whose relative
+    interior meets s in a k-dimensional set, must make up 1.  Those τ are
     the ones with dim(s ∩ τ) = k whose facets' hyperplanes do not contain
     s; relative interiors of a complex's simplices are disjoint, so no
     part of s is counted twice.  For k = dim, τ runs over the top
@@ -425,8 +431,8 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         return True
     d = a.dimension
     for src, other, other_cells in ((a, b, b_cells), (b, a, a_cells)):
-        # per k: the volume of Δ^k, its vertices, and each simplex t of other
-        # of dimension >= k with its bounding box; intersections are read in
+        # per k: the vertices of Δ^k, and each simplex t of other of
+        # dimension >= k with its bounding box; intersections are read in
         # the chart of s, whose vertices go to those of Δ^k
         per_dim = {}
         for s in sorted(src.maximal_simplices()):
@@ -437,14 +443,13 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
             if k not in per_dim:
                 pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
                 per_dim[k] = (
-                    Fraction(1, factorial(k)),
                     polytope.integer_simplex([delta_vertex(k, i) for i in range(k + 1)]),
                     [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
                 )
-            full, chart, around = per_dim[k]
+            chart, around = per_dim[k]
             box = polytope.bounding_box(pts)
             piece = src.integer_simplex(s)
-            covered = Fraction(0)
+            covered = 0
             for t, tbox in around:
                 if not polytope.boxes_meet(box, tbox):
                     continue
@@ -453,9 +458,9 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
                 inter = polytope.intersect_simplices(piece, other.integer_simplex(t), chart)
                 if len(inter) >= k + 1:
                     covered += _chart_polytope_volume(inter, k)
-                if covered == full:
+                if covered == 1:
                     break
-            if covered != full:
+            if covered != 1:
                 return False
     return True
 
@@ -514,7 +519,7 @@ def regular_fiber(f: AffineSimplicialMap, lam) -> FiberCertificate:
         if f.vertex_images[v] not in vert_set:
             raise FamilyError("map is not simplicial: a vertex misses the target vertices")
     lam = as_vec(lam)
-    bc = linalg.barycentric_coordinates(lam, tpts)
+    bc = _weights(tgt, top, polytope.homogeneous([lam])[0])
     if bc is None or any(c <= 0 for c in bc):
         raise FamilyError("base point is not interior to the target simplex")
     fiber, base_sig = _fiber_at(f, lam)

@@ -73,7 +73,9 @@ def _chains(gens: Mapping[int, tuple], terms) -> ChainComplex:
     Coefficients of a repeated face add up, and zero entries are dropped;
     every degree up to the top one has a rank and, from 1, a boundary."""
     top = max(gens, default=-1)
-    index = [{g: i for i, g in enumerate(gens.get(k, ()))} for k in range(top + 1)]
+    # range(n) generators are positions, indexed by the identity list, unhashed
+    index = [gens.get(k, ()) for k in range(top + 1)]
+    index = [list(g) if isinstance(g, range) else {x: i for i, x in enumerate(g)} for g in index]
     boundaries = {}
     for k in range(1, top + 1):
         rows = index[k - 1]

@@ -21,11 +21,12 @@ equations of a simplex with homogeneous integer vertices.  A functional
 read at (E y, E), E > 0, has the sign of the affine functional at y, so
 points and simplices need not share a denominator.  Placing
 triangulations, hull vertices, the separating walls of
-`complexes.validate` and the point-in-simplex test `contains` all read it.
-Placing runs only on affinely dependent point sets:
-`placing_triangulation` returns an independent set as its one simplex,
-and `hull_vertices` returns it whole, after one integer independence test
-(`_independent`).
+`complexes.validate`, the point-in-simplex test `contains` and the
+barycentric `weights` all read it; a volume is an integer determinant
+(`simplex_volume`) or one of weights.  Placing runs only on dependent
+point sets: `placing_triangulation` returns an independent set as its one
+simplex, and `hull_vertices` returns it whole, after one integer
+independence test (`_independent`), which `complexes.join` also asks.
 
 Every simplex-pair polytope comes from `intersect_simplices`: one clip of
 the joint weight simplex of both simplices by double description over
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from typing import NamedTuple
 
 from . import linalg
@@ -285,24 +286,6 @@ def chart_coordinates(points, basis_points) -> list[Vec]:
     return out
 
 
-def simplex_volume_in_chart(chart_pts) -> Fraction:
-    """Volume of a full-dimensional simplex given by chart coordinates."""
-    d = len(chart_pts) - 1
-    if d == 0:
-        return Fraction(1)
-    x0 = chart_pts[0]
-    diffs = [[a - b for a, b in zip(p, x0)] for p in chart_pts[1:]]
-    return abs(linalg.det(diffs)) / factorial(d)
-
-
-def relative_volume(simplex_points, chart_basis) -> Fraction:
-    """Volume of a simplex measured in the chart of `chart_basis`."""
-    coords = chart_coordinates(simplex_points, chart_basis)
-    if len(coords) != len(chart_basis):
-        return Fraction(0)
-    return simplex_volume_in_chart(coords)
-
-
 def placing_triangulation(points) -> list[tuple[int, ...]]:
     """Triangulate the hull of sorted, distinct points by lexicographic
     placing.
@@ -392,6 +375,24 @@ def on_a_facet_wall(functionals, points) -> bool:
     return any(
         o >= 0 and all(_value(row, x) == 0 for x in points) for row, o in zip(rows, off)
     )
+
+
+def weights(functionals, vertices, x) -> Vec | None:
+    """Barycentric weights of a homogeneous point x = (E y, E) on a simplex
+    with homogeneous vertices (D v_i, D), or None off its affine hull: facet
+    row r_i is 0 at every vertex but v_i, so weight i is D r_i.x / E r_i.v_i.
+    Takes `_integer_functionals`, and raises, as `contains` does."""
+    rows, _ = _checked(functionals, [x])
+    if any(_value(row, x) for row in rows[len(vertices) :: 2]):
+        return None
+    d, e = vertices[0][-1], x[-1]
+    return tuple(Fraction(d * _value(r, x), e * _value(r, v)) for r, v in zip(rows, vertices))
+
+
+def simplex_volume(hom) -> int:
+    """d! D^d times the volume of a simplex with homogeneous vertices (D v_i, D)
+    in ℝ^d, as an int: the |det| of its edge vectors.  Callers sum, then divide."""
+    return abs(linalg.det([[a - b for a, b in zip(x[:-1], hom[0])] for x in hom[1:]])).numerator
 
 
 def _checked(functionals, points):

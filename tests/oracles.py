@@ -7,10 +7,12 @@ dict keyed by (degree, generator, i) and hands it to the validating
 
 `raw_intersect_simplices` is the simplex clip on raw points, scaled to
 integers over one joint denominator per call, for the integer-form
-`polytope.intersect_simplices`."""
+`polytope.intersect_simplices`, and `chart_volume` the Fraction volume of
+a simplex in chart coordinates, for `polytope.simplex_volume`."""
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from plkernel import delta, homology, linalg, nerve, polytope, prism
 from plkernel.complexes import EuclideanComplex
@@ -213,3 +215,14 @@ def raw_intersect_simplices(p_points, q_points, p_out=None, q_out=None):
     ):
         return sorted(pts)
     return polytope.hull_vertices(pts)
+
+
+def chart_volume(chart_pts):
+    """The volume of a full-dimensional simplex given by its chart
+    coordinates: the Fraction determinant of its edge vectors over d!."""
+    d = len(chart_pts) - 1
+    if d == 0:
+        return Fraction(1)
+    x0 = chart_pts[0]
+    diffs = [[a - b for a, b in zip(p, x0)] for p in chart_pts[1:]]
+    return abs(linalg.det(diffs)) / factorial(d)

@@ -29,6 +29,27 @@ def test_affine_map_carrier_and_apply():
     assert f.carrier((0, 1)) is not None
 
 
+@pytest.mark.parametrize(
+    "call, dims",
+    [
+        (lambda f: f.apply((0, 1, 2), (F(1, 3),)), (1, 2)),
+        (lambda f: f.apply((0, 1, 2), (F(1, 3), F(1, 3), F(1, 3))), (3, 2)),
+        (lambda f: families.regular_fiber(f, (F(1, 2), F(1, 4))), (2, 1)),
+    ],
+    ids=["apply-short", "apply-long", "regular-fiber-long"],
+)
+def test_point_dimension_must_match_the_ambient(call, dims):
+    # Δ² in ℝ² onto Δ¹; a short point once read as an underdetermined solve
+    f = families.AffineSimplicialMap(
+        families.standard_simplex_complex(2),
+        families.standard_simplex_complex(1),
+        {0: (F(0),), 1: (F(1),), 2: (F(1),)},
+    )
+    message = "dimension {} .* ambient dimension {}".format(*dims)
+    with pytest.raises(families.FamilyError, match=message):
+        call(f)
+
+
 def test_affine_map_rejects_uncarried():
     seg = families.standard_simplex_complex(1)
     two = complexes.EuclideanComplex.build(
@@ -394,3 +415,45 @@ def test_pullback_law_computes_each_functional_once():
     cached = [(k, s) for name, k, s in calls if name == "functionals"]
     assert len({(id(k), s) for k, s in cached}) == len(cached)
     assert all(s in k.maximal_simplices() for k, s in cached)
+
+
+def test_families_and_join_run_no_fraction_solve():
+    """Coordinate values, volumes and independence read the held integer
+    form: no Fraction solve, chart or Fraction independence test runs in
+    check_family, a composition-law pullback, the hexagon's regular
+    fiber, a corpus star's join or a point-set comparison."""
+    rng = random.Random(911)
+    P, Q, R = (families.standard_simplex_complex(d) for d in (2, 1, 2))
+    f, g = (
+        families.AffineSimplicialMap(
+            a, b, {v: suite._random_point_in(rng, b) for v in a.base.vertices}
+        )
+        for a, b in ((P, Q), (Q, R))
+    )
+    w = families.constant_family(R, suite.segment_fiber())
+    pts = {0: (0, 0), 1: (1, 0), 2: (2, 1), 3: (1, 1), 4: (0, 1), 5: (-1, 0)}
+    hexagon = complexes.EuclideanComplex.build(
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], pts
+    )
+    height = families.AffineSimplicialMap(
+        hexagon, families.standard_simplex_complex(1), {v: p[1:] for v, p in pts.items()}
+    )
+    ec = suite.corpus()[0]
+    v = ec.base.vertices[0]
+    spies = [
+        mock.patch.object(owner, name, wraps=getattr(owner, name))
+        for owner, name in (
+            (linalg, "solve"),
+            (linalg, "affinely_independent"),
+            (polytope, "chart_coordinates"),
+        )
+    ]
+    with spies[0] as solve, spies[1] as independent, spies[2] as chart:
+        assert families.check_family(suite.lift_fixtures()[0]).ok
+        lhs = families.pullback(families.compose_maps(g, f), w)
+        rhs = families.pullback(f, families.pullback(g, w))
+        assert families.same_point_set(lhs.total, rhs.total)
+        assert families.regular_fiber(height, (F(1, 2),)).fiber.f_vector() == (2,)
+        joined = complexes.join(ec.coords[v], complexes.link(v, ec), vertex_id=v)
+        assert joined.base.simplices == complexes.star(v, ec).base.simplices
+    assert (solve.call_count, independent.call_count, chart.call_count) == (0, 0, 0)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from plkernel import linalg, lp, polytope, suite
 from plkernel.prism import delta_vertex
 
+from oracles import chart_volume
+
 F = Fraction
 
 SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
@@ -46,12 +48,8 @@ def test_intersect_simplices():
 def test_placing_triangulation_square():
     tris = polytope.placing_triangulation(SQUARE)
     assert len(tris) == 2
-    total = F(0)
-    for t in tris:
-        chart = polytope.chart_coordinates(
-            [SQUARE[i] for i in t], [SQUARE[i] for i in t]
-        )
-        total += polytope.simplex_volume_in_chart(chart)
+    hom = polytope.homogeneous(SQUARE)
+    total = F(sum(polytope.simplex_volume([hom[i] for i in t]) for t in tris), factorial(2))
     assert total == 1
 
 
@@ -63,8 +61,55 @@ def test_placing_triangulation_deterministic():
 
 def test_relative_volume_unit_simplex():
     pts = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    chart = polytope.chart_coordinates(pts, pts)
-    assert polytope.simplex_volume_in_chart(chart) == F(1, factorial(3))
+    volume = F(polytope.simplex_volume(polytope.homogeneous(pts)), factorial(3))
+    assert volume == F(1, factorial(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: points(d, (d + 1, d + 1))))
+def test_simplex_volume_matches_chart_volume_oracle(pts):
+    hom = polytope.homogeneous(pts)
+    d = len(pts) - 1
+    volume = F(polytope.simplex_volume(hom), factorial(d) * hom[0][-1] ** d)
+    assert volume == chart_volume(pts)
+
+
+@st.composite
+def weighted_points(draw):
+    """An affinely independent simplex of dimension 0..n in ℝⁿ, n <= 5,
+    held over a multiple of its own denominator, and a point inside it,
+    on its affine hull but outside it, or anywhere (so off the hull when
+    the simplex is not full-dimensional), over denominators of its own."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n + 1))
+    vertex = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pts = [tuple(draw(vertex) for _ in range(n)) for _ in range(m)]
+    assume(linalg.affinely_independent(pts))
+    weight = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+    kind = draw(st.sampled_from(["inside", "outside", "anywhere"]))
+    if kind == "anywhere":
+        point = tuple(draw(weight) for _ in range(n))
+    else:
+        if kind == "inside":
+            raw = [abs(draw(weight)) for _ in range(m)]
+            assume(sum(raw) > 0)
+            w = [c / sum(raw) for c in raw]
+        else:
+            w = [draw(weight) for _ in range(m - 1)]
+            w.insert(0, 1 - sum(w))
+        point = tuple(sum(c * p[i] for c, p in zip(w, pts)) for i in range(n))
+    scale = draw(st.integers(1, 6))
+    hom = [tuple(scale * c for c in x) for x in polytope.homogeneous(pts)]
+    return pts, hom, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_points())
+def test_weights_match_barycentric_coordinates(case):
+    pts, hom, point = case
+    x = polytope.homogeneous([point])[0]
+    got = polytope.weights(polytope._integer_functionals(hom), hom, x)
+    assert got == linalg.barycentric_coordinates(point, pts)
 
 
 def test_h_polytope_vertices_cube_slice():
