@@ -110,15 +110,20 @@ class EuclideanComplex:
     coords: Mapping[int, Vec]
     # simplex -> its integer functionals, filled by `functionals`
     _functionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # vertex -> its integer coordinates, as `polytope.homogeneous` would
+    # compute them, handed over by a builder that holds them (`build`)
+    _integer_coords: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
-    def build(maximal, coords, labels=None, name="K") -> "EuclideanComplex":
+    def build(maximal, coords, labels=None, name="K", integer_coords=()) -> "EuclideanComplex":
         base = OrderedComplex.from_maximal(maximal, labels, name)
         dims = {len(c) for c in coords.values()}
         ambient = dims.pop() if len(dims) == 1 else None
         if ambient is None:
             raise ComplexStructureError("inconsistent coordinate lengths")
-        return EuclideanComplex(base, ambient, coords)
+        k = EuclideanComplex(base, ambient, coords)
+        k._integer_coords.update(integer_coords)
+        return k
 
     def __post_init__(self):
         object.__setattr__(
@@ -158,9 +163,16 @@ class EuclideanComplex:
     def integer_coords(self) -> dict[int, tuple[int, ...]]:
         """Homogeneous integer coordinates (D x, D) of every vertex, over
         the lcm D of all coordinate denominators (`polytope.homogeneous`),
-        computed once."""
+        computed once unless the builder handed them over."""
         vertices = self.base.vertices
-        return dict(zip(vertices, polytope.homogeneous([self.coords[v] for v in vertices])))
+        return self._integer_coords or dict(
+            zip(vertices, polytope.homogeneous([self.coords[v] for v in vertices]))
+        )
+
+    @functools.cached_property
+    def cells(self) -> dict[tuple[int, ...], frozenset]:
+        """Each maximal simplex -> the set of its points; computed once."""
+        return {s: frozenset(self.points(s)) for s in self.maximal_simplices()}
 
     def functionals(self, simplex):
         """The `polytope._integer_functionals` of a simplex of the complex,
@@ -539,6 +551,8 @@ def loads(text: str) -> EuclideanComplex:
             if len(parts) < 2:
                 raise ComplexStructureError(f"line {ln}: vertex without id")
             vid = int(parts[1])
+            if vid in coords:
+                raise ComplexStructureError(f"line {ln}: repeated vertex id {vid}")
             vals = [parse_rational(t) for t in parts[2:]]
             if len(vals) != ambient:
                 raise ComplexStructureError(f"line {ln}: expected {ambient} coordinates")

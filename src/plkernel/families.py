@@ -10,12 +10,19 @@ polytope per pair of simplices: the weights on both whose affine images
 agree, from `polytope.intersect_simplices`.  These polytopes are
 triangulated by placing in lexicographic order, so every result is
 deterministic.
+
+From the clip to the built complex, points stay in the clip's integer
+form, which the accumulator hands each complex as its `integer_coords`.
+Fractions appear once per built vertex (its coordinates), in `apply`'s
+values, the horn retraction's `lp.in_hull`, the regular-fiber probes and
+the bounding boxes of `same_point_set`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -97,7 +104,11 @@ class AffineSimplicialMap:
 
     def apply(self, simplex, point) -> Vec:
         """Value at a point of |simplex| (affine extension)."""
-        bc = _weights(self.source, simplex, polytope.homogeneous([as_vec(point)])[0])
+        return self._at(simplex, polytope.homogeneous([as_vec(point)])[0])
+
+    def _at(self, simplex, x) -> Vec:
+        """`apply` at a point x of |simplex| in homogeneous integer form."""
+        bc = _weights(self.source, simplex, x)
         if bc is None or any(c < 0 for c in bc):
             raise FamilyError("point outside the simplex")
         imgs = [self.vertex_images[v] for v in simplex]
@@ -135,11 +146,11 @@ def compose_maps(second: AffineSimplicialMap, first: AffineSimplicialMap) -> Aff
     holds because second is affine on a carrier simplex of each point."""
     images = {}
     for v in first.source.base.vertices:
-        x = first.vertex_images[v]
-        t = _carrier(second.source, [first.integer_images[v]])
+        x = first.integer_images[v]
+        t = _carrier(second.source, [x])
         if t is None:
             raise FamilyError(f"image of vertex {v} misses the middle complex")
-        images[v] = second.apply(t, x)
+        images[v] = second._at(t, x)
     return AffineSimplicialMap(first.source, second.target, images)
 
 
@@ -306,19 +317,21 @@ def constant_family(base: EuclideanComplex, fiber: EuclideanComplex, name=None) 
 
 
 class _ComplexAccumulator:
-    """Collects simplices given by exact point tuples and numbers the
-    vertices in lexicographic order at the end."""
+    """Collects simplices given by their points in homogeneous integer form
+    and numbers the vertices in lexicographic order at the end."""
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.simplices: list[tuple[Vec, ...]] = []
+        self.simplices: list[tuple[tuple[int, ...], ...]] = []
 
-    def add_polytope(self, verts: list[Vec]):
-        """Triangulate a polytope, given by its sorted, distinct vertices as
+    def add_polytope(self, verts):
+        """Triangulate a polytope, given by its sorted, distinct vertices in
+        homogeneous integer form over one denominator, as
         `polytope.intersect_simplices` and `hull_vertices` return them, and
-        keep its top simplices."""
+        keep its top simplices, each point keyed by its primitive form."""
+        keys = [polytope.primitive(x) for x in verts]
         for tri in polytope.placing_triangulation(verts):
-            self.simplices.append(tuple(verts[i] for i in tri))
+            self.simplices.append(tuple(keys[i] for i in tri))
 
     def build(self, name="K") -> EuclideanComplex:
         first: dict = {}  # each point's id in the order seen, renumbered below
@@ -327,12 +340,13 @@ class _ComplexAccumulator:
             return EuclideanComplex(
                 complexes.OrderedComplex((), frozenset(), {}, name), self.ambient, {}
             )
-        points = list(first)
-        order = sorted(range(len(points)), key=points.__getitem__)
+        hom = polytope._over_lcm(list(first))  # the complex's integer_coords
+        order = sorted(range(len(hom)), key=hom.__getitem__)
         vid = {j: i for i, j in enumerate(order)}
         maximal = sorted({tuple(sorted(vid[j] for j in s)) for s in seen})
-        coords = {i: points[j] for i, j in enumerate(order)}
-        return EuclideanComplex.build(maximal, coords, name=name)
+        held = [hom[j] for j in order]
+        coords = dict(enumerate(polytope.dehomogenize(held)))
+        return EuclideanComplex.build(maximal, coords, name=name, integer_coords=dict(enumerate(held)))
 
 
 def pullback(f: AffineSimplicialMap, w: PolyhedralFamily, name=None) -> PolyhedralFamily:
@@ -397,15 +411,11 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
 
 def _chart_polytope_volume(verts, dim) -> Fraction:
     """dim! times the dim-volume of a polytope in a dim-dimensional chart,
-    given by its sorted, distinct vertices."""
-    hom = polytope.homogeneous(verts)
+    given by its sorted, distinct vertices in homogeneous integer form over
+    one denominator, as `polytope.intersect_simplices` returns them."""
     tops = [t for t in polytope.placing_triangulation(verts) if len(t) == dim + 1]
-    total = sum(polytope.simplex_volume([hom[i] for i in t]) for t in tops)
-    return Fraction(total, hom[0][-1] ** dim)
-
-
-def _maximal_cells(ec: EuclideanComplex) -> set:
-    return {frozenset(ec.points(s)) for s in ec.maximal_simplices()}
+    total = sum(polytope.simplex_volume([verts[i] for i in t]) for t in tops)
+    return Fraction(total, verts[0][-1] ** dim)
 
 
 def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
@@ -426,7 +436,7 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         return False
     from .prism import delta_vertex
 
-    a_cells, b_cells = _maximal_cells(a), _maximal_cells(b)
+    a_cells, b_cells = set(a.cells.values()), set(b.cells.values())
     if a_cells == b_cells:
         return True
     d = a.dimension
@@ -436,8 +446,7 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         # the chart of s, whose vertices go to those of Δ^k
         per_dim = {}
         for s in sorted(src.maximal_simplices()):
-            pts = src.points(s)
-            if frozenset(pts) in other_cells:
+            if src.cells[s] in other_cells:
                 continue
             k = len(s) - 1
             if k not in per_dim:
@@ -447,7 +456,7 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
                     [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
                 )
             chart, around = per_dim[k]
-            box = polytope.bounding_box(pts)
+            box = polytope.bounding_box(src.points(s))
             piece = src.integer_simplex(s)
             covered = 0
             for t, tbox in around:
@@ -579,7 +588,7 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
         )
         if len(cone_verts) > p:
             acc.add_polytope(cone_verts)
-            cone_of.append((i, cone_verts))
+            cone_of.append((i, polytope.dehomogenize(cone_verts)))
     tri = acc.build(name=f"cones({p},{j})")
 
     def bary_coord(x, i):
@@ -647,24 +656,27 @@ def restrict_family(w: PolyhedralFamily, sub_base: EuclideanComplex, name=None) 
 class ManifoldReport:
     ok: bool
     exact: bool  # True for d <= 2 (genuine recognition), else necessary only
-    failures: tuple = ()  # (vertex, betti vector)
+    failures: tuple = ()  # (vertex, its link's top simplices, or for d >= 3 betti vector)
     note: str = ""
 
 
 def manifold_check(k: EuclideanComplex, d: int) -> ManifoldReport:
-    """Necessary link condition: every vertex link has the homology of
-    S^{d-1} (or of a point for boundary vertices)."""
+    """Link condition: every vertex link is a PL (d-1)-sphere or ball
+    (Rourke & Sanderson, 1972).  For d <= 2 the links are read directly,
+    which decides it (`_ball_or_sphere`); for d >= 3 each link need only
+    have the homology of S^{d-1}, or of a point for boundary vertices."""
     base = k.base
     if any(len(s) != d + 1 for s in base.maximal_simplices()):
         raise ComplexStructureError(f"complex is not pure of dimension {d}")
-    boundary_faces = set()
-    count: dict[tuple, int] = {}
-    for s in base.simplices_of_dim(d):
-        for i in range(d + 1):
-            fct = s[:i] + s[i + 1 :]
-            count[fct] = count.get(fct, 0) + 1
-    boundary_faces = {fct for fct, c in count.items() if c == 1}
-    boundary_vertices = {v for fct in boundary_faces for v in fct}
+    if d <= 2:
+        links: dict[int, list] = {v: [] for v in base.vertices}
+        for s in base.simplices_of_dim(d):
+            for i, v in enumerate(s):
+                links[v].append(s[:i] + s[i + 1 :])
+        failures = tuple((v, tuple(lk)) for v, lk in links.items() if not _ball_or_sphere(lk))
+        return ManifoldReport(not failures, True, failures, "vertex links read directly")
+    count = Counter(s[:i] + s[i + 1 :] for s in base.simplices_of_dim(d) for i in range(d + 1))
+    boundary_vertices = {v for fct, c in count.items() if c == 1 for v in fct}
     # link of an interior vertex ~ S^{d-1}, of a boundary vertex ~ point
     sphere = (2,) if d == 1 else tuple([1] + [0] * (d - 2) + [1])
     point = (1,) + (0,) * (d - 1)
@@ -678,12 +690,21 @@ def manifold_check(k: EuclideanComplex, d: int) -> ManifoldReport:
         torsion_free = all(not h.torsion(i) for i in range(len(betti)))
         if betti != want or not torsion_free:
             failures.append((v, betti))
-    note = (
-        "link homology is a full recognition in dimension <= 2"
-        if d <= 2
-        else "necessary condition only in dimension >= 3"
-    )
-    return ManifoldReport(not failures, d <= 2, tuple(failures), note)
+    note = "necessary condition only in dimension >= 3"
+    return ManifoldReport(not failures, False, tuple(failures), note)
+
+
+def _ball_or_sphere(link) -> bool:
+    """Whether the top simplices of a vertex link of dimension <= 1 make a
+    sphere or a ball: the empty link of a 0-manifold, one point or two, or
+    a connected graph of degree at most 2, that is a cycle or a path."""
+    if len(link[0]) <= 1:
+        return len(link) <= 2
+    degree = Counter(u for edge in link for u in edge)
+    reached = set(link[0])
+    for _ in link:
+        reached.update(u for edge in link if reached.intersection(edge) for u in edge)
+    return max(degree.values()) <= 2 and len(reached) == len(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +738,16 @@ def transport_total(fam: PolyhedralFamily, chart_pts, base_ambient: int) -> Eucl
     ambient base, sending e_i to chart_pts[i] (fiber coordinates kept)."""
     k = len(chart_pts) - 1
     acc = _ComplexAccumulator(base_ambient + fam.fiber_dim)
+    # (D y, D) in the chart goes to (E D x, E D), the same E D for every
+    # vertex, with x = sum(lambda_i c_i) for homogeneous (E c_i, E)
+    chart = polytope.homogeneous(chart_pts)
+    cols, e = list(zip(*chart))[:-1], chart[0][-1]
+    mapped = {}
+    for v, y in fam.total.integer_coords.items():
+        lams = (y[-1] - sum(y[:k]),) + y[:k]
+        mapped[v] = tuple(polytope._value(col, lams) for col in cols) + tuple(e * c for c in y[k:])
     for sigma in fam.total.maximal_simplices():
-        pts = []
-        for v in sigma:
-            x = fam.total.coords[v]
-            chart, fib = x[:k], x[k:]
-            lams = (1 - sum(chart),) + tuple(chart)
-            pt = tuple(
-                sum(lams[i] * chart_pts[i][t] for i in range(k + 1))
-                for t in range(base_ambient)
-            )
-            pts.append(pt + tuple(fib))
-        acc.add_polytope(polytope.hull_vertices(pts))
+        acc.add_polytope(polytope.hull_vertices([mapped[v] for v in sigma]))
     return acc.build(name="transported")
 
 
@@ -750,7 +769,7 @@ def reassemble(assignment: dict, carrier_base: EuclideanComplex, w: PolyhedralFa
         chart_pts = [carrier_base.coords[v] for v in s]
         piece = transport_total(assignment[s], chart_pts, w.base.ambient_dim)
         for sigma in piece.maximal_simplices():
-            acc.add_polytope(sorted(piece.points(sigma)))
+            acc.add_polytope([piece.integer_coords[v] for v in sigma])
     return acc.build(name="reassembled")
 
 

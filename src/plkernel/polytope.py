@@ -13,7 +13,11 @@ the complex's own D, and `EuclideanComplex.functionals` each simplex's
 functionals; an affine map holds its vertex images and a family its
 simplices' base and fiber parts.  Only raw points from outside a complex
 (query points, charts, tests) are scaled, by `homogeneous` and
-`integer_simplex`, and Fractions come back only in results.
+`integer_simplex`.  Point lists pass between routines over one shared
+denominator, the lcm of their reduced denominators (`_over_lcm`), so
+integer order is point order.  Fractions come back only in `weights`, in
+`dehomogenize` and in the test references `enumerate_basic_solutions`,
+`h_polytope_vertices` and `chart_coordinates`.
 
 Which side of a simplex's facet a point lies on is decided by one routine,
 `_integer_functionals`: the integer facet functionals and affine-hull
@@ -34,11 +38,8 @@ integer weights (`_clip_simplex`), whichever side is affinely dependent.
 Each side comes as an `IntegerSimplex`, its homogeneous points and its
 known independence, so a clip scales nothing and tests no independence.
 The pieces of `families`, point-set comparison and the cones of the horn
-retraction all read it; it returns them sorted and distinct, as placing
-takes them.  The common-face test of `complexes.validate` runs the same
-clip on the complex's integer points.  `enumerate_basic_solutions` and
-`h_polytope_vertices` have no caller here; they are the independent
-references the tests compare the clip against.
+retraction all read it.  The common-face test of `complexes.validate`
+runs the same clip on the complex's integer points.
 """
 
 from __future__ import annotations
@@ -46,35 +47,36 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
-from .linalg import Vec, as_vec, dot
+from .linalg import Vec, dot
 
 
-def hull_vertices(points) -> list[Vec]:
-    """Extreme points of the convex hull, sorted lexicographically.
+def hull_vertices(points) -> list[tuple[int, ...]]:
+    """Extreme points of the convex hull of homogeneous integer points over
+    one shared denominator, sorted and distinct, over the lcm of their
+    reduced denominators.
 
     A point is extreme exactly when the hull facets through it, together
     with the equations of the hull's affine span, cut out that point alone;
     the facets are read off the boundary of the placing triangulation.
     """
-    pts = sorted(set(as_vec(p) for p in points))
-    hom = homogeneous(pts)
+    hom = sorted(set(points))
     # affinely independent point sets (the empty one too) are entirely
     # extreme
     if _independent(hom):
-        return pts
+        return _over_lcm([primitive(x) for x in hom])
     _, boundary, equations = _place(hom)
     facet_rows = {tuple(row) for row in boundary.values()}
-    n = len(pts[0])
+    n = len(hom[0]) - 1
     out = []
-    for p, x in zip(pts, hom):
+    for x in hom:
         tight = [list(row) for row in facet_rows if _value(row, x) == 0]
         if len(linalg.eliminate(tight + [list(row) for row in equations])[0]) == n:
-            out.append(p)
-    return out
+            out.append(primitive(x))
+    return _over_lcm(out)
 
 
 def _row_basis(rows) -> list[int]:
@@ -164,22 +166,43 @@ def homogeneous(points) -> list[tuple[int, ...]]:
     return [x + (den,) for x in ipts]
 
 
+def dehomogenize(hom) -> list[Vec]:
+    """The Fraction points of homogeneous integer points (D x, D)."""
+    return [tuple(Fraction(c, x[-1]) for c in x[:-1]) for x in hom]
+
+
+def primitive(x) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of x; of a homogeneous point,
+    its one key, whose last entry is the point's reduced denominator."""
+    g = gcd(*x)
+    return tuple(c // g for c in x)
+
+
+def _over_lcm(prim) -> list[tuple[int, ...]]:
+    """Primitive homogeneous points over one denominator, the lcm of their
+    reduced denominators; over it, integer order is point order."""
+    den = lcm(*[x[-1] for x in prim])
+    return [tuple(c * (den // x[-1]) for c in x) for x in prim]
+
+
 def integer_simplex(points) -> IntegerSimplex:
     """The integer form of raw points, for callers that hold no complex."""
     hom = homogeneous(points)
     return IntegerSimplex(hom, _independent(hom))
 
 
-def intersect_simplices(p, q, p_out=None, q_out=None) -> list[Vec]:
+def intersect_simplices(p, q, p_out=None, q_out=None) -> list[tuple[int, ...]]:
     """Vertices of the polytope of weights on two simplices whose points agree.
 
     Every argument is an `IntegerSimplex`.  Over lambda, mu >= 0 with
     sum(lambda) = sum(mu) = 1 and sum(lambda_i p_i) = sum(mu_j q_j),
     returns the hull vertices of the points sum(lambda_i p_out_i) ++
-    sum(mu_j q_out_j), sorted and distinct.  The defaults (p_out = p,
-    q_out empty) give hull(P) ∩ hull(Q); other outputs read the same
-    polytope through the affine maps that send p_i to p_out_i and q_j to
-    q_out_j.
+    sum(mu_j q_out_j), sorted and distinct, as homogeneous integer points
+    (L x, L) over one L per call, the lcm of their reduced denominators;
+    over a shared L the integer order is the lexicographic order of the
+    points.  The defaults (p_out = p, q_out empty) give hull(P) ∩ hull(Q);
+    other outputs read the same polytope through the affine maps that send
+    p_i to p_out_i and q_j to q_out_j.
 
     The joint weights range over the standard simplex on the homogeneous
     points (D_P p_i, D_P) and -(D_Q q_j, D_Q); one clip by the unit
@@ -203,14 +226,13 @@ def intersect_simplices(p, q, p_out=None, q_out=None) -> list[Vec]:
     p_den, q_den = p_out.points[0][-1], q_out.points[0][-1]
     p_cols = list(zip(*p_out.points))[:-1]
     q_cols = list(zip(*q_out.points))[:-1]
-    pts = []
+    prim = []
     for w in _clip_simplex(joint, [], units):
         lam, mu = w[:m], w[m:]
         p_total, q_total = sum(lam) * p_den, sum(mu) * q_den
-        pts.append(
-            tuple(Fraction(_value(col, lam), p_total) for col in p_cols)
-            + tuple(Fraction(_value(col, mu), q_total) for col in q_cols)
-        )
+        x = [_value(c, lam) * q_total for c in p_cols] + [_value(c, mu) * p_total for c in q_cols]
+        prim.append(primitive(x + [p_total * q_total]))
+    pts = _over_lcm(prim)
     # outputs that determine the weights keep the vertices apart: lambda,
     # read off an independent p_out, fixes the point and so mu on an
     # independent Q; likewise with the sides swapped
@@ -287,24 +309,23 @@ def chart_coordinates(points, basis_points) -> list[Vec]:
 
 
 def placing_triangulation(points) -> list[tuple[int, ...]]:
-    """Triangulate the hull of sorted, distinct points by lexicographic
-    placing.
+    """Triangulate the hull of sorted, distinct homogeneous integer points
+    over one shared denominator by lexicographic placing.
 
     `intersect_simplices` and `hull_vertices` return their points in that
-    form, so nothing here sorts or deduplicates them again.  Returns the
-    top-dimensional simplices as sorted index tuples into `points`.  An
-    affinely independent set is returned as its one simplex, which is all
-    that placing would build; only dependent sets are placed.  Placing
-    takes every point, so points not in convex position (which
+    form, so nothing here scales, sorts or deduplicates them again.
+    Returns the top-dimensional simplices as sorted index tuples into
+    `points`.  An affinely independent set is returned as its one simplex,
+    which is all that placing would build; only dependent sets are placed.
+    Placing takes every point, so points not in convex position (which
     hull_vertices / vertex enumeration never produce) become vertices of
     the triangulation too.
     """
     if not points:
         return []
-    hom = homogeneous(points)
-    if _independent(hom):
+    if _independent(points):
         return [tuple(range(len(points)))]
-    return sorted(_place(hom)[0])
+    return sorted(_place(points)[0])
 
 
 def _value(row, x) -> int:
@@ -425,18 +446,12 @@ def _integer_functionals(hom):
     if len(pivots) < m:
         return None
     d = aug[0][pivots[0]]  # shared by all pivot rows; the last column is never 0
-
-    def primitive(vec):
-        # the primitive integer vector on the ray of vec / d
-        g = gcd(*vec) if d > 0 else -gcd(*vec)
-        return [x // g for x in vec]
-
     out_rows, out_off = [], []
     for i in range(m):
         vec = [0] * n
         for r, c in enumerate(pivots):
             vec[c] = aug[r][n + i]
-        vec = primitive(vec)
+        vec = list(primitive(vec))
         if _value(vec, hom[i]) < 0:
             vec = [-x for x in vec]
         out_rows.append(vec)
@@ -449,7 +464,7 @@ def _integer_functionals(hom):
         vec[fc] = d
         for r, c in enumerate(pivots):
             vec[c] = -aug[r][fc]
-        vec = primitive(vec)
+        vec = list(primitive(vec))
         out_rows.append(vec)
         out_off.append(-1)
         out_rows.append([-x for x in vec])

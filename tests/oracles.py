@@ -8,7 +8,9 @@ dict keyed by (degree, generator, i) and hands it to the validating
 `raw_intersect_simplices` is the simplex clip on raw points, scaled to
 integers over one joint denominator per call, for the integer-form
 `polytope.intersect_simplices`, and `chart_volume` the Fraction volume of
-a simplex in chart coordinates, for `polytope.simplex_volume`."""
+a simplex in chart coordinates, for `polytope.simplex_volume`.
+`on_fractions` calls the integer-form polytope routines with Fraction
+points, as the tests that predate that form do."""
 
 import itertools
 from fractions import Fraction
@@ -181,6 +183,17 @@ def dict_sd_delta(x):
     return prism.SubdividedDeltaSet(delta.DeltaSet(gens, faces, f"sd {x.name}"), carrier)
 
 
+def on_fractions(routine, *args):
+    """Call an integer-form `polytope` routine with Fraction points: each
+    list or set of points among args is scaled over one denominator
+    (`polytope.homogeneous`), any other argument passes as it is, and the
+    homogeneous points that come back are read as Fractions; placing's
+    index tuples come back as they are."""
+    args = [polytope.homogeneous(list(a)) if isinstance(a, (list, set)) else a for a in args]
+    out = routine(*args)
+    return out if routine is polytope.placing_triangulation else polytope.dehomogenize(out)
+
+
 def raw_intersect_simplices(p_points, q_points, p_out=None, q_out=None):
     """`polytope.intersect_simplices` on raw points: both sides scaled to
     integers over one denominator, outputs over another, and the four
@@ -214,7 +227,7 @@ def raw_intersect_simplices(p_points, q_points, p_out=None, q_out=None):
         independent(outs[m:]) and independent(ipts[:m])
     ):
         return sorted(pts)
-    return polytope.hull_vertices(pts)
+    return on_fractions(polytope.hull_vertices, pts)
 
 
 def chart_volume(chart_pts):

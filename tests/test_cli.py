@@ -114,6 +114,15 @@ def test_vertex_without_id_exit_1(tmp_path, capsys):
     assert "ComplexStructureError" in err
 
 
+def test_validate_repeated_vertex_id_exit_1(tmp_path, capsys):
+    path = tmp_path / "twice.cplx"
+    path.write_text("complex K ambient=1\nv 1 1\nv 1 5\ns 1\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "ComplexStructureError" in err and "line 3: repeated vertex id 1" in err
+
+
 def test_map_vertex_without_id_exit_1(tmp_path, capsys):
     src = tmp_path / "seg.cplx"
     complexes.dump(families.standard_simplex_complex(1), src)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import raw_intersect_simplices
+from oracles import on_fractions, raw_intersect_simplices
 from plkernel import complexes, delta, families, linalg, polytope, prism, suite
 
 F = Fraction
@@ -257,6 +257,12 @@ def test_file_roundtrip(tmp_path):
     assert back.simplices == k.simplices
     assert back.coords == k.coords
     assert complexes.dumps(back) == complexes.dumps(k)
+
+
+def test_loads_rejects_repeated_vertex_id():
+    # the second line used to overwrite the first without a word
+    with pytest.raises(complexes.ComplexStructureError, match="line 3: repeated vertex id 1"):
+        complexes.loads("complex K ambient=1\nv 1 1\nv 1 5\ns 1\n")
 
 
 # -- the local certificate against the pair path -----------------------------
@@ -717,8 +723,8 @@ def pair_verdict(coords, a, b):
     k = complexes.EuclideanComplex.build([a, b], coords)
     shared = sorted(linalg.as_vec(coords[v]) for v in set(a) & set(b))
     pa, pb = k.integer_simplex(a), k.integer_simplex(b)
-    expected = polytope.intersect_simplices(pa, pb) == shared
-    assert (polytope.intersect_simplices(pb, pa) == shared) == expected
+    expected = on_fractions(polytope.intersect_simplices, pa, pb) == shared
+    assert (on_fractions(polytope.intersect_simplices, pb, pa) == shared) == expected
     assert complexes.validate(k).ok == expected
     return expected
 
@@ -846,7 +852,8 @@ def test_complex_holds_its_integer_form(kind, seed):
         outs = [
             random_points(rng, k, len(s)) if rng.random() < 0.5 else None for s in (a, b)
         ]
-        got = polytope.intersect_simplices(
+        got = on_fractions(
+            polytope.intersect_simplices,
             k.integer_simplex(a),
             sd.integer_simplex(b),
             *(None if x is None else polytope.integer_simplex(x) for x in outs),

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from plkernel import complexes, families, homology, linalg, polytope, suite
 
+from oracles import on_fractions
+
 F = Fraction
 
 
@@ -177,7 +179,7 @@ def placed(points, name="K"):
     """The placing triangulation of a point set, as a complex."""
     pts = sorted(set(points))
     return complexes.EuclideanComplex.build(
-        polytope.placing_triangulation(pts), dict(enumerate(pts)), name=name
+        on_fractions(polytope.placing_triangulation, pts), dict(enumerate(pts)), name=name
     )
 
 
@@ -233,7 +235,7 @@ def moved(k, f, name):
 @given(point_clouds(), point_clouds())
 def test_same_point_set_properties(pts, other_pts):
     k = placed(pts)
-    hull = placed(polytope.hull_vertices(pts), "hull")
+    hull = placed(on_fractions(polytope.hull_vertices, pts), "hull")
     other = placed(other_pts, "L")
     sd = complexes.barycentric_subdivide(k)
     assert families.same_point_set(k, k)
@@ -310,7 +312,8 @@ def test_horn_retraction_cones_match_h_description(p, j):
         others = [t for t in range(p + 1) if t != i]
         walls = _walls([q] + [verts[t] for t in others])[1:]
         ineqs = _walls(verts) + [w for t, w in zip(others, walls) if t != j]
-        cone = polytope.intersect_simplices(
+        cone = on_fractions(
+            polytope.intersect_simplices,
             polytope.integer_simplex(verts),
             polytope.integer_simplex([q] + [verts[t] for t in others]),
         )
@@ -457,3 +460,124 @@ def test_families_and_join_run_no_fraction_solve():
         joined = complexes.join(ec.coords[v], complexes.link(v, ec), vertex_id=v)
         assert joined.base.simplices == complexes.star(v, ec).base.simplices
     assert (solve.call_count, independent.call_count, chart.call_count) == (0, 0, 0)
+
+
+def test_manifold_check_fails_on_book_and_fin():
+    """Links read directly: three pages on one spine edge, and a triangle
+    glued to ∂Δ³ along an edge, fail at the spine's ends, whose links
+    have a vertex of degree 3; so does the centre of a tripod in d = 1."""
+    book = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+        {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1), 4: (0, -1, -1)},
+    )
+    assert complexes.validate(book).ok
+    rep = families.manifold_check(book, 2)
+    assert not rep.ok and rep.exact
+    assert rep.failures == ((0, ((1, 2), (1, 3), (1, 4))), (1, ((0, 2), (0, 3), (0, 4))))
+    sphere = suite.boundary_tetrahedron()
+    fin = complexes.EuclideanComplex.build(
+        sphere.maximal_simplices() + [(0, 1, 4)], {**sphere.coords, 4: (F(1, 2), F(-1), F(0))}
+    )
+    assert complexes.validate(fin).ok
+    rep = families.manifold_check(fin, 2)
+    assert not rep.ok and [v for v, _ in rep.failures] == [0, 1]
+    tripod = complexes.EuclideanComplex.build(
+        [(0, 1), (0, 2), (0, 3)], {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (-1, -1)}
+    )
+    rep = families.manifold_check(tripod, 1)
+    assert not rep.ok and rep.failures == ((0, ((1,), (2,), (3,))),)
+    assert families.manifold_check(families.standard_simplex_complex(1), 1).ok
+
+
+def test_compose_maps_reads_the_held_images():
+    """compose_maps reads each vertex image in the integer form the first
+    map holds: its images are those of `apply` on the Fraction image, and
+    it scales no point per source vertex."""
+    mid = complexes.barycentric_subdivide(families.standard_simplex_complex(2))
+    src = complexes.barycentric_subdivide(families.standard_simplex_complex(2))
+    t = mid.points(mid.maximal_simplices()[2])
+
+    def onto_t(x):
+        lam = (1 - sum(x),) + tuple(x)
+        return tuple(sum(c * p[i] for c, p in zip(lam, t)) for i in range(2))
+
+    first = families.AffineSimplicialMap(src, mid, {v: onto_t(x) for v, x in src.coords.items()})
+    second = families.AffineSimplicialMap(
+        mid,
+        families.standard_simplex_complex(2),
+        {v: (x[0] / 2 + F(1, 7), x[1] / 3 + F(1, 5)) for v, x in mid.coords.items()},
+    )
+    assert first.integer_images and mid.integer_coords
+    with mock.patch.object(linalg, "integer_points", wraps=linalg.integer_points) as spy:
+        composed = families.compose_maps(second, first)
+    # the composed map's own images, once
+    assert spy.call_count <= 1 < len(src.base.vertices)
+    for v, x in first.vertex_images.items():
+        home = families._carrier(mid, polytope.homogeneous([x]))
+        assert composed.vertex_images[v] == second.apply(home, x)
+
+
+def law_fixture():
+    """The maps and family of one composition-law verdict of criterion 7."""
+    rng = random.Random(911)
+    P, Q, R = (families.standard_simplex_complex(d) for d in (2, 1, 2))
+    f, g = (
+        families.AffineSimplicialMap(
+            a, b, {v: suite._random_point_in(rng, b) for v in a.base.vertices}
+        )
+        for a, b in ((P, Q), (Q, R))
+    )
+    return f, g, families.constant_family(R, suite.segment_fiber())
+
+
+def held_form_is_homogeneous(k):
+    vertices = k.base.vertices
+    return k.integer_coords == dict(
+        zip(vertices, polytope.homogeneous([k.coords[v] for v in vertices]))
+    )
+
+
+def test_built_complexes_hold_their_integer_form():
+    """Every complex the accumulator builds (pullback pieces and totals,
+    slices, transported and reassembled totals) holds, from its
+    construction on, the integer coordinates `polytope.homogeneous` would
+    compute from its coordinates."""
+    f, g, w = law_fixture()
+    lift = suite.lift_fixtures()[0]
+    assignment, sd_base = families.subdivision_lift(lift)
+    s = sd_base.maximal_simplices()[0]
+    built = [
+        families.pullback(f, families.pullback(g, w)),
+        families.pullback(families.compose_maps(g, f), w),
+    ]
+    with mock.patch.object(linalg, "integer_points", wraps=linalg.integer_points) as spy:
+        made = [
+            *(x for fam in built for x in (fam.subdivision, fam.total)),
+            families.slice_family(w, (F(1, 3), F(1, 4))),
+            families.transport_total(assignment[s], sd_base.points(s), lift.base.ambient_dim),
+            families.reassemble(assignment, sd_base, lift),
+        ]
+        scaled = spy.call_count
+        for k in made:
+            assert k._integer_coords and k.integer_coords
+        assert spy.call_count == scaled
+    assert all(held_form_is_homogeneous(k) for k in made)
+    assert families.same_point_set(made[-1], lift.total)
+
+
+def test_pullback_law_scales_few_points():
+    """The clip's points reach the built complexes, the placing and the
+    chart volumes in integer form: placing, hull vertices and chart
+    volumes scale nothing, and one composition-law verdict scales raw
+    points once per map, complex or chart, not once per piece."""
+    f, g, w = law_fixture()
+    cut = polytope.homogeneous([(F(0),) * 2, (F(1, 2), F(0)), (F(0), F(1, 3)), (F(1, 2), F(1, 3))])
+    with mock.patch.object(linalg, "integer_points", wraps=linalg.integer_points) as scale:
+        polytope.placing_triangulation(cut)
+        polytope.hull_vertices(cut)
+        families._chart_polytope_volume(cut, 2)
+        assert scale.call_count == 0
+        lhs = families.pullback(families.compose_maps(g, f), w)
+        rhs = families.pullback(f, families.pullback(g, w))
+        assert families.same_point_set(lhs.total, rhs.total)
+    assert scale.call_count <= 20

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plkernel import linalg, lp, polytope, suite
 from plkernel.prism import delta_vertex
 
-from oracles import chart_volume
+from oracles import chart_volume, on_fractions, raw_intersect_simplices
 
 F = Fraction
 
@@ -20,12 +20,12 @@ SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
 def clip(p, q, p_out=None, q_out=None):
     """intersect_simplices on raw points, each list in its own integer form."""
     sides = [None if x is None else polytope.integer_simplex(x) for x in (p, q, p_out, q_out)]
-    return polytope.intersect_simplices(*sides)
+    return on_fractions(polytope.intersect_simplices, *sides)
 
 
 def test_hull_vertices_drops_interior():
     pts = SQUARE + [(F(1, 2), F(1, 2)), (F(1, 2), F(0))]
-    hull = polytope.hull_vertices(pts)
+    hull = on_fractions(polytope.hull_vertices, pts)
     assert sorted(hull) == sorted(SQUARE)
 
 
@@ -46,7 +46,7 @@ def test_intersect_simplices():
 
 
 def test_placing_triangulation_square():
-    tris = polytope.placing_triangulation(SQUARE)
+    tris = on_fractions(polytope.placing_triangulation, SQUARE)
     assert len(tris) == 2
     hom = polytope.homogeneous(SQUARE)
     total = F(sum(polytope.simplex_volume([hom[i] for i in t]) for t in tris), factorial(2))
@@ -54,8 +54,8 @@ def test_placing_triangulation_square():
 
 
 def test_placing_triangulation_deterministic():
-    a = polytope.placing_triangulation(SQUARE)
-    b = polytope.placing_triangulation(SQUARE)
+    a = on_fractions(polytope.placing_triangulation, SQUARE)
+    b = on_fractions(polytope.placing_triangulation, SQUARE)
     assert a == b
 
 
@@ -258,7 +258,7 @@ CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 @example([(F(0),), (F(1, 2),), (F(1),), (F(2),)])
 @example(CUBE + [(F(1, 2),) * 3])
 def test_hull_vertices_match_lp_oracle(pts):
-    assert polytope.hull_vertices(pts) == hull_oracle(pts)
+    assert on_fractions(polytope.hull_vertices, pts) == hull_oracle(pts)
 
 
 # affinely independent sets, each its own triangulation, and four coplanar
@@ -280,15 +280,15 @@ COPLANAR_R3 = [(F(0),) * 3, (F(2), F(0), F(1)), (F(0), F(2), F(1)), (F(1), F(1),
 @example(EDGE_R2)
 @example(COPLANAR_R3)
 def test_placing_triangulation_matches_oracle(pts):
-    assert polytope.placing_triangulation(sorted(set(pts))) == placing_oracle(pts)
+    assert on_fractions(polytope.placing_triangulation, sorted(set(pts))) == placing_oracle(pts)
 
 
 def test_placing_triangulation_places_dependent_sets_only():
     with mock.patch.object(polytope, "_place", wraps=polytope._place) as place:
         for pts in (TETRAHEDRON, TRIANGLE_R4, EDGE_R2):
-            assert polytope.placing_triangulation(pts) == [tuple(range(len(pts)))]
+            assert on_fractions(polytope.placing_triangulation, pts) == [tuple(range(len(pts)))]
         assert place.call_count == 0
-        assert len(polytope.placing_triangulation(sorted(COPLANAR_R3))) == 2
+        assert len(on_fractions(polytope.placing_triangulation, sorted(COPLANAR_R3))) == 2
         assert place.call_count == 1
 
 
@@ -306,7 +306,7 @@ def two_sided_oracle(p_points, q_points, p_out, q_out):
             tuple(sum(w * x[i] for w, x in zip(sol[:nl], p_out)) for i in range(len(p_out[0])))
             + tuple(sum(w * x[i] for w, x in zip(sol[nl:], q_out)) for i in range(len(q_out[0])))
         )
-    return polytope.hull_vertices(pts)
+    return on_fractions(polytope.hull_vertices, pts)
 
 
 def points(n, size):
@@ -423,3 +423,57 @@ def test_intersect_simplices_matches_oracle_on_pullback_pieces(case):
     p, q, p_out, q_out = case
     got = clip(p, q, p_out, q_out)
     assert got == two_sided_oracle(p, q, p_out, q_out or [()] * len(q))
+
+
+@st.composite
+def clip_inputs(draw):
+    """Two point lists over mixed denominators, with outputs or without:
+    both sides affinely independent, a side with a dependent point (a
+    repeat or an affine combination of its points), or sides in ℝ⁵.  A
+    point of Q is free or an affine combination of P's points, so the two
+    hulls often meet."""
+    kind = draw(st.sampled_from(["independent", "dependent", "R5"]))
+    n = 5 if kind == "R5" else draw(st.integers(1, 3))
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    weight = st.fractions(min_value=-1, max_value=2, max_denominator=5)
+
+    def free(count):
+        return [tuple(draw(value) for _ in range(n)) for _ in range(count)]
+
+    def combination(pts):
+        w = [draw(weight) for _ in pts[1:]]
+        w.insert(0, 1 - sum(w))
+        return tuple(sum(c * x[i] for c, x in zip(w, pts)) for i in range(n))
+
+    p = free(draw(st.integers(1, min(n + 1, 4))))
+    q = [
+        combination(p) if draw(st.booleans()) else free(1)[0]
+        for _ in range(draw(st.integers(1, min(n + 1, 4))))
+    ]
+    if kind == "dependent":
+        side = draw(st.sampled_from([p, q]))
+        side.insert(draw(st.integers(0, len(side))), combination(side))
+    elif kind == "independent":
+        assume(linalg.affinely_independent(p) and linalg.affinely_independent(q))
+    outs = [
+        draw(st.none() | st.integers(0, 2).flatmap(lambda m, k=len(x): points(m, (k, k))))
+        for x in (p, q)
+    ]
+    return p, q, *outs
+
+
+@settings(max_examples=200, deadline=None)
+@given(clip_inputs())
+def test_integer_clip_and_placing_match_fraction_pipeline(case):
+    """The clip's homogeneous points over one shared denominator L, and
+    placing on them, against the clip on raw points read as Fractions and
+    the Fraction placing reference: the same points, in the same order,
+    with L the lcm of their reduced denominators, and the same simplices."""
+    sides = [None if x is None else polytope.integer_simplex(x) for x in case]
+    hom = polytope.intersect_simplices(*sides)
+    want = raw_intersect_simplices(*case)
+    assert polytope.dehomogenize(hom) == want
+    assert hom == sorted(set(hom))
+    if hom:
+        assert {x[-1] for x in hom} == {lcm(*[c.denominator for x in want for c in x])}
+    assert polytope.placing_triangulation(hom) == placing_oracle(want)
