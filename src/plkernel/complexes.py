@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -110,6 +111,8 @@ class EuclideanComplex:
     coords: Mapping[int, Vec]
     # simplex -> its integer functionals, filled by `functionals`
     _functionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # simplex -> its bounding box, filled by `box`
+    _boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # vertex -> its integer coordinates, as `polytope.homogeneous` would
     # compute them, handed over by a builder that holds them (`build`)
     _integer_coords: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -183,6 +186,14 @@ class EuclideanComplex:
             table[simplex] = polytope._integer_functionals([coords[v] for v in simplex])
         return table[simplex]
 
+    def box(self, simplex) -> tuple:
+        """The `polytope.bounding_box` of a simplex's points; computed once
+        per simplex."""
+        box = self._boxes.get(simplex)
+        if box is None:
+            box = self._boxes[simplex] = polytope.bounding_box(self.points(simplex))
+        return box
+
     def integer_simplex(self, simplex) -> polytope.IntegerSimplex:
         """A simplex of the complex in the integer form of
         `polytope.intersect_simplices`."""
@@ -234,15 +245,14 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     1. a local certificate, for pure complexes of full dimension: matched
        interior ridges, boundary ridges on the hull, and one point covered
        once prove the complex a triangulation of its hull;
-    2. otherwise, one sweep along the first axis pairs each maximal
-       simplex with the later ones whose integer intervals on that axis
-       meet its own; the pairs it leaves out have disjoint boxes.  A pair
-       it keeps is certified when the integer bounding boxes of its
-       simplices are disjoint, or when a facet functional or hull
-       equation of one simplex walls the other off (`_walled`).  The
-       uncertified pairs come out in `itertools.combinations` order, so
-       the first rejection and its witness are those of an all-pairs
-       scan;
+    2. otherwise, one bitmask filter over every axis pairs each maximal
+       simplex with exactly the later ones whose integer bounding boxes
+       meet its own (closed intervals, so touching boxes meet); the
+       pairs it leaves out are disjoint.  A pair it keeps is certified
+       when a facet functional or hull equation of one simplex walls the
+       other off (`_walled`).  The uncertified pairs come out in
+       `itertools.combinations` order, so the first rejection and its
+       witness are those of an all-pairs scan;
     3. every pair still uncertified is decided by one simplex's weight
        simplex clipped by the other's facet functionals
        (`polytope._clip_simplex`), which decides every rejection.
@@ -334,32 +344,39 @@ def _uncertified_pairs(maximal, icoords, functionals):
     and that no wall of either simplex separates.  A caller that stops at
     its first rejection stops the scan at that pair.
 
-    One sweep along the first axis lists, for each simplex, the later ones
-    whose closed intervals on that axis meet its own; only those pairs
-    can have meeting boxes.  In ℝ⁰ there is no axis, every interval is
-    the empty slice, and every pair is listed."""
+    Bit j of masks[i] is set when j > i and the closed integer intervals
+    of simplices i and j meet on every axis.  On each axis, the boxes
+    whose lower end is at most i's upper end are a prefix in lower-end
+    order, and those whose upper end is at least i's lower end a suffix
+    in upper-end order; masks[i] keeps the bits in both.  Reading the
+    bits in increasing j keeps combinations order.  In ℝ⁰ there is no
+    axis, and every pair is listed."""
     if len({len(s) for s in maximal}) == 1 and _locally_certified(maximal, icoords, functionals):
         return
+    n = len(maximal)
     boxes = [polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal]
-    lows = [lo[:1] for lo, _ in boxes]
-    highs = [hi[:1] for _, hi in boxes]
-    partners = [[] for _ in maximal]
-    active = []
-    for j in sorted(range(len(maximal)), key=lows.__getitem__):
-        # an interval that ends before this one starts misses every later one
-        active = [i for i in active if highs[i] >= lows[j]]
-        for i in active:
-            if i < j:
-                partners[i].append(j)
-            else:
-                partners[j].append(i)
-        active.append(j)
+    masks = [(1 << n) - (2 << i) for i in range(n)]
+    for lows, highs in zip(zip(*(lo for lo, _ in boxes)), zip(*(hi for _, hi in boxes))):
+        if not any(masks):  # no pair left to filter
+            break
+        by_low = sorted(range(n), key=lows.__getitem__)
+        by_high = sorted(range(n), key=highs.__getitem__)
+        pre, suf = [0], [0]
+        for j, k in zip(by_low, reversed(by_high)):
+            pre.append(pre[-1] | 1 << j)
+            suf.append(suf[-1] | 1 << k)
+        suf.reverse()
+        sorted_lows, sorted_highs = sorted(lows), sorted(highs)
+        for i in range(n):
+            below = pre[bisect_right(sorted_lows, highs[i])]
+            masks[i] &= below & suf[bisect_left(sorted_highs, lows[i])]
     for i, p in enumerate(maximal):
-        for j in sorted(partners[i]):
+        mask = masks[i]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
             q = maximal[j]
-            if polytope.boxes_meet(boxes[i], boxes[j]) and not (
-                _walled(p, q, icoords, functionals[p]) or _walled(q, p, icoords, functionals[q])
-            ):
+            if not (_walled(p, q, icoords, functionals[p]) or _walled(q, p, icoords, functionals[q])):
                 yield p, q
 
 
@@ -541,10 +558,11 @@ def loads(text: str) -> EuclideanComplex:
             continue
         parts = line.split()
         if parts[0] == "complex":
-            if len(parts) < 3 or not parts[-1].startswith("ambient="):
+            key, _, value = parts[-1].partition("=")
+            if len(parts) < 3 or key != "ambient" or not value.isdecimal():
                 raise ComplexStructureError(f"line {ln}: bad header")
             name = " ".join(parts[1:-1])
-            ambient = int(parts[-1].split("=", 1)[1])
+            ambient = int(value)
         elif parts[0] == "v":
             if ambient is None:
                 raise ComplexStructureError(f"line {ln}: vertex before header")
@@ -569,7 +587,9 @@ def loads(text: str) -> EuclideanComplex:
             raise ComplexStructureError(f"line {ln}: unknown record {parts[0]!r}")
     if ambient is None:
         raise ComplexStructureError("missing complex header")
-    return EuclideanComplex.build(maximal, coords, name=name)
+    # every coordinate line has the header's length, so a header-only file
+    # is the empty complex in that space
+    return EuclideanComplex(OrderedComplex.from_maximal(maximal, name=name), ambient, coords)
 
 
 def load(path) -> EuclideanComplex:

@@ -453,10 +453,10 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
                 pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
                 per_dim[k] = (
                     polytope.integer_simplex([delta_vertex(k, i) for i in range(k + 1)]),
-                    [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
+                    [(t, other.box(t)) for t in pool if len(t) > k],
                 )
             chart, around = per_dim[k]
-            box = polytope.bounding_box(src.points(s))
+            box = src.box(s)
             piece = src.integer_simplex(s)
             covered = 0
             for t, tbox in around:

@@ -64,6 +64,23 @@ def test_validate_good_complex(tmp_path, capsys):
     assert code == 0
 
 
+def test_validate_empty_complex(tmp_path, capsys):
+    path = tmp_path / "e.cplx"
+    path.write_text("complex E ambient=2\n")
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 0
+    assert out.startswith("valid:")
+
+
+@pytest.mark.parametrize("ambient", ["-1", "x"])
+def test_validate_bad_ambient_header_exit_1(tmp_path, capsys, ambient):
+    path = tmp_path / "k.cplx"
+    path.write_text(f"complex K ambient={ambient}\nv 0 0\ns 0\n")
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert "line 1: bad header" in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run_cli(["homology", "/nonexistent.dset"], capsys)
     assert code == 1

@@ -265,6 +265,24 @@ def test_loads_rejects_repeated_vertex_id():
         complexes.loads("complex K ambient=1\nv 1 1\nv 1 5\ns 1\n")
 
 
+def test_empty_complex_roundtrip():
+    # the header alone carries the ambient dimension of the empty complex
+    e = complexes.EuclideanComplex(complexes.OrderedComplex.from_maximal([], name="E"), 2, {})
+    text = complexes.dumps(e)
+    assert text == "complex E ambient=2\n"
+    back = complexes.loads(text)
+    assert back == e and back.ambient_dim == 2
+    assert complexes.dumps(back) == text
+    assert complexes.validate(back).ok
+    assert families.same_point_set(back, e)
+
+
+@pytest.mark.parametrize("ambient", ["-1", "x", ""])
+def test_loads_rejects_bad_ambient(ambient):
+    with pytest.raises(complexes.ComplexStructureError, match="line 1: bad header"):
+        complexes.loads(f"complex K ambient={ambient}\nv 0 0\ns 0\n")
+
+
 # -- the local certificate against the pair path -----------------------------
 
 
@@ -535,8 +553,8 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
                 assert (frame["p"], frame["q"]) == (a, b)
     maximal, icoords, functionals = fast[4]
     if kind == "surface-overlap":
-        # the sweep leaves partners out before the witness: pairs whose
-        # intervals on the first axis are disjoint
+        # the box filter leaves pairs out before the witness, such as pairs
+        # whose intervals on the first axis are disjoint
         first = {s: [icoords[v][0] for v in s] for s in maximal}
         a, b, _ = fast[2][-1]
         before = itertools.takewhile(
@@ -652,6 +670,13 @@ def test_swept_scan_keeps_ties_and_touches():
         # triangles in ℝ² that touch at x = 1 in a point off the common face
         build([(0, 1, 2), (3, 4, 5)],
               {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 0), 4: (2, 0), 5: (2, 1)}),
+        # triangles in ℝ² with equal x-intervals whose y-intervals only
+        # touch, at points off their common faces: the later triangle
+        # (3, 4, 5) lies below (0, 1, 2) and (6, 7, 8) above it, so a wrong
+        # bisect side for either end on the second axis drops a pair
+        build([(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+              {0: (1, 1), 1: (0, 2), 2: (2, 2), 3: (0, 0), 4: (2, 0), 5: (1, 1),
+               6: (1, 2), 7: (0, 3), 8: (2, 3)}),
     ]
     for k in cases:
         args = scan_args(k)
@@ -661,14 +686,23 @@ def test_swept_scan_keeps_ties_and_touches():
 
 
 def test_swept_scan_skips_most_box_tests():
-    # sd² torus in ℝ⁵: 504 triangles, 126,756 pairs; the all-pairs scan boxes
-    # every one of them
+    # sd² torus in ℝ⁵: 504 triangles, 126,756 pairs.  The walls run on
+    # exactly the pairs whose integer boxes meet, and no pair is boxed
     k = moment_surface(suite.torus_7(), 911, 2)
-    n = len(k.maximal_simplices())
-    assert n * (n - 1) // 2 == 126_756
-    with mock.patch.object(polytope, "boxes_meet", wraps=polytope.boxes_meet) as spy:
+    maximal, icoords, functionals = scan_args(k)
+    assert len(maximal) * (len(maximal) - 1) // 2 == 126_756
+    boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
+    meeting = {
+        frozenset((p, q))
+        for p, q in itertools.combinations(maximal, 2)
+        if polytope.boxes_meet(boxes[p], boxes[q])
+    }
+    assert len(meeting) == 12_875
+    with mock.patch.object(complexes, "_walled", wraps=complexes._walled) as walls, \
+            mock.patch.object(polytope, "boxes_meet", wraps=polytope.boxes_meet) as boxed:
         assert complexes.validate(k).ok
-    assert 0 < spy.call_count <= 126_756 // 2
+    assert {frozenset(call.args[:2]) for call in walls.call_args_list} == meeting
+    assert boxed.call_count == 0
 
 
 # -- the exact pair test against intersect_simplices -------------------------

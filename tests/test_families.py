@@ -172,6 +172,18 @@ def test_same_point_set_reads_lower_dimensional_maximal_simplices():
     assert not families.same_point_set(with_edge, build([(0, 1, 2), (1, 4)]))
 
 
+def test_same_point_set_boxes_each_simplex_once():
+    # the lift fixtures compare the same complexes again and again; each
+    # complex holds the bounding box of each simplex after the first call
+    k = families.standard_simplex_complex(2)
+    sd = complexes.barycentric_subdivide(k)
+    with mock.patch.object(polytope, "bounding_box", wraps=polytope.bounding_box) as spy:
+        assert families.same_point_set(k, sd) and families.same_point_set(sd, k)
+        first = spy.call_count
+        assert families.same_point_set(k, sd)
+    assert first == 1 + 6 and spy.call_count == first
+
+
 coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
 
 
