@@ -66,15 +66,21 @@ def _load_any(path):
 def _load_amap(path, source: EuclideanComplex, target):
     """Affine-map file: `amap <name>` then `v <id> <rat> ...` lines."""
     images = {}
+    vertices = set(source.base.vertices)
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for ln, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("amap"):
                 continue
             parts = line.split()
             if parts[0] != "v" or len(parts) < 2:
                 raise FamilyError(f"unexpected line {line!r}")
-            images[int(parts[1])] = tuple(complexes.parse_rational(t) for t in parts[2:])
+            vid = int(parts[1])
+            if vid in images:
+                raise FamilyError(f"line {ln}: repeated vertex id {vid}")
+            if vid not in vertices:
+                raise FamilyError(f"line {ln}: vertex {vid} is not in the source")
+            images[vid] = tuple(complexes.parse_rational(t) for t in parts[2:])
     return families.AffineSimplicialMap(source, target, images)
 
 

@@ -73,17 +73,18 @@ class OrderedComplex:
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        return list(self._maximal)
+        return list(self._facet_pass[1])
 
     @functools.cached_property
-    def _maximal(self) -> tuple[tuple[int, ...], ...]:
-        # by face-closure, s is non-maximal iff it is a facet of some simplex
-        facets = set()
-        for t in self.simplices:
-            if len(t) >= 2:
-                for i in range(len(t)):
-                    facets.add(t[:i] + t[i + 1 :])
-        return tuple(sorted(s for s in self.simplices if s not in facets))
+    def _facet_pass(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+        """Face closure and the maximal simplices, from one set of every
+        facet of every simplex: the complex is closed iff each facet is a
+        simplex (by induction on dimension, every face of s is then a
+        facet of a facet ... of s), and then s is maximal iff it is no
+        facet.  The facet set is dropped after the pass."""
+        simplices = self.simplices
+        facets = {t[:i] + t[i + 1 :] for t in simplices if len(t) > 1 for i in range(len(t))}
+        return facets <= simplices, tuple(sorted(simplices - facets))
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))
@@ -92,14 +93,7 @@ class OrderedComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def is_face_closed(self) -> bool:
-        # facets suffice: by induction on dimension, every face of s is
-        # then a facet of a facet ... of s
-        return all(
-            s[:i] + s[i + 1 :] in self.simplices
-            for s in self.simplices
-            if len(s) > 1
-            for i in range(len(s))
-        )
+        return self._facet_pass[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +238,10 @@ def validate(k: EuclideanComplex) -> ValidityReport:
 
     1. a local certificate, for pure complexes of full dimension: matched
        interior ridges, boundary ridges on the hull, and one point covered
-       once prove the complex a triangulation of its hull;
+       once prove the complex a triangulation of its hull.  When it
+       fails, it names the simplices behind the failed condition; if it
+       holds for the rest once one of them is removed, every bad pair
+       holds that simplex, and only its pairs go on to tier 2;
     2. otherwise, one bitmask filter over every axis pairs each maximal
        simplex with exactly the later ones whose integer bounding boxes
        meet its own (closed intervals, so touching boxes meet); the
@@ -290,12 +287,16 @@ def _common_face(a, b, icoords, b_functionals) -> bool:
     return sorted(clipped) == sorted(units)
 
 
-def _locally_certified(maximal, icoords, functionals) -> bool:
-    """True when the top simplices provably triangulate the convex hull of
-    the vertices, so that every pair meets in a common face.
+def _certificate_failure(maximal, icoords, functionals):
+    """None when the top simplices provably triangulate the convex hull of
+    their vertices, so that every pair meets in a common face; otherwise
+    the simplices behind the first condition that fails: the three owners
+    of a ridge with three (with four or more, one removal cannot help:
+    none), both owners of a misoriented interior ridge, the owner of a
+    boundary ridge off the hull, or none when only the covering fails.
 
     Applies to pure complexes of full dimension d, whose facet functionals
-    are given; returns False otherwise, and whenever a condition fails.
+    are given; fails naming none otherwise.
     The local characterization of triangulations (De Loera, Rambau &
     Santos, *Triangulations*, 2010): every ridge lies in at
     most two top simplices, and in two only with the second one's
@@ -307,34 +308,34 @@ def _locally_certified(maximal, icoords, functionals) -> bool:
     closed simplex misses it, that number is 1.
     """
     if not maximal or len(maximal[0]) != len(icoords[maximal[0][0]]):
-        return False
+        return ()
 
     value = polytope._value
     ridges: dict = {}
     for s in maximal:
         for i in range(len(s)):
             ridges.setdefault(s[:i] + s[i + 1 :], []).append((s, i))
-    points = list(icoords.values())
+    points = [icoords[v] for v in {v for s in maximal for v in s}]
     hull_rows = set()
     for owners in ridges.values():
         if len(owners) > 2:
-            return False
+            return tuple(s for s, _ in owners) if len(owners) == 3 else ()
         s, i = owners[0]
         row = functionals[s][0][i]
         if len(owners) == 2:
             t, j = owners[1]
             if value(row, icoords[t[j]]) >= 0:
-                return False
+                return s, t
         elif (key := tuple(row)) not in hull_rows:
             if any(value(row, x) < 0 for x in points):
-                return False
+                return (s,)
             hull_rows.add(key)
     # integer barycenter of the first simplex, times d + 1
     center = [sum(c) for c in zip(*(icoords[v] for v in maximal[0]))]
     covering = sum(
         all(value(row, center) >= 0 for row in functionals[s][0]) for s in maximal
     )
-    return covering == 1
+    return None if covering == 1 else ()
 
 
 def _uncertified_pairs(maximal, icoords, functionals):
@@ -344,6 +345,13 @@ def _uncertified_pairs(maximal, icoords, functionals):
     and that no wall of either simplex separates.  A caller that stops at
     its first rejection stops the scan at that pair.
 
+    When the certificate fails, each simplex s it names is tried in turn:
+    if the certificate holds for the other simplices, every bad pair
+    holds s, and only the pairs (m, s) for m before s, then (s, m) for m
+    after s, are kept for the filter; they are the pairs holding s, in
+    combinations order, so the first rejection is still the all-pairs
+    scan's.
+
     Bit j of masks[i] is set when j > i and the closed integer intervals
     of simplices i and j meet on every axis.  On each axis, the boxes
     whose lower end is at most i's upper end are a prefix in lower-end
@@ -351,11 +359,20 @@ def _uncertified_pairs(maximal, icoords, functionals):
     in upper-end order; masks[i] keeps the bits in both.  Reading the
     bits in increasing j keeps combinations order.  In ℝ⁰ there is no
     axis, and every pair is listed."""
-    if len({len(s) for s in maximal}) == 1 and _locally_certified(maximal, icoords, functionals):
-        return
+    suspects = ()
+    if len({len(s) for s in maximal}) == 1:
+        suspects = _certificate_failure(maximal, icoords, functionals)
+        if suspects is None:
+            return
     n = len(maximal)
-    boxes = [polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal]
     masks = [(1 << n) - (2 << i) for i in range(n)]
+    for s in suspects:
+        if _certificate_failure([m for m in maximal if m != s], icoords, functionals) is None:
+            k = maximal.index(s)
+            masks = [1 << k if i < k else 0 for i in range(n)]
+            masks[k] = (1 << n) - (2 << k)
+            break
+    boxes = [polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal]
     for lows, highs in zip(zip(*(lo for lo, _ in boxes)), zip(*(hi for _, hi in boxes))):
         if not any(masks):  # no pair left to filter
             break
@@ -550,7 +567,7 @@ def dumps(k: EuclideanComplex) -> str:
 
 def loads(text: str) -> EuclideanComplex:
     name, ambient = "K", None
-    coords = {}
+    coords, vertex_lines = {}, {}
     maximal = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -575,6 +592,7 @@ def loads(text: str) -> EuclideanComplex:
             if len(vals) != ambient:
                 raise ComplexStructureError(f"line {ln}: expected {ambient} coordinates")
             coords[vid] = tuple(vals)
+            vertex_lines[vid] = ln
         elif parts[0] == "s":
             simplex = tuple(int(t) for t in parts[1:])
             if len(set(simplex)) != len(simplex):
@@ -587,6 +605,12 @@ def loads(text: str) -> EuclideanComplex:
             raise ComplexStructureError(f"line {ln}: unknown record {parts[0]!r}")
     if ambient is None:
         raise ComplexStructureError("missing complex header")
+    # dumps writes the vertices of simplices only, so a stray one would not
+    # survive loads(dumps(k))
+    used = {v for s in maximal for v in s}
+    for vid, ln in vertex_lines.items():
+        if vid not in used:
+            raise ComplexStructureError(f"line {ln}: vertex {vid} is in no simplex")
     # every coordinate line has the header's length, so a header-only file
     # is the empty complex in that space
     return EuclideanComplex(OrderedComplex.from_maximal(maximal, name=name), ambient, coords)

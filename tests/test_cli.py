@@ -150,6 +150,40 @@ def test_map_vertex_without_id_exit_1(tmp_path, capsys):
     assert "FamilyError" in err
 
 
+def test_validate_vertex_in_no_simplex_exit_1(tmp_path, capsys):
+    path = tmp_path / "stray.cplx"
+    path.write_text("complex K ambient=1\nv 0 0\nv 1 1\ns 0\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "ComplexStructureError" in err and "line 3: vertex 1 is in no simplex" in err
+
+
+@pytest.mark.parametrize("command", ["pullback", "fiber"])
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        (["v 0 0", "v 0 1", "v 1 1"], "line 3: repeated vertex id 0"),
+        (["v 0 0", "v 1 1", "v 7 1"], "line 4: vertex 7 is not in the source"),
+    ],
+)
+def test_map_bad_vertex_line_exit_1(tmp_path, capsys, command, images, message):
+    # a second image of vertex 0 used to replace the first, and an image of
+    # a vertex the segment lacks used to join the images' denominator
+    fam, src, amap = tmp_path / "w.fam", tmp_path / "seg.cplx", tmp_path / "f.amap"
+    families.dump(suite.lift_fixtures()[3], fam)
+    complexes.dump(families.standard_simplex_complex(1), src)
+    amap.write_text("amap f\n" + "\n".join(images) + "\n")
+    argv = {
+        "pullback": ["pullback", str(fam), str(src), str(amap)],
+        "fiber": ["fiber", str(src), str(amap), "--at", "1/2"],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "FamilyError" in err and message in err
+
+
 def test_unknown_subcommand_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

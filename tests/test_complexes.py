@@ -265,6 +265,37 @@ def test_loads_rejects_repeated_vertex_id():
         complexes.loads("complex K ambient=1\nv 1 1\nv 1 5\ns 1\n")
 
 
+def test_loads_rejects_vertex_in_no_simplex():
+    # dumps writes only the vertices of simplices, so the stray vertex 1
+    # used to be lost on the way back
+    with pytest.raises(complexes.ComplexStructureError, match="line 3: vertex 1 is in no simplex"):
+        complexes.loads("complex K ambient=1\nv 0 0\nv 1 1\ns 0\n")
+    with pytest.raises(complexes.ComplexStructureError, match="line 2: vertex 0 is in no simplex"):
+        complexes.loads("complex K ambient=2\nv 0 0 0\n")
+
+
+@st.composite
+def euclidean_complexes(draw):
+    """Complexes with any simplices on seeded rational points, not
+    necessarily valid ones, in ℝ⁰ to ℝ³; possibly empty."""
+    ambient = draw(st.integers(0, 3))
+    ids = draw(st.lists(st.integers(-3, 30), unique=True, max_size=8))
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    tops = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1, max_size=4), max_size=6)) if ids else []
+    coords = {
+        v: tuple(draw(st.lists(rational, min_size=ambient, max_size=ambient)))
+        for v in sorted({v for s in tops for v in s})
+    }
+    name = draw(st.text("abcXYZ019_", min_size=1, max_size=6))
+    return complexes.EuclideanComplex(complexes.OrderedComplex.from_maximal(tops, name=name), ambient, coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(euclidean_complexes())
+def test_dumps_loads_roundtrip(k):
+    assert complexes.loads(complexes.dumps(k)) == k
+
+
 def test_empty_complex_roundtrip():
     # the header alone carries the ambient dimension of the empty complex
     e = complexes.EuclideanComplex(complexes.OrderedComplex.from_maximal([], name="E"), 2, {})
@@ -340,21 +371,28 @@ def doubled(ec):
 
 def certificate_reports(k):
     """validate(k) with the local certificate on, validate(k) with it
-    declining, and the certificate's verdicts."""
-    verdicts = []
-    certify = complexes._locally_certified
+    declining, the certificate's verdicts on the whole complex, and its
+    retries: (removed simplex, verdict on the rest) for each simplex tried
+    after a failure."""
+    verdicts, retries = [], []
+    certify, tops = complexes._certificate_failure, k.maximal_simplices()
 
-    def spy(*args):
-        verdicts.append(certify(*args))
-        return verdicts[-1]
+    def spy(maximal, *args):
+        failure = certify(maximal, *args)
+        if maximal == tops:
+            verdicts.append(failure is None)
+        else:
+            (removed,) = set(tops) - set(maximal)
+            retries.append((removed, failure is None))
+        return failure
 
-    with mock.patch.object(complexes, "_locally_certified", spy):
+    with mock.patch.object(complexes, "_certificate_failure", spy):
         with_cert = complexes.validate(k)
-    with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
+    with mock.patch.object(complexes, "_certificate_failure", lambda *args: ()):
         pair_path = complexes.validate(k)
     assert with_cert == pair_path
     assert verdicts in ([], [False]) or pair_path.ok
-    return pair_path, verdicts
+    return pair_path, verdicts, retries
 
 
 KINDS = ("valid", "overlap", "doubled", "bottom-removed", "lower-dim", "lower-dim-overlap")
@@ -376,31 +414,34 @@ def test_local_certificate_matches_pair_path(kind, p, seed):
         r = with_tops(r, [s for s in r.maximal_simplices() if s[p] != p])
     ec = unimodular_image(r, seed, extra_dims=1 if kind.startswith("lower-dim") else 0)
     if kind == "valid":
-        report, verdicts = certificate_reports(ec)
+        report, verdicts, _ = certificate_reports(ec)
         assert report.ok and verdicts == [True]
     elif kind in ("overlap", "lower-dim-overlap"):
         bad, extra = overlapping(ec, seed)
-        report, verdicts = certificate_reports(bad)
+        report, verdicts, retries = certificate_reports(bad)
         assert not report.ok and str(extra) in report.issues[0]
         assert verdicts == [False]
+        if kind == "overlap":
+            # the failure names the extra simplex, and the rest is certified
+            assert retries[-1] == (extra, True)
     elif kind == "doubled":
         # every ridge is matched or on the hull: only the covered point fails
-        report, verdicts = certificate_reports(doubled(ec))
+        report, verdicts, _ = certificate_reports(doubled(ec))
         assert not report.ok and verdicts == [False]
     else:
-        report, verdicts = certificate_reports(ec)
+        report, verdicts, _ = certificate_reports(ec)
         assert report.ok and verdicts == [False]
 
 
 def test_local_certificate_small_cases():
     empty = complexes.EuclideanComplex(complexes.OrderedComplex((), frozenset()), 2, {})
-    assert certificate_reports(empty) == (complexes.ValidityReport(True), [])
+    assert certificate_reports(empty) == (complexes.ValidityReport(True), [], [])
     point = complexes.EuclideanComplex.build([(0,)], {0: (F(1), F(2))})
-    assert certificate_reports(point) == (complexes.ValidityReport(True), [False])
+    assert certificate_reports(point) == (complexes.ValidityReport(True), [False], [])
     point0 = complexes.EuclideanComplex.build([(0,)], {0: ()})
-    assert certificate_reports(point0) == (complexes.ValidityReport(True), [True])
+    assert certificate_reports(point0) == (complexes.ValidityReport(True), [True], [])
     twice = doubled(unit_triangle())
-    report, verdicts = certificate_reports(twice)
+    report, verdicts, _ = certificate_reports(twice)
     assert not report.ok and verdicts == [False]
     # a T-junction: the convex support is covered once, but the edge
     # (0, 1) lies in one triangle and is not on the hull
@@ -408,7 +449,7 @@ def test_local_certificate_small_cases():
         [(0, 1, 2), (0, 3, 4), (1, 3, 4)],
         {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(1), F(2)), 3: (F(1), F(0)), 4: (F(1), F(-2))},
     )
-    report, verdicts = certificate_reports(tee)
+    report, verdicts, _ = certificate_reports(tee)
     assert not report.ok and verdicts == [False]
     # on the line: [0,1] and [1,5] cover the hull once, while two paths
     # from 2 to 4 meet at both ends from the same side; [0,1] is still
@@ -417,7 +458,7 @@ def test_local_certificate_small_cases():
     folded = complexes.EuclideanComplex.build(
         [(0, 1), (1, 2), (3, 4), (4, 6), (3, 5), (5, 6)], {v: (F(c),) for v, c in x.items()}
     )
-    report, verdicts = certificate_reports(folded)
+    report, verdicts, _ = certificate_reports(folded)
     assert not report.ok and verdicts == [False]
 
 
@@ -428,13 +469,15 @@ def all_pairs(maximal, *rest):
     yield from itertools.combinations(maximal, 2)
 
 
-def scan_report(k, walls):
+def scan_report(k, walls, certificate=False):
     """validate(k) with the box-and-wall scan on every pair (local
-    certificate declined) or with every pair left to the exact test; the
-    pairs the scan would yield in full; the pairs tested; the scan's
+    certificate declined), with the scan after the certificate and its
+    retries (certificate=True), or with every pair left to the exact test;
+    the pairs the scan would yield in full; the pairs tested; the scan's
     generator, as validate left it; and the scan's arguments."""
     tested, scans = [], []
     scan, test = complexes._uncertified_pairs if walls else all_pairs, complexes._common_face
+    certify = complexes._certificate_failure if certificate else lambda *args: ()
 
     def scan_spy(*args):
         scans.append((args, scan(*args)))
@@ -444,7 +487,7 @@ def scan_report(k, walls):
         tested.append((a, b, test(a, b, *rest)))
         return tested[-1][2]
 
-    with mock.patch.object(complexes, "_locally_certified", lambda *args: False), \
+    with mock.patch.object(complexes, "_certificate_failure", certify), \
             mock.patch.object(complexes, "_uncertified_pairs", scan_spy), \
             mock.patch.object(complexes, "_common_face", test_spy):
         report = complexes.validate(k)
@@ -521,8 +564,9 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
     ec = unimodular_image(
         prism.build_R(p).complex, seed, extra_dims=1 if kind.startswith("lower-dim") else 0
     )
+    extra = None
     if kind in ("overlap", "lower-dim-overlap"):
-        ec, _ = overlapping(ec, seed)
+        ec, extra = overlapping(ec, seed)
     elif kind == "doubled":
         ec = doubled(unimodular_image(prism.build_R(min(p, 3)).complex, seed))
     elif kind.startswith("mixed"):
@@ -532,10 +576,17 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
         ec = with_copy(moment_surface(suite.torus_7(), seed, 1), seed)
     fast = scan_report(ec, walls=True)
     exact = scan_report(ec, walls=False)
-    assert fast[0] == exact[0]
+    suspect = scan_report(ec, walls=True, certificate=True)
+    assert fast[0] == exact[0] == suspect[0]
     assert (kind in ("valid", "lower-dim", "mixed")) == fast[0].ok
     assert exact[1] == list(itertools.combinations(ec.maximal_simplices(), 2))
-    for walls, (report, pairs, tested, generator, _) in ((False, exact), (True, fast)):
+    if kind == "overlap":
+        # the rest is certified without the extra simplex: only its pairs
+        # are scanned
+        assert suspect[1] and all(extra in pair for pair in suspect[1])
+    for walls, (report, pairs, tested, generator, _) in (
+        (False, exact), (True, fast), (True, suspect)
+    ):
         assert [(a, b) for a, b, _ in tested] == pairs[: len(tested)]
         if report.ok:
             assert len(tested) == len(pairs) and all(ok for *_, ok in tested)
@@ -612,7 +663,7 @@ def reference_scan(maximal, icoords, functionals):
 
 
 def swept_scan(args):
-    with mock.patch.object(complexes, "_locally_certified", lambda *args: False):
+    with mock.patch.object(complexes, "_certificate_failure", lambda *args: ()):
         return list(complexes._uncertified_pairs(*args))
 
 
@@ -703,6 +754,72 @@ def test_swept_scan_skips_most_box_tests():
         assert complexes.validate(k).ok
     assert {frozenset(call.args[:2]) for call in walls.call_args_list} == meeting
     assert boxed.call_count == 0
+
+
+# -- the suspect retry against the all-pairs reference -----------------------
+
+
+def glued(ec, seed, apart):
+    """ec, a triangulation of a convex region, plus a simplex outside it on
+    a seeded boundary ridge r: r joined to the reflection, through r's
+    centroid, of the vertex opposite r in its top simplex.  It meets ec in
+    r, a common face; or, apart, it is joined to a copy of r on new vertex
+    ids, so that it touches ec along r without a common face."""
+    tops = ec.maximal_simplices()
+    owners = {}
+    for s in tops:
+        for v in s:
+            owners.setdefault(tuple(u for u in s if u != v), []).append((s, v))
+    boundary = sorted(r for r, o in owners.items() if len(o) == 1)
+    ridge = random.Random(seed).choice(boundary)
+    ((_, off),) = owners[ridge]
+    coords = dict(ec.coords)
+    centre = [sum(c) / len(ridge) for c in zip(*(coords[v] for v in ridge))]
+    new = 1 + max(coords)
+    coords[new] = tuple(2 * c - x for c, x in zip(centre, coords[off]))
+    if apart:
+        copy = {v: new + 1 + i for i, v in enumerate(ridge)}
+        coords.update({copy[v]: coords[v] for v in ridge})
+        ridge = tuple(copy[v] for v in ridge)
+    return with_tops(ec, tops + [ridge + (new,)], coords)
+
+
+EXTRA_KINDS = ("overlap", "glued", "apart")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.sampled_from(EXTRA_KINDS), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+@example(["overlap"], 4, 0)
+@example(["overlap"], 3, 1)
+@example(["apart"], 3, 0)
+@example(["glued"], 2, 0)
+@example(["overlap", "overlap"], 3, 0)
+@example(["glued", "overlap"], 2, 0)
+@example(["apart", "glued"], 2, 1)
+def test_suspect_scan_matches_all_pairs(extras, p, seed):
+    # R(p) plus one or two simplices that overlap it or touch it, under a
+    # seeded relabelling, so that an extra simplex may sort anywhere
+    k = prism.build_R(p).complex
+    for i, kind in enumerate(extras):
+        if kind == "overlap":
+            k, _ = overlapping(k, seed + i)
+        else:
+            k = glued(k, seed + i, apart=kind == "apart")
+    k = unimodular_image(k, seed)
+    args = scan_args(k)
+    maximal, icoords, functionals = args
+    pairs, reference = list(complexes._uncertified_pairs(*args)), reference_scan(*args)
+    # the scan keeps the reference's order, and every reference pair it
+    # leaves out meets in a common face
+    rest = iter(reference)
+    assert all(pair in rest for pair in pairs)
+    for a, b in set(reference) - set(pairs):
+        assert complexes._common_face(a, b, icoords, functionals[b])
+    assert complexes.validate(k) == scan_report(k, walls=False)[0]
 
 
 # -- the exact pair test against intersect_simplices -------------------------
