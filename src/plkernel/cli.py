@@ -15,12 +15,16 @@ import sys
 from fractions import Fraction
 
 from . import complexes, delta, families, homology, nerve, prism, suite
-from .complexes import ComplexStructureError, EuclideanComplex
-from .delta import DeltaStructureError
-from .families import FamilyError
-from .nerve import CategoryStructureError
+from .complexes import EuclideanComplex
 
 STRUCTURAL_ERRORS = (ValueError, KeyError, OSError)
+
+# file kind, the first word of its first record -> the module that reads it
+_READERS = {"complex": complexes, "dset": delta, "family": families, "category": nerve}
+
+
+class FileKindError(ValueError):
+    """A file of another kind than the command reads."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,41 +51,19 @@ def _write_or_print(args, content: str):
         sys.stdout.write(content)
 
 
-def _load_any(path):
-    """Sniff the header line: complex, dset, family, or category file."""
+def _read(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    head = next((ln.split()[0] for ln in text.splitlines() if ln.strip()), "")
-    if head == "complex":
-        return complexes.loads(text)
-    if head == "dset":
-        return delta.loads(text)
-    if head == "family":
-        return families.loads(text)
-    if head == "category":
-        return nerve.loads(text)
-    raise ComplexStructureError(f"unrecognized file header {head!r}")
+        return fh.read()
 
 
-def _load_amap(path, source: EuclideanComplex, target):
-    """Affine-map file: `amap <name>` then `v <id> <rat> ...` lines."""
-    images = {}
-    vertices = set(source.base.vertices)
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("amap"):
-                continue
-            parts = line.split()
-            if parts[0] != "v" or len(parts) < 2:
-                raise FamilyError(f"unexpected line {line!r}")
-            vid = int(parts[1])
-            if vid in images:
-                raise FamilyError(f"line {ln}: repeated vertex id {vid}")
-            if vid not in vertices:
-                raise FamilyError(f"line {ln}: vertex {vid} is not in the source")
-            images[vid] = tuple(complexes.parse_rational(t) for t in parts[2:])
-    return families.AffineSimplicialMap(source, target, images)
+def _load(path, *kinds):
+    """The object in a plkernel file, read by the module of its kind, which
+    the first record's first word names; it must be one of kinds."""
+    text = _read(path)
+    kind = next(delta.records(text), (0, [""]))[1][0]
+    if kind not in kinds:
+        raise FileKindError(f"expected a {' or '.join(kinds)} file, not {kind!r}")
+    return _READERS[kind].loads(text)
 
 
 def _rational(text: str) -> Fraction:
@@ -98,7 +80,7 @@ def _rational_point(text: str):
 
 
 def cmd_validate(args):
-    ec = _load_any(args.file)
+    ec = _load(args.file, *_READERS)
     if isinstance(ec, families.PolyhedralFamily):
         rep = families.check_family(ec)
         ok = rep.ok
@@ -124,9 +106,7 @@ def cmd_validate(args):
 
 
 def cmd_subdivide(args):
-    ec = _load_any(args.file)
-    if not isinstance(ec, EuclideanComplex):
-        raise ComplexStructureError("subdivide expects a complex file")
+    ec = _load(args.file, "complex")
     for _ in range(args.rounds):
         ec = complexes.barycentric_subdivide(ec)
     _write_or_print(args, complexes.dumps(ec))
@@ -191,32 +171,26 @@ def cmd_rmap(args):
 
 
 def cmd_pullback(args):
-    w = _load_any(args.family)
-    if not isinstance(w, families.PolyhedralFamily):
-        raise FamilyError("pullback expects a family file")
-    src = _load_any(args.source)
-    f = _load_amap(args.map, src, w.base)
+    w = _load(args.family, "family")
+    src = _load(args.source, "complex")
+    f = families.loads_map(_read(args.map), src, w.base)
     out = families.pullback(f, w)
     _write_or_print(args, families.dumps(out))
     return 0
 
 
 def cmd_slice(args):
-    w = _load_any(args.family)
-    if not isinstance(w, families.PolyhedralFamily):
-        raise FamilyError("slice expects a family file")
+    w = _load(args.family, "family")
     fiber = families.slice_family(w, _rational_point(args.at))
     _write_or_print(args, complexes.dumps(fiber))
     return 0
 
 
 def cmd_fiber(args):
-    src = _load_any(args.source)
-    if not isinstance(src, EuclideanComplex):
-        raise ComplexStructureError("fiber expects a complex source")
+    src = _load(args.source, "complex")
     at = _rational_point(args.at)
     target = families.standard_simplex_complex(len(at))
-    f = _load_amap(args.map, src, target)
+    f = families.loads_map(_read(args.map), src, target)
     cert = families.regular_fiber(f, at)
     payload = {
         "command": "fiber", "ok": cert.ok,
@@ -234,22 +208,18 @@ def cmd_fiber(args):
 
 
 def cmd_hornfill(args):
-    w = _load_any(args.family)
-    if not isinstance(w, families.PolyhedralFamily):
-        raise FamilyError("hornfill expects a family file")
+    w = _load(args.family, "family")
     filled = families.horn_fill_family(w, args.p, args.j)
     _write_or_print(args, families.dumps(filled))
     return 0
 
 
 def cmd_homology(args):
-    obj = _load_any(args.file)
+    obj = _load(args.file, "complex", "dset")
     if isinstance(obj, EuclideanComplex):
         h = homology.homology_of_complex(obj)
-    elif isinstance(obj, delta.DeltaSet):
-        h = homology.homology(homology.chains_of(obj))
     else:
-        raise ComplexStructureError("homology expects a complex or dset file")
+        h = homology.homology(homology.chains_of(obj))
     payload = {
         "command": "homology",
         "groups": {str(k): [h.betti(k), list(h.torsion(k))] for k in sorted(h.groups)},
@@ -259,9 +229,7 @@ def cmd_homology(args):
 
 
 def cmd_nerve(args):
-    c = _load_any(args.file)
-    if not isinstance(c, nerve.FiniteNonUnitalCategory):
-        raise CategoryStructureError("nerve expects a category file")
+    c = _load(args.file, "category")
     rep = nerve.check_category(c, allow_partial=args.allow_partial)
     if not rep.ok:
         payload = {"command": "nerve", "ok": False, "issues": [str(i) for i in rep.issues]}
@@ -287,9 +255,7 @@ def cmd_verify_suite(args):
 
 
 def cmd_export_off(args):
-    ec = _load_any(args.file)
-    if not isinstance(ec, EuclideanComplex):
-        raise ComplexStructureError("export-off expects a complex file")
+    ec = _load(args.file, "complex")
     _write_or_print(args, prism.export_off(ec, digits=args.digits))
     return 0
 

@@ -19,7 +19,7 @@ from math import factorial
 from typing import Hashable, Mapping
 
 from . import polytope
-from .delta import DeltaSet, deletion_table
+from .delta import DeltaSet, deletion_table, records
 from .linalg import Vec, as_vec
 
 
@@ -105,8 +105,6 @@ class EuclideanComplex:
     coords: Mapping[int, Vec]
     # simplex -> its integer functionals, filled by `functionals`
     _functionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # simplex -> its bounding box, filled by `box`
-    _boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # vertex -> its integer coordinates, as `polytope.homogeneous` would
     # compute them, handed over by a builder that holds them (`build`)
     _integer_coords: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -179,14 +177,6 @@ class EuclideanComplex:
             coords = self.integer_coords
             table[simplex] = polytope._integer_functionals([coords[v] for v in simplex])
         return table[simplex]
-
-    def box(self, simplex) -> tuple:
-        """The `polytope.bounding_box` of a simplex's points; computed once
-        per simplex."""
-        box = self._boxes.get(simplex)
-        if box is None:
-            box = self._boxes[simplex] = polytope.bounding_box(self.points(simplex))
-        return box
 
     def integer_simplex(self, simplex) -> polytope.IntegerSimplex:
         """A simplex of the complex in the integer form of
@@ -566,14 +556,17 @@ def dumps(k: EuclideanComplex) -> str:
 
 
 def loads(text: str) -> EuclideanComplex:
+    return read(records(text))
+
+
+def read(lines) -> EuclideanComplex:
+    """The complex of a complex file's records, as `records` yields them;
+    a family file hands over each section's records with their file line
+    numbers."""
     name, ambient = "K", None
     coords, vertex_lines = {}, {}
     maximal = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for ln, parts in lines:
         if parts[0] == "complex":
             key, _, value = parts[-1].partition("=")
             if len(parts) < 3 or key != "ambient" or not value.isdecimal():

@@ -440,6 +440,15 @@ def kan_fill(x: DeltaSet, p: int, j: int, assignment: Mapping[int, Hashable]):
 # ---------------------------------------------------------------------------
 
 
+def records(text: str):
+    """Yield (line number, whitespace-split fields) for each line of a
+    plkernel text file that is neither blank nor a `#` comment: the one
+    line rule of every file format."""
+    for ln, fields in enumerate(map(str.split, text.splitlines()), 1):
+        if fields and fields[0][0] != "#":
+            yield ln, fields
+
+
 def _token(g) -> str:
     t = "".join((genkey(g) if isinstance(g, (tuple, frozenset)) else str(g)).split())
     if not t:
@@ -472,26 +481,26 @@ def dumps(x: DeltaSet) -> str:
 
 def loads(text: str) -> DeltaSet:
     name = None
-    gens: dict[int, list] = {}
+    gens: dict[int, dict] = {}  # degree -> {generator: None}, in file order
     faces = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    error = DeltaStructureError
+    for ln, parts in records(text):
         if parts[0] == "dset":
             name = " ".join(parts[1:]) or "X"
         elif parts[0] == "g" and len(parts) == 3:
-            gens.setdefault(int(parts[1]), []).append(parts[2])
+            row = gens.setdefault(int(parts[1]), {})
+            if parts[2] in row:
+                raise error(f"line {ln}: repeated generator {parts[2]!r} in degree {parts[1]}")
+            row[parts[2]] = None
         elif parts[0] == "d" and len(parts) == 5:
             key = (int(parts[1]), parts[2], int(parts[3]))
             if key in faces:
-                raise DeltaStructureError(f"repeated face line {line!r}")
+                raise error(f"line {ln}: repeated face line {' '.join(parts)!r}")
             faces[key] = parts[4]
         else:
-            raise DeltaStructureError(f"unexpected line {line!r}")
+            raise error(f"unexpected line {' '.join(parts)!r}")
     if name is None:
-        raise DeltaStructureError("missing dset header")
+        raise error("missing dset header")
     return DeltaSet({k: tuple(v) for k, v in gens.items()}, faces, name)
 
 
@@ -506,17 +515,13 @@ def dumps_morphism(f: DeltaMorphism, name: str = "f") -> str:
 def loads_morphism(text: str, sets: Mapping[str, DeltaSet]) -> DeltaMorphism:
     src = tgt = None
     raw_map = {}
-    for rawline in text.splitlines():
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for _, parts in records(text):
         if parts[0] == "map" and len(parts) == 4:
             src, tgt = sets[parts[2]], sets[parts[3]]
         elif parts[0] == "m" and len(parts) == 4:
             raw_map[(int(parts[1]), parts[2])] = parts[3]
         else:
-            raise DeltaStructureError(f"unexpected line {line!r}")
+            raise DeltaStructureError(f"unexpected line {' '.join(parts)!r}")
     if src is None:
         raise DeltaStructureError("missing map header")
     src_tok = {k: {_token(g): g for g in src.gens(k)} for k in src.generators}

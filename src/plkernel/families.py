@@ -14,8 +14,7 @@ deterministic.
 From the clip to the built complex, points stay in the clip's integer
 form, which the accumulator hands each complex as its `integer_coords`.
 Fractions appear once per built vertex (its coordinates), in `apply`'s
-values, the horn retraction's `lp.in_hull`, the regular-fiber probes and
-the bounding boxes of `same_point_set`.
+values, the horn retraction's `lp.in_hull` and the regular-fiber probes.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Mapping
 
 from . import complexes, homology, linalg, lp, polytope
 from .complexes import ComplexStructureError, EuclideanComplex
+from .delta import records
 from .linalg import Vec, as_vec
 
 
@@ -212,8 +212,9 @@ class FamilyReport:
 
 def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     """Every maximal simplex of `sub` lies in a maximal simplex of k, and
-    the pieces inside each top simplex of k fill it exactly: the |det|s of
-    their vertices' barycentric weights on it sum to 1."""
+    the pieces inside each maximal simplex of k, of its dimension, fill it
+    exactly: the |det|s of their vertices' barycentric weights on it sum
+    to 1."""
     kmax = k.maximal_simplices()
     coverage = dict.fromkeys(kmax, 0)
     for s in sub.maximal_simplices():
@@ -223,8 +224,7 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
             return False
         if len(s) == len(home):
             coverage[home] += abs(linalg.det([_weights(k, home, x) for x in hom]))
-    d = k.dimension
-    return all(coverage[t] == 1 for t in kmax if len(t) == d + 1)
+    return all(coverage[t] == 1 for t in kmax)
 
 
 def check_family(w: PolyhedralFamily) -> FamilyReport:
@@ -418,6 +418,14 @@ def _chart_polytope_volume(verts, dim) -> Fraction:
     return Fraction(total, verts[0][-1] ** dim)
 
 
+def _box(k: EuclideanComplex, simplex, scale: int) -> tuple:
+    """The `polytope.bounding_box` of a simplex's integer coordinates D x,
+    times scale: with each complex's boxes scaled by the other's
+    denominator, the boxes of both compare over one denominator."""
+    lo, hi = polytope.bounding_box([k.integer_coords[v][:-1] for v in simplex])
+    return [c * scale for c in lo], [c * scale for c in hi]
+
+
 def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
     """Exact equality of underlying polyhedra, by mutual volume coverage.
 
@@ -440,10 +448,12 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
     if a_cells == b_cells:
         return True
     d = a.dimension
-    for src, other, other_cells in ((a, b, b_cells), (b, a, a_cells)):
+    da, db = (next(iter(x.integer_coords.values()))[-1] for x in (a, b))
+    sides = ((a, b, b_cells, db, da), (b, a, a_cells, da, db))
+    for src, other, other_cells, scale, other_scale in sides:
         # per k: the vertices of Δ^k, and each simplex t of other of
-        # dimension >= k with its bounding box; intersections are read in
-        # the chart of s, whose vertices go to those of Δ^k
+        # dimension >= k with its box; intersections are read in the chart
+        # of s, whose vertices go to those of Δ^k
         per_dim = {}
         for s in sorted(src.maximal_simplices()):
             if src.cells[s] in other_cells:
@@ -453,10 +463,10 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
                 pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
                 per_dim[k] = (
                     polytope.integer_simplex([delta_vertex(k, i) for i in range(k + 1)]),
-                    [(t, other.box(t)) for t in pool if len(t) > k],
+                    [(t, _box(other, t, other_scale)) for t in pool if len(t) > k],
                 )
             chart, around = per_dim[k]
-            box = src.box(s)
+            box = _box(src, s, scale)
             piece = src.integer_simplex(s)
             covered = 0
             for t, tbox in around:
@@ -794,26 +804,25 @@ def dumps(w: PolyhedralFamily) -> str:
 
 def loads(text: str) -> PolyhedralFamily:
     header = None
-    sections: dict[str, list[str]] = {}
-    proj_lines = []
+    sections: dict[str, list] = {}  # section -> its records
+    proj_lines = []  # (line number, the fields after `p`)
     current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("family "):
-            header = line.split()
-        elif line.startswith("begin "):
-            current = line.split()[1]
+    for ln, parts in records(text):
+        if parts[0] == "family":
+            header = parts
+        elif parts[0] == "begin" and len(parts) > 1:
+            current = parts[1]
+            if current in sections:
+                raise FamilyError(f"line {ln}: repeated section {current}")
             sections[current] = []
-        elif line == "end":
+        elif parts == ["end"]:
             current = None
         elif current is not None:
-            sections[current].append(raw)
-        elif line.startswith("p "):
-            proj_lines.append(line[2:])
+            sections[current].append((ln, parts))
+        elif parts[0] == "p":
+            proj_lines.append((ln, parts[1:]))
         else:
-            raise FamilyError(f"unexpected line {line!r}")
+            raise FamilyError(f"unexpected line {' '.join(parts)!r}")
     if header is None or len(header) < 3 or not header[-1].startswith("fiber="):
         raise FamilyError("missing family header")
     name = " ".join(header[1:-1])
@@ -822,18 +831,39 @@ def loads(text: str) -> PolyhedralFamily:
         raise FamilyError(f"family header fiber={fiber} is not a non-negative integer")
     fiber_dim = int(fiber)
     try:
-        base = complexes.loads("\n".join(sections["base"]))
-        sub = complexes.loads("\n".join(sections["subdivision"]))
-        total = complexes.loads("\n".join(sections["total"]))
+        base, sub, total = (complexes.read(sections[t]) for t in ("base", "subdivision", "total"))
     except KeyError as exc:
         raise FamilyError(f"missing section {exc}") from exc
+    tops = set(total.maximal_simplices())
     projection = {}
-    for pl in proj_lines:
-        left, _, right = pl.partition("|")
+    for ln, fields in proj_lines:
+        left, _, right = " ".join(fields).partition("|")
         s = tuple(sorted(int(t) for t in left.split()))
-        c = tuple(sorted(int(t) for t in right.split()))
-        projection[s] = c
+        if s not in tops:
+            raise FamilyError(f"line {ln}: simplex {s} is not maximal in the total")
+        if s in projection:
+            raise FamilyError(f"line {ln}: repeated projection of {s}")
+        projection[s] = tuple(sorted(int(t) for t in right.split()))
     return PolyhedralFamily(base, sub, total, fiber_dim, projection, name)
+
+
+def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> AffineSimplicialMap:
+    """An affine-map file: `amap <name>`, then one `v <id> <rat> ...` line
+    per vertex of the source, giving its image in the target's space."""
+    images = {}
+    vertices = set(source.base.vertices)
+    for ln, parts in records(text):
+        if parts[0] == "amap":
+            continue
+        if parts[0] != "v" or len(parts) < 2:
+            raise FamilyError(f"unexpected line {' '.join(parts)!r}")
+        vid = int(parts[1])
+        if vid in images:
+            raise FamilyError(f"line {ln}: repeated vertex id {vid}")
+        if vid not in vertices:
+            raise FamilyError(f"line {ln}: vertex {vid} is not in the source")
+        images[vid] = tuple(complexes.parse_rational(t) for t in parts[2:])
+    return AffineSimplicialMap(source, target, images)
 
 
 def load(path) -> PolyhedralFamily:

@@ -24,6 +24,7 @@ from .delta import (
     check_identities,
     compose,
     genkey,
+    records,
 )
 from .homology import ChainComplex, HomologyProfile, _chains, homology
 
@@ -50,6 +51,10 @@ class FiniteNonUnitalCategory:
 
     def __post_init__(self):
         objs = set(self.objects)
+        for kind, names in (("object", self.objects), ("morphism", self.morphisms)):
+            if len(set(names)) < len(names):
+                x = next(x for n, x in enumerate(names) if x in names[:n])
+                raise CategoryStructureError(f"{kind} {x!r} repeats")
         for m in self.morphisms:
             if m not in self.src or m not in self.tgt:
                 raise CategoryStructureError(f"morphism {m} lacks src/tgt")
@@ -450,31 +455,26 @@ def dumps(c: FiniteNonUnitalCategory) -> str:
 
 def loads(text: str) -> FiniteNonUnitalCategory:
     name = "C"
-    objects = []
-    morphisms = []
-    src = {}
-    tgt = {}
-    comp = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    objects, src, tgt, comp = {}, {}, {}, {}
+    for ln, parts in records(text):
         if parts[0] == "category":
             name = " ".join(parts[1:]) or "C"
         elif parts[0] == "obj" and len(parts) == 2:
-            objects.append(parts[1])
+            if parts[1] in objects:
+                raise CategoryStructureError(f"line {ln}: repeated object {parts[1]!r}")
+            objects[parts[1]] = None
         elif parts[0] == "mor" and len(parts) == 4:
-            morphisms.append(parts[1])
-            src[parts[1]] = parts[2]
-            tgt[parts[1]] = parts[3]
+            if parts[1] in src:
+                raise CategoryStructureError(f"line {ln}: repeated morphism {parts[1]!r}")
+            src[parts[1]], tgt[parts[1]] = parts[2:]
         elif parts[0] == "cmp" and len(parts) == 4:
-            comp[(parts[1], parts[2])] = parts[3]
+            _, f, g, h = parts
+            if (f, g) in comp:
+                raise CategoryStructureError(f"line {ln}: repeated composite of {f!r} and {g!r}")
+            comp[(f, g)] = h
         else:
-            raise CategoryStructureError(f"unexpected line {line!r}")
-    return FiniteNonUnitalCategory(
-        tuple(objects), tuple(morphisms), src, tgt, comp, name
-    )
+            raise CategoryStructureError(f"unexpected line {' '.join(parts)!r}")
+    return FiniteNonUnitalCategory(tuple(objects), tuple(src), src, tgt, comp, name)
 
 
 def load(path) -> FiniteNonUnitalCategory:

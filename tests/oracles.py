@@ -10,13 +10,15 @@ integers over one joint denominator per call, for the integer-form
 `polytope.intersect_simplices`, and `chart_volume` the Fraction volume of
 a simplex in chart coordinates, for `polytope.simplex_volume`.
 `on_fractions` calls the integer-form polytope routines with Fraction
-points, as the tests that predate that form do."""
+points, as the tests that predate that form do.  `fraction_box_same_point_set`
+is `families.same_point_set` with the Fraction bounding boxes it read
+before it boxed integer coordinates."""
 
 import itertools
 from fractions import Fraction
 from math import factorial
 
-from plkernel import delta, homology, linalg, nerve, polytope, prism
+from plkernel import delta, families, homology, linalg, nerve, polytope, prism
 from plkernel.complexes import EuclideanComplex
 
 
@@ -239,3 +241,45 @@ def chart_volume(chart_pts):
     x0 = chart_pts[0]
     diffs = [[a - b for a, b in zip(p, x0)] for p in chart_pts[1:]]
     return abs(linalg.det(diffs)) / factorial(d)
+
+
+def fraction_box_same_point_set(a, b):
+    """`families.same_point_set` with each simplex boxed on its Fraction
+    points: the same scan, coverage sums and early exits."""
+    if not a.base.vertices or not b.base.vertices:
+        return not a.base.vertices and not b.base.vertices
+    if a.ambient_dim != b.ambient_dim or a.dimension != b.dimension:
+        return False
+    a_cells, b_cells = set(a.cells.values()), set(b.cells.values())
+    if a_cells == b_cells:
+        return True
+    d = a.dimension
+    for src, other, other_cells in ((a, b, b_cells), (b, a, a_cells)):
+        per_dim = {}
+        for s in sorted(src.maximal_simplices()):
+            if src.cells[s] in other_cells:
+                continue
+            k = len(s) - 1
+            if k not in per_dim:
+                pool = other.maximal_simplices() if k == d else sorted(other.base.simplices)
+                per_dim[k] = (
+                    polytope.integer_simplex([prism.delta_vertex(k, i) for i in range(k + 1)]),
+                    [(t, polytope.bounding_box(other.points(t))) for t in pool if len(t) > k],
+                )
+            chart, around = per_dim[k]
+            box = polytope.bounding_box(src.points(s))
+            piece = src.integer_simplex(s)
+            covered = 0
+            for t, tbox in around:
+                if not polytope.boxes_meet(box, tbox):
+                    continue
+                if len(t) > k + 1 and polytope.on_a_facet_wall(other.functionals(t), piece.points):
+                    continue
+                inter = polytope.intersect_simplices(piece, other.integer_simplex(t), chart)
+                if len(inter) >= k + 1:
+                    covered += families._chart_polytope_volume(inter, k)
+                if covered == 1:
+                    break
+            if covered != 1:
+                return False
+    return True

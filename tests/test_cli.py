@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from plkernel import cli, complexes, families, linalg, nerve, prism, suite
+from plkernel import cli, complexes, delta, families, linalg, nerve, prism, suite
 
 
 def run_cli(argv, capsys):
@@ -93,7 +93,7 @@ def test_validate_repeated_generator_exit_1(tmp_path, capsys):
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert code == 1
     assert out == ""
-    assert "DeltaStructureError" in err and "'a' repeats in degree 0" in err
+    assert "DeltaStructureError" in err and "line 3: repeated generator 'a' in degree 0" in err
 
 
 @pytest.mark.parametrize(
@@ -266,6 +266,109 @@ def test_validate_family_with_bad_fiber_header_exit_1(tmp_path, capsys, fiber):
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 1
     assert "fiber" in err
+
+
+def test_validate_family_missing_a_base_cell_exit_2(tmp_path, capsys):
+    # the stored subdivision covers the triangle but not the base's
+    # dangling edge, which used to pass as a subdivision
+    coords = {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1)), 3: (F(-1), F(1))}
+    triangle = complexes.EuclideanComplex.build([(0, 1, 2)], {v: coords[v] for v in range(3)})
+    base = complexes.EuclideanComplex.build([(0, 1, 2), (2, 3)], coords)
+    w = families.constant_family(triangle, families.standard_simplex_complex(0))
+    path = tmp_path / "w.fam"
+    families.dump(dataclasses.replace(w, base=base), path)
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == "invalid: stored subdivision does not subdivide the base\n"
+
+
+def _family_lines():
+    w = families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    return families.dumps(w).splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a second base section used to replace the first
+        (lambda lines: lines[:7] + lines[1:7] + lines[7:], "line 8: repeated section base"),
+        # a second projection of a simplex used to replace the first
+        (lambda lines: lines + lines[-1:], "line 21: repeated projection of (0, 1)"),
+        (lambda lines: lines + ["p 0 | 0"], "line 21: simplex (0,) is not maximal in the total"),
+        # an error inside a section names the file's line
+        (lambda lines: lines[:16] + ["v 0 7 7"] + lines[16:], "line 17: repeated vertex id 0"),
+    ],
+    ids=["section", "projection", "not-maximal", "line-in-section"],
+)
+def test_validate_family_repeated_or_stray_record_exit_1(tmp_path, capsys, edit, message):
+    path = tmp_path / "w.fam"
+    path.write_text("\n".join(edit(_family_lines())) + "\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize(
+    "extra", ["obj A", "mor f A A", "cmp f f g"], ids=["object", "morphism", "composite"]
+)
+@pytest.mark.parametrize("command", ["validate", "nerve"])
+def test_category_repeated_record_exit_1(tmp_path, capsys, command, extra):
+    # validate used to accept a repeated object or morphism that nerve
+    # rejected, and a repeated composite silently replaced the first
+    path = tmp_path / "c.cat"
+    path.write_text(f"category C\nobj A\nmor f A A\nmor g A A\ncmp f f f\n{extra}\n")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "CategoryStructureError: line 6: repeated" in err
+
+
+def test_validate_file_opening_with_a_comment(tmp_path, capsys):
+    # the kind is the first word of the first record; a leading comment
+    # line used to be taken for an unknown header
+    path = tmp_path / "t.cplx"
+    path.write_text("# a triangle\n\n" + complexes.dumps(families.standard_simplex_complex(2)))
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 0
+    assert out.startswith("valid:")
+
+
+# command -> its argv, with "{}" for the file under test, and the kinds it
+# takes there; "{family}" and the like name good files of that kind
+_FILE_SLOTS = {
+    "validate": (["validate", "{}"], ("complex", "dset", "family", "category")),
+    "subdivide": (["subdivide", "{}"], ("complex",)),
+    "pullback-family": (["pullback", "{}", "{complex}", "{amap}"], ("family",)),
+    "pullback-source": (["pullback", "{family}", "{}", "{amap}"], ("complex",)),
+    "slice": (["slice", "{}", "1/3"], ("family",)),
+    "fiber": (["fiber", "{}", "{amap}", "--at", "1/2"], ("complex",)),
+    "hornfill": (["hornfill", "{}", "1", "0"], ("family",)),
+    "homology": (["homology", "{}"], ("complex", "dset")),
+    "nerve": (["nerve", "{}"], ("category",)),
+    "export-off": (["export-off", "{}"], ("complex",)),
+}
+_KINDS = ("complex", "dset", "family", "category", "amap")
+
+
+@pytest.mark.parametrize(
+    "slot, kind",
+    [(slot, kind) for slot, (_, takes) in _FILE_SLOTS.items() for kind in _KINDS if kind not in takes],
+)
+def test_wrong_file_kind_exit_1(tmp_path, capsys, slot, kind):
+    seg = families.standard_simplex_complex(1)
+    paths = {k: tmp_path / f"file.{k}" for k in _KINDS}
+    complexes.dump(seg, paths["complex"])
+    delta.dump(complexes.delta_set_of(seg), paths["dset"])
+    families.dump(suite.lift_fixtures()[3], paths["family"])
+    nerve.dump(nerve.demo_cobordism_category(), paths["category"])
+    paths["amap"].write_text("amap f\nv 0 0\nv 1 1\n")
+    template, takes = _FILE_SLOTS[slot]
+    argv = [str(paths[kind]) if a == "{}" else a.format(**paths) for a in template]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: FileKindError: expected a {' or '.join(takes)} file, not {kind!r}\n"
 
 
 @pytest.mark.parametrize("images", [["v 0 0", "v 1 1/2"], ["v 0 0 0 0", "v 1 1/2 0 0"]])

@@ -78,6 +78,19 @@ def test_repeated_face_line_raises():
         delta.loads("dset X\ng 0 a\ng 0 b\ng 1 e\nd 1 e 0 a\nd 1 e 1 b\nd 1 e 0 b\n")
 
 
+def test_records_skip_blank_and_comment_lines():
+    text = "dset X\r\n\r\n   # an indented comment\r\n\t g 0 a  # not a comment\r\n#\n  \t\ng 0 b"
+    assert list(delta.records(text)) == [
+        (1, ["dset", "X"]), (4, ["g", "0", "a", "#", "not", "a", "comment"]), (7, ["g", "0", "b"])
+    ]
+    assert list(delta.records("")) == [] and list(delta.records("\n # c\n")) == []
+
+
+def test_loads_reads_crlf_and_indented_records():
+    text = "dset X\r\n  # comment\r\n g 0 a\r\n\r\n\tg 0 b\r\ng 1 e\r\nd 1 e 0 a\r\nd 1 e 1 b\r\n"
+    assert delta.loads(text) == delta.loads(text.replace("\r\n", "\n"))
+
+
 def test_from_table_checks():
     gens = {0: ("a", "b"), 1: ("e",)}
     x = delta.DeltaSet.from_table(gens, {1: (0, 1)}, "I")
@@ -254,6 +267,16 @@ def tabled_delta_sets(draw):
     x, bad = draw(corrupted_delta_sets())
     kind = draw(st.sampled_from(["closure", "corrupted", "sd"]))
     return {"closure": x, "corrupted": bad, "sd": prism.sd_delta(x).delta_set}[kind]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tabled_delta_sets())
+def test_dumps_loads_roundtrip(x):
+    # a file names each generator by its token
+    x = delta.DeltaSet.from_table(
+        {k: tuple(map(delta._token, gs)) for k, gs in x.generators.items()}, x.table, x.name
+    )
+    assert delta.loads(delta.dumps(x)) == x
 
 
 @settings(max_examples=100, deadline=None)

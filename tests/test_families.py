@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from plkernel import complexes, families, homology, linalg, polytope, suite
 
-from oracles import on_fractions
+from oracles import fraction_box_same_point_set, on_fractions
 
 F = Fraction
 
@@ -172,16 +172,64 @@ def test_same_point_set_reads_lower_dimensional_maximal_simplices():
     assert not families.same_point_set(with_edge, build([(0, 1, 2), (1, 4)]))
 
 
-def test_same_point_set_boxes_each_simplex_once():
-    # the lift fixtures compare the same complexes again and again; each
-    # complex holds the bounding box of each simplex after the first call
+def test_same_point_set_boxes_integer_coordinates():
+    # boxes are taken per call on each complex's integer coordinates, over
+    # the other complex's denominator: no Fraction reaches bounding_box
     k = families.standard_simplex_complex(2)
     sd = complexes.barycentric_subdivide(k)
     with mock.patch.object(polytope, "bounding_box", wraps=polytope.bounding_box) as spy:
         assert families.same_point_set(k, sd) and families.same_point_set(sd, k)
-        first = spy.call_count
-        assert families.same_point_set(k, sd)
-    assert first == 1 + 6 and spy.call_count == first
+    assert spy.call_count > 0
+    for call in spy.call_args_list:
+        assert all(type(c) is int for x in call.args[0] for c in x)
+
+
+def test_same_point_set_matches_fraction_boxes():
+    # pairs over different denominators, with lower-dimensional maximal
+    # simplices: the integer boxes keep exactly the pairs the Fraction
+    # boxes kept, so the same intersections run and the verdicts agree
+    rng = random.Random(2401)
+    for _ in range(12):
+        pts = {v: (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))
+               for v in range(6)}
+        maximal = [(0, 1, 2), (2, 3), (4,)] if rng.random() < 0.5 else [(0, 1, 2), (1, 3), (3, 4)]
+        used = {v for s in maximal for v in s}
+        a = complexes.EuclideanComplex.build(maximal, {v: pts[v] for v in used})
+        if not complexes.validate(a).ok:
+            continue
+        den = F(1, rng.randint(2, 7))
+        others = [
+            complexes.barycentric_subdivide(a),
+            moved(a, lambda x: (x[0] + den, x[1]), "shifted"),
+            moved(complexes.barycentric_subdivide(a), lambda x: (x[0], x[1] * (1 + den)), "stretched"),
+        ]
+        for b in others:
+            for x, y in ((a, b), (b, a)):
+                runs = []
+                for scan in (families.same_point_set, fraction_box_same_point_set):
+                    with mock.patch.object(
+                        polytope, "intersect_simplices", wraps=polytope.intersect_simplices
+                    ) as spy:
+                        verdict = scan(x, y)
+                    runs.append((verdict, [c.args[:2] for c in spy.call_args_list]))
+                assert runs[0] == runs[1]
+
+
+def test_subdivision_must_cover_lower_dimensional_maximal_simplices():
+    # a base with a dangling edge and an isolated vertex, and a stored
+    # subdivision of the triangle alone: the edge and vertex are not covered
+    coords = {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1)), 3: (F(-1), F(1)), 4: (F(2), F(2))}
+    triangle = complexes.EuclideanComplex.build([(0, 1, 2)], {v: coords[v] for v in range(3)})
+    base = complexes.EuclideanComplex.build([(0, 1, 2), (2, 3), (4,)], coords)
+    edge = complexes.EuclideanComplex.build([(0, 1, 2), (2, 3)], {v: coords[v] for v in range(4)})
+    assert families.is_subdivision_of(base, base)
+    assert families.is_subdivision_of(complexes.barycentric_subdivide(base), base)
+    assert not families.is_subdivision_of(triangle, base)
+    assert not families.is_subdivision_of(edge, base)
+    w = families.constant_family(triangle, families.standard_simplex_complex(0))
+    bad = dataclasses.replace(w, base=edge)
+    assert families.check_family(w).ok
+    assert families.check_family(bad).issues == ("stored subdivision does not subdivide the base",)
 
 
 coords = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)])
@@ -396,6 +444,24 @@ def test_family_file_roundtrip(tmp_path):
     back = families.load(path)
     assert families.check_family(back).ok
     assert families.dumps(back) == families.dumps(w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(point_clouds(), point_clouds(), st.text("abcXYZ019_", min_size=1, max_size=6))
+def test_dumps_loads_roundtrip(base_pts, fiber_pts, name):
+    w = families.constant_family(placed(base_pts, "B"), placed(fiber_pts, "F"), name=name)
+    assert families.loads(families.dumps(w)) == w
+
+
+def test_loads_reports_section_errors_at_file_lines():
+    text = families.dumps(families.constant_family(
+        families.standard_simplex_complex(1), families.standard_simplex_complex(0)
+    ))
+    lines = text.splitlines()
+    at = lines.index("begin total") + 3
+    lines.insert(at, lines[at - 1])  # the total's first vertex again
+    with pytest.raises(complexes.ComplexStructureError, match=f"^line {at + 1}: repeated vertex id 0$"):
+        families.loads("\n".join(lines))
 
 
 def test_pullback_law_computes_each_functional_once():

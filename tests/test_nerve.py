@@ -300,6 +300,28 @@ def test_category_file_roundtrip(tmp_path):
     assert nerve.dumps(back) == nerve.dumps(c)
 
 
+@pytest.mark.parametrize("objects, morphisms, message", [
+    (("A", "B", "A"), ("f",), "object 'A' repeats"),
+    (("A", "B"), ("f", "f"), "morphism 'f' repeats"),
+])
+def test_repeated_object_or_morphism_raises(objects, morphisms, message):
+    with pytest.raises(nerve.CategoryStructureError, match=f"^{message}$"):
+        nerve.FiniteNonUnitalCategory(objects, morphisms, {"f": "A"}, {"f": "B"}, {})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("obj A", "line 3: repeated object 'A'"),
+    ("mor f A A", "line 4: repeated morphism 'f'"),
+    ("cmp f f f", "line 5: repeated composite of 'f' and 'f'"),
+])
+def test_loads_rejects_repeated_records(line, message):
+    text = "category C\nobj A\nmor f A A\ncmp f f f\n"
+    lines = text.splitlines()
+    lines.insert(lines.index(line) + 1, line)
+    with pytest.raises(nerve.CategoryStructureError, match=f"^{message}$"):
+        nerve.loads("\n".join(lines))
+
+
 def test_demo_category_roundtrip(tmp_path):
     c = nerve.demo_cobordism_category()
     path = tmp_path / "cob.cat"
@@ -399,6 +421,19 @@ def small_categories(draw):
         same = [m for m in c.morphisms if c.src[m] == c.src[h] and c.tgt[m] == c.tgt[h]]
         comp[key] = draw(st.sampled_from(sorted(same, key=repr)))
     return nerve.FiniteNonUnitalCategory(c.objects, c.morphisms, c.src, c.tgt, comp, c.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_categories())
+def test_dumps_loads_roundtrip(c):
+    # a file names each object and morphism by its token
+    t = delta._token
+    c = nerve.FiniteNonUnitalCategory(
+        tuple(map(t, c.objects)), tuple(map(t, c.morphisms)),
+        {t(m): t(x) for m, x in c.src.items()}, {t(m): t(x) for m, x in c.tgt.items()},
+        {(t(f), t(g)): t(h) for (f, g), h in c.comp.items()}, c.name,
+    )
+    assert nerve.loads(nerve.dumps(c)) == c
 
 
 def _outcome(build):
