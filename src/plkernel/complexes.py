@@ -27,15 +27,26 @@ class ComplexStructureError(ValueError):
     """Malformed input (e.g. a simplex referencing an unknown vertex)."""
 
 
+def _closure(simplices) -> tuple[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """The face closure of a set of simplices and its maximal simplices,
+    sorted, in one pass.  The sorted vertex tuples are read longest first,
+    so every tuple that contains another comes before it: a tuple is
+    maximal exactly when the closure built so far does not hold it, and
+    only then are its faces added.  Repeats and faces of longer tuples are
+    skipped."""
+    closed, maximal = set(), []
+    for s in sorted(map(tuple, map(sorted, simplices)), key=len, reverse=True):
+        if s not in closed:
+            if not s:
+                raise ComplexStructureError("empty simplex")
+            maximal.append(s)
+            for r in range(1, len(s) + 1):
+                closed.update(itertools.combinations(s, r))
+    return frozenset(closed), tuple(sorted(maximal))
+
+
 def close_under_faces(simplices) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for s in simplices:
-        s = tuple(sorted(s))
-        if not s:
-            raise ComplexStructureError("empty simplex")
-        for r in range(1, len(s) + 1):
-            out.update(itertools.combinations(s, r))
-    return frozenset(out)
+    return _closure(simplices)[0]
 
 
 @dataclass(frozen=True)
@@ -49,18 +60,21 @@ class OrderedComplex:
 
     @staticmethod
     def from_maximal(maximal, labels=None, name="K") -> "OrderedComplex":
-        simplices = close_under_faces(maximal)
-        vertices = tuple(sorted({v for s in simplices for v in s}))
-        return OrderedComplex(vertices, simplices, dict(labels or {}), name)
+        simplices, tops = _closure(maximal)
+        vertices = tuple(sorted({v for s in tops for v in s}))
+        k = OrderedComplex(vertices, simplices, dict(labels or {}), name)
+        # closed by construction, with the maximal simplices of its pass
+        k.__dict__["_closure_pass"] = True, tops
+        return k
 
     def __post_init__(self):
         vset = set(self.vertices)
         for s in self.simplices:
             if tuple(sorted(s)) != s:
                 raise ComplexStructureError(f"simplex {s} not sorted by vertex order")
-            for v in s:
-                if v not in vset:
-                    raise ComplexStructureError(f"simplex {s} references unknown vertex {v}")
+            if not vset.issuperset(s):
+                v = next(v for v in s if v not in vset)
+                raise ComplexStructureError(f"simplex {s} references unknown vertex {v}")
         for v in self.vertices:
             if (v,) not in self.simplices:
                 raise ComplexStructureError(f"vertex {v} has no singleton simplex")
@@ -73,18 +87,15 @@ class OrderedComplex:
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        return list(self._facet_pass[1])
+        return list(self._closure_pass[1])
 
     @functools.cached_property
-    def _facet_pass(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-        """Face closure and the maximal simplices, from one set of every
-        facet of every simplex: the complex is closed iff each facet is a
-        simplex (by induction on dimension, every face of s is then a
-        facet of a facet ... of s), and then s is maximal iff it is no
-        facet.  The facet set is dropped after the pass."""
-        simplices = self.simplices
-        facets = {t[:i] + t[i + 1 :] for t in simplices if len(t) > 1 for i in range(len(t))}
-        return facets <= simplices, tuple(sorted(simplices - facets))
+    def _closure_pass(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+        """Face closure and the maximal simplices, from one `_closure` of
+        the simplices: the closure holds them all, so the complex is closed
+        iff it holds no more.  `from_maximal` hands both over."""
+        closure, maximal = _closure(self.simplices)
+        return len(closure) == len(self.simplices), maximal
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))
@@ -93,7 +104,7 @@ class OrderedComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def is_face_closed(self) -> bool:
-        return self._facet_pass[0]
+        return self._closure_pass[0]
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,11 @@ class ValidityReport:
 def validate(k: EuclideanComplex) -> ValidityReport:
     """Geometric validity: face closure, affine independence, and pairwise
     common-face intersections.
+
+    Face closure holds by construction for a complex built from its
+    maximal simplices (`OrderedComplex.from_maximal`, so every reader and
+    builder), which hands its closure pass over; only a complex given its
+    simplex set directly runs `_closure` here.
 
     Affine independence and intersections are checked on maximal simplices
     only; both properties are inherited by faces.  Every test runs on the
@@ -568,6 +584,8 @@ def read(lines) -> EuclideanComplex:
     maximal = []
     for ln, parts in lines:
         if parts[0] == "complex":
+            if ambient is not None:
+                raise ComplexStructureError(f"line {ln}: repeated header")
             key, _, value = parts[-1].partition("=")
             if len(parts) < 3 or key != "ambient" or not value.isdecimal():
                 raise ComplexStructureError(f"line {ln}: bad header")
@@ -588,6 +606,8 @@ def read(lines) -> EuclideanComplex:
             vertex_lines[vid] = ln
         elif parts[0] == "s":
             simplex = tuple(int(t) for t in parts[1:])
+            if not simplex:
+                raise ComplexStructureError(f"line {ln}: simplex without vertices")
             if len(set(simplex)) != len(simplex):
                 raise ComplexStructureError(f"line {ln}: repeated vertex in simplex")
             for v in simplex:

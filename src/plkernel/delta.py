@@ -486,6 +486,8 @@ def loads(text: str) -> DeltaSet:
     error = DeltaStructureError
     for ln, parts in records(text):
         if parts[0] == "dset":
+            if name is not None:
+                raise error(f"line {ln}: repeated header")
             name = " ".join(parts[1:]) or "X"
         elif parts[0] == "g" and len(parts) == 3:
             row = gens.setdefault(int(parts[1]), {})
@@ -498,7 +500,7 @@ def loads(text: str) -> DeltaSet:
                 raise error(f"line {ln}: repeated face line {' '.join(parts)!r}")
             faces[key] = parts[4]
         else:
-            raise error(f"unexpected line {' '.join(parts)!r}")
+            raise error(f"line {ln}: unexpected line {' '.join(parts)!r}")
     if name is None:
         raise error("missing dset header")
     return DeltaSet({k: tuple(v) for k, v in gens.items()}, faces, name)
@@ -513,23 +515,35 @@ def dumps_morphism(f: DeltaMorphism, name: str = "f") -> str:
 
 
 def loads_morphism(text: str, sets: Mapping[str, DeltaSet]) -> DeltaMorphism:
+    """A Δ-morphism file: `map <name> <source> <target>`, then one
+    `m <degree> <generator> <image>` line per source generator, in the
+    tokens of `dumps`; the Δ-sets are looked up by name in sets."""
     src = tgt = None
-    raw_map = {}
-    for _, parts in records(text):
+    raw_map = {}  # (degree, source token) -> (line number, image token)
+    for ln, parts in records(text):
         if parts[0] == "map" and len(parts) == 4:
+            if src is not None:
+                raise DeltaStructureError(f"line {ln}: repeated header")
+            for name in parts[2:]:
+                if name not in sets:
+                    raise DeltaStructureError(f"line {ln}: unknown Δ-set {name!r}")
             src, tgt = sets[parts[2]], sets[parts[3]]
         elif parts[0] == "m" and len(parts) == 4:
-            raw_map[(int(parts[1]), parts[2])] = parts[3]
+            key = (int(parts[1]), parts[2])
+            if key in raw_map:
+                raise DeltaStructureError(f"line {ln}: repeated image of {parts[2]!r} in degree {parts[1]}")
+            raw_map[key] = ln, parts[3]
         else:
-            raise DeltaStructureError(f"unexpected line {' '.join(parts)!r}")
+            raise DeltaStructureError(f"line {ln}: unexpected line {' '.join(parts)!r}")
     if src is None:
         raise DeltaStructureError("missing map header")
-    src_tok = {k: {_token(g): g for g in src.gens(k)} for k in src.generators}
-    tgt_tok = {k: {_token(g): g for g in tgt.gens(k)} for k in tgt.generators}
-    mapping = {
-        (k, src_tok[k][t]): tgt_tok[k][raw_map[(k, t)]]
-        for (k, t) in raw_map
-    }
+    src_tok, tgt_tok = ({k: {_token(g): g for g in x.gens(k)} for k in x.generators} for x in (src, tgt))
+    mapping = {}
+    for (k, t), (ln, u) in raw_map.items():
+        for x, tok, table in ((src, t, src_tok), (tgt, u, tgt_tok)):
+            if tok not in table.get(k, ()):
+                raise DeltaStructureError(f"line {ln}: {x.name} has no generator {tok!r} in degree {k}")
+        mapping[(k, src_tok[k][t])] = tgt_tok[k][u]
     return DeltaMorphism(src, tgt, mapping)
 
 

@@ -809,6 +809,8 @@ def loads(text: str) -> PolyhedralFamily:
     current = None
     for ln, parts in records(text):
         if parts[0] == "family":
+            if header is not None:
+                raise FamilyError(f"line {ln}: repeated header")
             header = parts
         elif parts[0] == "begin" and len(parts) > 1:
             current = parts[1]
@@ -822,7 +824,7 @@ def loads(text: str) -> PolyhedralFamily:
         elif parts[0] == "p":
             proj_lines.append((ln, parts[1:]))
         else:
-            raise FamilyError(f"unexpected line {' '.join(parts)!r}")
+            raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
     if header is None or len(header) < 3 or not header[-1].startswith("fiber="):
         raise FamilyError("missing family header")
     name = " ".join(header[1:-1])
@@ -856,7 +858,7 @@ def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> 
         if parts[0] == "amap":
             continue
         if parts[0] != "v" or len(parts) < 2:
-            raise FamilyError(f"unexpected line {' '.join(parts)!r}")
+            raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
         vid = int(parts[1])
         if vid in images:
             raise FamilyError(f"line {ln}: repeated vertex id {vid}")

@@ -454,10 +454,12 @@ def dumps(c: FiniteNonUnitalCategory) -> str:
 
 
 def loads(text: str) -> FiniteNonUnitalCategory:
-    name = "C"
+    name = None
     objects, src, tgt, comp = {}, {}, {}, {}
     for ln, parts in records(text):
         if parts[0] == "category":
+            if name is not None:
+                raise CategoryStructureError(f"line {ln}: repeated header")
             name = " ".join(parts[1:]) or "C"
         elif parts[0] == "obj" and len(parts) == 2:
             if parts[1] in objects:
@@ -473,7 +475,9 @@ def loads(text: str) -> FiniteNonUnitalCategory:
                 raise CategoryStructureError(f"line {ln}: repeated composite of {f!r} and {g!r}")
             comp[(f, g)] = h
         else:
-            raise CategoryStructureError(f"unexpected line {' '.join(parts)!r}")
+            raise CategoryStructureError(f"line {ln}: unexpected line {' '.join(parts)!r}")
+    if name is None:
+        raise CategoryStructureError("missing category header")
     return FiniteNonUnitalCategory(tuple(objects), tuple(src), src, tgt, comp, name)
 
 

@@ -12,7 +12,10 @@ a simplex in chart coordinates, for `polytope.simplex_volume`.
 `on_fractions` calls the integer-form polytope routines with Fraction
 points, as the tests that predate that form do.  `fraction_box_same_point_set`
 is `families.same_point_set` with the Fraction bounding boxes it read
-before it boxed integer coordinates."""
+before it boxed integer coordinates.  `facet_pass` is the face-closure test
+and the maximal simplices of `OrderedComplex` as they were computed before
+`complexes._closure`, from the set of every facet of every simplex, and
+`facet_closure` the closure reached by adding facets until none is new."""
 
 import itertools
 from fractions import Fraction
@@ -283,3 +286,22 @@ def fraction_box_same_point_set(a, b):
             if covered != 1:
                 return False
     return True
+
+
+def facet_pass(simplices):
+    """(closed, maximal simplices) of a set of sorted vertex tuples from one
+    set of every facet of every simplex: the set is closed iff each facet
+    is in it (by induction on dimension, every face of s is then a facet of
+    a facet ... of s), and then s is maximal iff it is no facet."""
+    facets = {t[:i] + t[i + 1 :] for t in simplices if len(t) > 1 for i in range(len(t))}
+    return facets <= simplices, tuple(sorted(simplices - facets))
+
+
+def facet_closure(simplices):
+    """The face closure of any vertex collections, grown a facet at a time."""
+    closure = {tuple(sorted(s)) for s in simplices}
+    new = closure
+    while new:
+        new = {t[:i] + t[i + 1 :] for t in new if len(t) > 1 for i in range(len(t))} - closure
+        closure |= new
+    return frozenset(closure)

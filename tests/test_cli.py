@@ -334,6 +334,37 @@ def test_validate_file_opening_with_a_comment(tmp_path, capsys):
     assert out.startswith("valid:")
 
 
+_SEGMENT = "complex A ambient=1\nv 0 0\nv 1 1\ns 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # a second header used to replace the first
+        ("validate", _SEGMENT + "complex B ambient=1\n", "ComplexStructureError: line 5: repeated header"),
+        # ... and a second ambient= surfaced as a wrong coordinate length
+        ("validate", "complex A ambient=1\nv 0 0\ncomplex A ambient=2\nv 1 1 1\ns 0 1\n",
+         "ComplexStructureError: line 3: repeated header"),
+        ("validate", "dset X\ng 0 a\ndset Y\n", "DeltaStructureError: line 3: repeated header"),
+        ("validate", "category C\nobj A\ncategory D\n", "CategoryStructureError: line 3: repeated header"),
+        ("nerve", "category C\nobj A\ncategory D\n", "CategoryStructureError: line 3: repeated header"),
+        ("validate", "family F fiber=0\nfamily G fiber=0\n", "FamilyError: line 2: repeated header"),
+        # an empty simplex reached the face closure, which named no line
+        ("validate", _SEGMENT + "s\n", "ComplexStructureError: line 5: simplex without vertices"),
+        ("nerve", "category C\nobj A\nobj\n", "CategoryStructureError: line 3: unexpected line 'obj'"),
+    ],
+    ids=["complex", "ambient", "dset", "category", "category-nerve", "family", "empty-simplex",
+         "category-line"],
+)
+def test_reader_names_the_bad_header_or_record_exit_1(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # command -> its argv, with "{}" for the file under test, and the kinds it
 # takes there; "{family}" and the like name good files of that kind
 _FILE_SLOTS = {

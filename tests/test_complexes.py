@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import on_fractions, raw_intersect_simplices
+from oracles import facet_closure, facet_pass, on_fractions, raw_intersect_simplices
 from plkernel import complexes, delta, families, linalg, polytope, prism, suite
 
 F = Fraction
@@ -103,6 +103,66 @@ def test_is_face_closed_codimension_two():
     # the top gone too: a closed complex, two triangles on the edge (2, 3)
     k = complexes.OrderedComplex((0, 1, 2, 3), tet - cofaces)
     assert k.is_face_closed()
+
+
+@st.composite
+def generator_lists(draw):
+    """Vertex collections for `from_maximal` on vertices 0..7: mixed
+    lengths, unsorted, some repeated in another order and some a face of
+    another, in any order; possibly none."""
+    tops = draw(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True), max_size=6))
+    extra = []
+    for s in tops:
+        kind = draw(st.sampled_from(("none", "repeat", "face")))
+        if kind == "repeat":
+            extra.append(draw(st.permutations(s)))
+        elif kind == "face":
+            extra.append(draw(st.lists(st.sampled_from(s), min_size=1, max_size=len(s), unique=True)))
+    return [tuple(g) for g in draw(st.permutations(tops + extra))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists())
+@example([])
+@example([(3,), (2, 0, 1), (1, 0), (0, 1, 2), (5, 4)])
+def test_closure_matches_the_facet_oracle(generators):
+    closure, maximal = complexes._closure(generators)
+    assert closure == facet_closure(generators)
+    assert facet_pass(closure) == (True, maximal)
+    k = complexes.OrderedComplex.from_maximal(generators)
+    assert k.simplices == closure
+    assert k.maximal_simplices() == list(maximal)
+    assert k.is_face_closed()
+    assert k.vertices == tuple(sorted(s[0] for s in closure if len(s) == 1))
+    plain = complexes.OrderedComplex(k.vertices, closure)
+    assert (plain.is_face_closed(), plain.maximal_simplices()) == (True, list(maximal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_sets())
+@example((frozenset({(0,), (1,), (2,), (0, 1, 2)}), 3))  # a triangle without its edges
+@example((frozenset({(0,), (1,), (2,)}), 3))
+@example((frozenset(), 0))
+def test_plain_complex_matches_the_facet_oracle(case):
+    simplices, n = case
+    k = complexes.OrderedComplex(tuple(range(n)), simplices)
+    closure = facet_closure(simplices)
+    assert complexes._closure(simplices)[0] == closure
+    assert k.is_face_closed() == facet_pass(simplices)[0]
+    # maximal under inclusion, also when the set is not closed
+    assert k.maximal_simplices() == list(facet_pass(closure)[1])
+
+
+def test_loaded_complex_closes_once():
+    # from_maximal hands its closure pass to the complex, so validate and
+    # dumps find the maximal simplices without another one
+    text = complexes.dumps(prism.build_R(3).complex)
+    with mock.patch.object(complexes, "_closure", wraps=complexes._closure) as spy:
+        k = complexes.loads(text)
+        assert spy.call_count == 1
+        assert complexes.validate(k).ok
+        assert complexes.dumps(k) == text
+        assert spy.call_count == 1
 
 
 def test_validate_good():

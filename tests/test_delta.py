@@ -205,6 +205,37 @@ def test_morphism_roundtrip():
     assert g.check().ok
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a second image used to replace the first
+        (lambda t: t + "m 0 (0,) (1,)\n", "line 5: repeated image of '(0,)' in degree 0"),
+        (lambda t: t + "map g Delta^1 Delta^1\n", "line 5: repeated header"),
+        # unknown names and tokens were bare KeyErrors
+        (lambda t: t.replace("map idmap Delta^1", "map idmap Z"), "line 1: unknown Δ-set 'Z'"),
+        (lambda t: t.replace("m 0 (1,) (1,)", "m 0 q (1,)"),
+         "line 3: Delta^1 has no generator 'q' in degree 0"),
+        (lambda t: t.replace("m 0 (1,) (1,)", "m 0 (1,) q"),
+         "line 3: Delta^1 has no generator 'q' in degree 0"),
+        (lambda t: t.replace("m 1 (0,1)", "m 2 (0,1)"),
+         "line 4: Delta^1 has no generator '(0,1)' in degree 2"),
+        (lambda t: t + "n 0 (0,) (1,)\n", "line 5: unexpected line 'n 0 (0,) (1,)'"),
+    ],
+    ids=["image", "header", "set", "source-token", "target-token", "degree", "record"],
+)
+def test_loads_morphism_names_the_bad_line(edit, message):
+    x = delta.standard_delta(1)
+    text = delta.dumps_morphism(delta.identity_morphism(x), "idmap")
+    assert text.splitlines()[1:] == ["m 0 (0,) (0,)", "m 0 (1,) (1,)", "m 1 (0,1) (0,1)"]
+    with pytest.raises(delta.DeltaStructureError, match=f"^{re.escape(message)}$"):
+        delta.loads_morphism(edit(text), {x.name: x})
+
+
+def test_loads_rejects_a_second_header():
+    with pytest.raises(delta.DeltaStructureError, match="^line 3: repeated header$"):
+        delta.loads("dset X\ng 0 a\ndset Y\n")
+
+
 # ---------------------------------------------------------------------------
 # the witness of check_identities: the first failure in a fixed order
 # ---------------------------------------------------------------------------

@@ -322,6 +322,16 @@ def test_loads_rejects_repeated_records(line, message):
         nerve.loads("\n".join(lines))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("obj A\nmor f A A\n", "missing category header"),
+    ("category C\nobj A\ncategory C\n", "line 3: repeated header"),
+    ("category C\nobj A\nmor f A\n", "line 3: unexpected line 'mor f A'"),
+])
+def test_loads_requires_one_header(text, message):
+    with pytest.raises(nerve.CategoryStructureError, match=f"^{re.escape(message)}$"):
+        nerve.loads(text)
+
+
 def test_demo_category_roundtrip(tmp_path):
     c = nerve.demo_cobordism_category()
     path = tmp_path / "cob.cat"
