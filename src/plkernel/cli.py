@@ -66,6 +66,13 @@ def _load(path, *kinds):
     return _READERS[kind].loads(text)
 
 
+def _count(text: str) -> int:
+    """A count option's value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _rational(text: str) -> Fraction:
     return complexes.parse_rational(text)
 
@@ -285,7 +292,7 @@ def build_parser() -> _Parser:
 
     sp = add("subdivide", cmd_subdivide, help="barycentric subdivision")
     sp.add_argument("file")
-    sp.add_argument("-r", "--rounds", type=int, default=1)
+    sp.add_argument("-r", "--rounds", type=_count, default=1)
     sp.add_argument("-o", "--output")
 
     sp = add("prism-r", cmd_prism_r, help="ordered prism triangulation")
@@ -314,7 +321,7 @@ def build_parser() -> _Parser:
     sp.add_argument("at", help="comma-separated rational coordinates")
     sp.add_argument("-o", "--output")
 
-    sp = add("fiber", cmd_fiber, help="regular-value fiber with probe certificate")
+    sp = add("fiber", cmd_fiber, help="regular-value fiber, checked to be a valid complex")
     sp.add_argument("source")
     sp.add_argument("map")
     sp.add_argument("--at", required=True, help="comma-separated rational coordinates")
@@ -339,7 +346,7 @@ def build_parser() -> _Parser:
 
     sp = add("export-off", cmd_export_off, help="OFF mesh export (lossy decimals)")
     sp.add_argument("file")
-    sp.add_argument("--digits", type=int, default=12)
+    sp.add_argument("--digits", type=_count, default=12)
 
     return p
 

@@ -19,7 +19,7 @@ from math import factorial
 from typing import Hashable, Mapping
 
 from . import polytope
-from .delta import DeltaSet, deletion_table, records
+from .delta import DeltaSet, deletion_table, numbers, records
 from .linalg import Vec, as_vec
 
 
@@ -596,16 +596,16 @@ def read(lines) -> EuclideanComplex:
                 raise ComplexStructureError(f"line {ln}: vertex before header")
             if len(parts) < 2:
                 raise ComplexStructureError(f"line {ln}: vertex without id")
-            vid = int(parts[1])
+            (vid,) = numbers(ln, parts[1:2], ComplexStructureError)
             if vid in coords:
                 raise ComplexStructureError(f"line {ln}: repeated vertex id {vid}")
-            vals = [parse_rational(t) for t in parts[2:]]
+            vals = numbers(ln, parts[2:], ComplexStructureError, parse_rational)
             if len(vals) != ambient:
                 raise ComplexStructureError(f"line {ln}: expected {ambient} coordinates")
-            coords[vid] = tuple(vals)
+            coords[vid] = vals
             vertex_lines[vid] = ln
         elif parts[0] == "s":
-            simplex = tuple(int(t) for t in parts[1:])
+            simplex = numbers(ln, parts[1:], ComplexStructureError)
             if not simplex:
                 raise ComplexStructureError(f"line {ln}: simplex without vertices")
             if len(set(simplex)) != len(simplex):

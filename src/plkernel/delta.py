@@ -449,6 +449,18 @@ def records(text: str):
             yield ln, fields
 
 
+def numbers(ln, tokens, error, parse=int) -> tuple:
+    """The number fields of line ln, each read by parse (int or a rational
+    reader); a field that parse rejects is an error naming the line."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(parse(t))
+        except ValueError:
+            raise error(f"line {ln}: bad number {t!r}") from None
+    return tuple(out)
+
+
 def _token(g) -> str:
     t = "".join((genkey(g) if isinstance(g, (tuple, frozenset)) else str(g)).split())
     if not t:
@@ -490,12 +502,13 @@ def loads(text: str) -> DeltaSet:
                 raise error(f"line {ln}: repeated header")
             name = " ".join(parts[1:]) or "X"
         elif parts[0] == "g" and len(parts) == 3:
-            row = gens.setdefault(int(parts[1]), {})
+            row = gens.setdefault(numbers(ln, parts[1:2], error)[0], {})
             if parts[2] in row:
                 raise error(f"line {ln}: repeated generator {parts[2]!r} in degree {parts[1]}")
             row[parts[2]] = None
         elif parts[0] == "d" and len(parts) == 5:
-            key = (int(parts[1]), parts[2], int(parts[3]))
+            k, i = numbers(ln, (parts[1], parts[3]), error)
+            key = (k, parts[2], i)
             if key in faces:
                 raise error(f"line {ln}: repeated face line {' '.join(parts)!r}")
             faces[key] = parts[4]
@@ -529,7 +542,7 @@ def loads_morphism(text: str, sets: Mapping[str, DeltaSet]) -> DeltaMorphism:
                     raise DeltaStructureError(f"line {ln}: unknown Δ-set {name!r}")
             src, tgt = sets[parts[2]], sets[parts[3]]
         elif parts[0] == "m" and len(parts) == 4:
-            key = (int(parts[1]), parts[2])
+            key = (numbers(ln, parts[1:2], DeltaStructureError)[0], parts[2])
             if key in raw_map:
                 raise DeltaStructureError(f"line {ln}: repeated image of {parts[2]!r} in degree {parts[1]}")
             raw_map[key] = ln, parts[3]

@@ -14,7 +14,7 @@ deterministic.
 From the clip to the built complex, points stay in the clip's integer
 form, which the accumulator hands each complex as its `integer_coords`.
 Fractions appear once per built vertex (its coordinates), in `apply`'s
-values, the horn retraction's `lp.in_hull` and the regular-fiber probes.
+values and the horn retraction's `lp.in_hull`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 
 from . import complexes, homology, linalg, lp, polytope
 from .complexes import ComplexStructureError, EuclideanComplex
-from .delta import records
+from .delta import numbers, records
 from .linalg import Vec, as_vec
 
 
@@ -397,11 +397,19 @@ def slice_family(w: PolyhedralFamily, q0) -> EuclideanComplex:
     point = polytope.integer_simplex([q0])
     if _carrier(w.base, point.points) is None:
         raise FamilyError("point lies outside the base")
-    acc = _ComplexAccumulator(w.fiber_dim)
+    name = f"{w.name}|{'/'.join(map(str, q0))}"
+    return _fiber(point, w.integer_parts.values(), w.fiber_dim, name)
+
+
+def _fiber(point, parts, ambient: int, name: str) -> EuclideanComplex:
+    """The points over a base point: each part is a (base, fiber) pair of
+    integer simplices, and its piece is the polytope of weights on base
+    whose image is point, carried into fiber (`polytope.intersect_simplices`)."""
+    acc = _ComplexAccumulator(ambient)
     no_output = polytope.integer_simplex([()])
-    for base, fiber in w.integer_parts.values():
+    for base, fiber in parts:
         acc.add_polytope(polytope.intersect_simplices(point, base, no_output, fiber))
-    return acc.build(name=f"{w.name}|{'/'.join(map(str, q0))}")
+    return acc.build(name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -493,47 +501,24 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
 class FiberCertificate:
     ok: bool
     fiber: EuclideanComplex
-    probe_types: tuple = ()
-    note: str = ""
-
-
-def _fiber_at(f: AffineSimplicialMap, lam) -> tuple[EuclideanComplex, tuple]:
-    acc = _ComplexAccumulator(f.source.ambient_dim)
-    piece_shapes = []
-    point, no_output = polytope.integer_simplex([lam]), polytope.integer_simplex([()])
-    for s in f.source.maximal_simplices():
-        verts = polytope.intersect_simplices(
-            point, f.image_simplex(s), no_output, f.source.integer_simplex(s)
-        )
-        if verts:
-            acc.add_polytope(verts)
-            piece_shapes.append((s, len(verts)))
-    fiber = acc.build(name="fiber")
-    sig = (
-        fiber.f_vector(),
-        homology.homology_of_complex(fiber).betti_vector() if fiber.base.vertices else (),
-        tuple(n for _, n in sorted(piece_shapes)),
-    )
-    return fiber, sig
 
 
 def regular_fiber(f: AffineSimplicialMap, lam) -> FiberCertificate:
-    """Fiber over an interior point of the target simplex, plus a probe
-    certificate of local product structure.
+    """Fiber over an interior point λ of the target simplex, and whether it
+    is a valid complex.
 
-    The target must be a single standard simplex and f must be simplicial
-    (vertices to vertices, simplices onto faces).  The probe set takes,
-    for each face F of the target, the point (2/3)λ + (1/3)bF; the
-    certificate passes when the combinatorial type of the fiber (f-vector,
-    Betti numbers, per-simplex piece shapes) is constant over all probes.
-    """
+    The target must be a single standard simplex and f simplicial
+    (vertices to vertices).  The piece of a source simplex σ over an
+    interior point y is then an affine image of ∏ yᵢ·Δ(σ ∩ f⁻¹(i)), whose
+    face lattice does not depend on y (M. M. Cohen, 1967), so the fiber's
+    type is one over the open simplex.  `ok` validates the fiber, which
+    fails if two pieces triangulate their shared face differently."""
     tgt = f.target
     tmax = tgt.maximal_simplices()
     if len(tmax) != 1:
         raise FamilyError("target must be a single simplex")
     top = tmax[0]
-    tpts = tgt.points(top)
-    vert_set = set(tpts)
+    vert_set = set(tgt.points(top))
     for v in f.source.base.vertices:
         if f.vertex_images[v] not in vert_set:
             raise FamilyError("map is not simplicial: a vertex misses the target vertices")
@@ -541,24 +526,10 @@ def regular_fiber(f: AffineSimplicialMap, lam) -> FiberCertificate:
     bc = _weights(tgt, top, polytope.homogeneous([lam])[0])
     if bc is None or any(c <= 0 for c in bc):
         raise FamilyError("base point is not interior to the target simplex")
-    fiber, base_sig = _fiber_at(f, lam)
-    probes = []
-    for r in range(1, len(top) + 1):
-        for face in itertools.combinations(range(len(top)), r):
-            bf = tuple(
-                sum(tpts[i][j] for i in face) / len(face) for j in range(tgt.ambient_dim)
-            )
-            probes.append(
-                tuple(Fraction(2, 3) * lam[j] + Fraction(1, 3) * bf[j] for j in range(len(bf)))
-            )
-    types = []
-    ok = True
-    for mu in probes:
-        _, sig = _fiber_at(f, mu)
-        types.append(sig)
-        if sig != base_sig:
-            ok = False
-    return FiberCertificate(ok, fiber, tuple(types), note="probe certificate")
+    src = f.source
+    parts = [(f.image_simplex(s), src.integer_simplex(s)) for s in src.maximal_simplices()]
+    fiber = _fiber(polytope.integer_simplex([lam]), parts, src.ambient_dim, "fiber")
+    return FiberCertificate(complexes.validate(fiber).ok, fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -840,12 +811,12 @@ def loads(text: str) -> PolyhedralFamily:
     projection = {}
     for ln, fields in proj_lines:
         left, _, right = " ".join(fields).partition("|")
-        s = tuple(sorted(int(t) for t in left.split()))
+        s = tuple(sorted(numbers(ln, left.split(), FamilyError)))
         if s not in tops:
             raise FamilyError(f"line {ln}: simplex {s} is not maximal in the total")
         if s in projection:
             raise FamilyError(f"line {ln}: repeated projection of {s}")
-        projection[s] = tuple(sorted(int(t) for t in right.split()))
+        projection[s] = tuple(sorted(numbers(ln, right.split(), FamilyError)))
     return PolyhedralFamily(base, sub, total, fiber_dim, projection, name)
 
 
@@ -859,12 +830,12 @@ def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> 
             continue
         if parts[0] != "v" or len(parts) < 2:
             raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
-        vid = int(parts[1])
+        (vid,) = numbers(ln, parts[1:2], FamilyError)
         if vid in images:
             raise FamilyError(f"line {ln}: repeated vertex id {vid}")
         if vid not in vertices:
             raise FamilyError(f"line {ln}: vertex {vid} is not in the source")
-        images[vid] = tuple(complexes.parse_rational(t) for t in parts[2:])
+        images[vid] = numbers(ln, parts[2:], FamilyError, complexes.parse_rational)
     return AffineSimplicialMap(source, target, images)
 
 

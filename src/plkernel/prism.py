@@ -512,6 +512,8 @@ def sd_delta_matches_complex(k) -> bool:
 
 def format_decimal(q: Fraction, digits: int = 12) -> str:
     """Exact decimal rendering of a rational, rounded half-up at `digits`."""
+    if digits < 0:
+        raise ValueError(f"digits must not be negative: {digits}")
     q = Fraction(q)
     sign = "-" if q < 0 else ""
     q = abs(q)

@@ -348,7 +348,7 @@ def criterion_8():
     height = AffineSimplicialMap(hexc, d1, {v: (pts[v][1],) for v in pts})
     cert = families.regular_fiber(height, (Fraction(1, 2),))
     if not cert.ok:
-        return False, "hexagon probe certificate fails"
+        return False, "hexagon fiber is not a valid complex"
     if cert.fiber.f_vector() != (2,):
         return False, f"hexagon fiber is {cert.fiber.f_vector()}, not 2 points"
     ec = prism.build_R(2).complex
@@ -357,7 +357,7 @@ def criterion_8():
     )
     cert = families.regular_fiber(proj, (Fraction(1, 2),))
     if not cert.ok:
-        return False, "prism probe certificate fails"
+        return False, "prism fiber is not a valid complex"
     if cert.fiber.dimension != 2 or cert.fiber.euler_characteristic() != 1:
         return False, "prism fiber is not a 2-disc slice"
     return True, "hexagon fiber = 2 points; prism fiber = 2-dim, chi=1"

@@ -15,7 +15,10 @@ is `families.same_point_set` with the Fraction bounding boxes it read
 before it boxed integer coordinates.  `facet_pass` is the face-closure test
 and the maximal simplices of `OrderedComplex` as they were computed before
 `complexes._closure`, from the set of every facet of every simplex, and
-`facet_closure` the closure reached by adding facets until none is new."""
+`facet_closure` the closure reached by adding facets until none is new.
+`probe_signature` is the combinatorial type of a simplicial map's fiber
+that `families.regular_fiber` compared at `probe_points` before it built
+one fiber and validated it."""
 
 import itertools
 from fractions import Fraction
@@ -305,3 +308,33 @@ def facet_closure(simplices):
         new = {t[:i] + t[i + 1 :] for t in new if len(t) > 1 for i in range(len(t))} - closure
         closure |= new
     return frozenset(closure)
+
+
+def probe_signature(f, lam):
+    """The fiber of f over lam's f-vector, its Betti numbers, and the vertex
+    count of each non-empty piece, in the order of the source simplices."""
+    acc = families._ComplexAccumulator(f.source.ambient_dim)
+    point, no_output = polytope.integer_simplex([lam]), polytope.integer_simplex([()])
+    shapes = []
+    for s in f.source.maximal_simplices():
+        verts = polytope.intersect_simplices(
+            point, f.image_simplex(s), no_output, f.source.integer_simplex(s)
+        )
+        if verts:
+            acc.add_polytope(verts)
+            shapes.append((s, len(verts)))
+    fiber = acc.build(name="fiber")
+    betti = homology.homology_of_complex(fiber).betti_vector() if fiber.base.vertices else ()
+    return fiber.f_vector(), betti, tuple(n for _, n in sorted(shapes))
+
+
+def probe_points(target, lam):
+    """(2/3)lam + (1/3)b_F for each face F of the target's one simplex,
+    b_F the barycentre of F."""
+    tpts = target.points(target.maximal_simplices()[0])
+    points = []
+    for r in range(1, len(tpts) + 1):
+        for face in itertools.combinations(tpts, r):
+            bf = [sum(x[j] for x in face) / len(face) for j in range(len(lam))]
+            points.append(tuple(Fraction(2, 3) * x + Fraction(1, 3) * b for x, b in zip(lam, bf)))
+    return points

@@ -572,3 +572,99 @@ def test_parser_reuse_carries_no_state(tmp_path, capsys):
     code, out, _ = run_cli(["validate", str(good)], capsys)
     assert code == 0
     assert out == f"valid: {good}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("complex K ambient=1\nv 0 0\nv a 1\ns 0 1\n", "line 3: bad number 'a'"),
+        ("complex K ambient=1\nv 0 0\nv 1 1\ns 0 b\n", "line 4: bad number 'b'"),
+        ("complex K ambient=1\nv 0 0\nv 1 1.5\ns 0 1\n", "line 3: bad number '1.5'"),
+        ("dset D\ng 0 a\ng x e\n", "line 3: bad number 'x'"),
+        ("dset D\ng 0 a\ng 1 e\nd 1 e 0 a\nd 1 e y a\n", "line 5: bad number 'y'"),
+    ],
+    ids=["complex-vertex", "complex-simplex", "complex-coordinate", "dset-generator", "dset-face"],
+)
+def test_bad_number_field_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_bad_projection_number_names_its_line(tmp_path, capsys):
+    lines = families.dumps(
+        families.constant_family(families.standard_simplex_complex(1), suite.point_fiber())
+    ).splitlines()
+    path = tmp_path / "w.fam"
+    path.write_text("\n".join(lines[:-1] + ["p 0 z | 0 1"]) + "\n")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert f"line {len(lines)}: bad number 'z'" in err
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        (["v 0 0", "v one 1"], "line 3: bad number 'one'"),
+        (["v 0 0", "v 1 0.5"], "line 3: bad number '0.5'"),
+    ],
+    ids=["id", "image"],
+)
+def test_bad_map_number_names_its_line(tmp_path, capsys, images, message):
+    src, amap = tmp_path / "seg.cplx", tmp_path / "f.amap"
+    complexes.dump(families.standard_simplex_complex(1), src)
+    amap.write_text("amap f\n" + "\n".join(images) + "\n")
+    code, out, err = run_cli(["fiber", str(src), str(amap), "--at", "1/2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["subdivide", "-r", "-2"], "--rounds"), (["export-off", "--digits", "-1"], "--digits")],
+    ids=["rounds", "digits"],
+)
+def test_negative_count_option_exit_1(tmp_path, capsys, argv, option):
+    path = tmp_path / "seg.cplx"
+    path.write_text(_SEGMENT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [str(path)] + argv[1:])
+    assert exc.value.code == 1
+    assert option in capsys.readouterr().err
+
+
+def test_zero_rounds_and_digits_stay_valid(tmp_path, capsys):
+    path = tmp_path / "seg.cplx"
+    path.write_text(_SEGMENT)
+    code, out, _ = run_cli(["subdivide", str(path), "-r", "0"], capsys)
+    assert code == 0 and out == _SEGMENT
+    code, out, _ = run_cli(["export-off", str(path), "--digits", "0"], capsys)
+    assert code == 0 and out.splitlines()[3:] == ["0", "1", "2 0 1"]
+
+
+def test_format_decimal_rejects_negative_digits():
+    assert prism.format_decimal(F(2, 3), 0) == "1"
+    with pytest.raises(ValueError, match="digits"):
+        prism.format_decimal(F(2, 3), -1)
+
+
+def test_fiber_that_is_not_a_complex_fails(tmp_path, capsys):
+    # a fiber builder that triangulated a shared face two ways would leave
+    # overlapping simplices; validating the one fiber is what catches it
+    overlap = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (0, 1, 3)],
+        {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(0), F(2)), 3: (F(1), F(1, 2))},
+    )
+    seg = families.standard_simplex_complex(1)
+    src, amap = tmp_path / "seg.cplx", tmp_path / "f.amap"
+    complexes.dump(seg, src)
+    amap.write_text("amap f\nv 0 0\nv 1 1\n")
+    with mock.patch.object(families, "_fiber", return_value=overlap):
+        assert not families.regular_fiber(families.identity_map(seg), (F(1, 2),)).ok
+        code, out, _ = run_cli(["fiber", str(src), str(amap), "--at", "1/2"], capsys)
+    assert code == 2
+    assert out.startswith("certificate=fail")

@@ -220,8 +220,9 @@ def test_morphism_roundtrip():
         (lambda t: t.replace("m 1 (0,1)", "m 2 (0,1)"),
          "line 4: Delta^1 has no generator '(0,1)' in degree 2"),
         (lambda t: t + "n 0 (0,) (1,)\n", "line 5: unexpected line 'n 0 (0,) (1,)'"),
+        (lambda t: t.replace("m 1 (0,1)", "m one (0,1)"), "line 4: bad number 'one'"),
     ],
-    ids=["image", "header", "set", "source-token", "target-token", "degree", "record"],
+    ids=["image", "header", "set", "source-token", "target-token", "degree", "record", "number"],
 )
 def test_loads_morphism_names_the_bad_line(edit, message):
     x = delta.standard_delta(1)

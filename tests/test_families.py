@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plkernel import complexes, families, homology, linalg, polytope, suite
+from plkernel import complexes, families, homology, linalg, polytope, prism, suite
 
-from oracles import fraction_box_same_point_set, on_fractions
+from oracles import fraction_box_same_point_set, on_fractions, probe_points, probe_signature
 
 F = Fraction
 
@@ -331,6 +332,66 @@ def test_regular_fiber_rejects_vertex_image():
     f = families.identity_map(seg)
     with pytest.raises(families.FamilyError):
         families.regular_fiber(f, (F(0),))
+
+
+@functools.cache
+def _fiber_sources():
+    """Sources of simplicial maps onto Δ¹ and Δ²: prisms R(p) and K(p),
+    subdivided corpus complexes and products of simplices."""
+    d1, d2 = families.standard_simplex_complex(1), families.standard_simplex_complex(2)
+    return (
+        prism.build_R(1).complex, prism.build_R(2).complex,
+        prism.build_K(2).complex, prism.build_K(3).complex,
+        complexes.barycentric_subdivide(suite.circle_4()),
+        complexes.barycentric_subdivide(suite.boundary_tetrahedron()),
+        complexes.barycentric_subdivide(suite.torus_7()),
+        families.product_complex(d1, d1)[0], families.product_complex(d2, d1)[0],
+    )
+
+
+def _interior_point(weights):
+    """The point of Δ^n's chart with the given positive barycentric weights."""
+    return tuple(F(w, sum(weights)) for w in weights[1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fiber_type_is_constant_over_the_open_simplex(data):
+    # for a simplicial map, the fiber's f-vector, Betti numbers and piece
+    # shapes are the same at λ, at the old probe points and anywhere else
+    # in the open target simplex, and the one fiber built is valid
+    src = data.draw(st.sampled_from(_fiber_sources()))
+    n = data.draw(st.integers(1, 2))
+    target = families.standard_simplex_complex(n)
+    vertices = sorted(src.base.vertices)
+    images = data.draw(st.lists(st.integers(0, n), min_size=len(vertices), max_size=len(vertices)))
+    f = families.AffineSimplicialMap(
+        src, target, {v: target.coords[i] for v, i in zip(vertices, images)}
+    )
+    positive = st.lists(st.integers(1, 9), min_size=n + 1, max_size=n + 1)
+    lam = _interior_point(data.draw(positive))
+    cert = families.regular_fiber(f, lam)
+    assert cert.ok
+    sig = probe_signature(f, lam)
+    assert sig[0] == cert.fiber.f_vector()
+    others = probe_points(target, lam) + [_interior_point(data.draw(positive)) for _ in range(2)]
+    for mu in others:
+        assert probe_signature(f, mu) == sig
+
+
+def test_regular_fiber_builds_one_fiber_without_homology():
+    # R(2) onto its [0, 1] factor, as in criterion 8
+    ec = prism.build_R(2).complex
+    d1 = families.standard_simplex_complex(1)
+    f = families.AffineSimplicialMap(ec, d1, {v: ec.coords[v][-1:] for v in ec.base.vertices})
+    clip = mock.patch.object(polytope, "intersect_simplices", wraps=polytope.intersect_simplices)
+    hom = mock.patch.object(homology, "homology", wraps=homology.homology)
+    hom_k = mock.patch.object(homology, "homology_of_complex", wraps=homology.homology_of_complex)
+    with clip as clips, hom as homs, hom_k as homs_k:
+        cert = families.regular_fiber(f, (F(1, 2),))
+    assert cert.ok and cert.fiber.dimension == 2
+    assert clips.call_count == len(ec.maximal_simplices())
+    assert homs.call_count == homs_k.call_count == 0
 
 
 def test_horn_retraction_small():
