@@ -73,6 +73,11 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """Comma-separated non-negative integers."""
+    return tuple(map(_count, text.split(",")))
+
+
 def _rational(text: str) -> Fraction:
     return complexes.parse_rational(text)
 
@@ -160,8 +165,7 @@ def cmd_prism_k(args):
 
 
 def cmd_rmap(args):
-    eta = tuple(int(t) for t in args.eta.split(","))
-    m = prism.build_R_map(eta, args.p, args.q)
+    m = prism.build_R_map(args.eta, args.p, args.q)
     if not m.to_delta_morphism().check():
         payload = {"command": "rmap", "ok": False}
         _emit(args, payload, "rmap: face equivariance fails")
@@ -308,7 +312,7 @@ def build_parser() -> _Parser:
     sp = add("rmap", cmd_rmap, help="prism map induced by a monotone map")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("eta", help="comma-separated values of the monotone map")
+    sp.add_argument("eta", type=_counts, help="comma-separated values of the monotone map")
 
     sp = add("pullback", cmd_pullback, help="base change of a family")
     sp.add_argument("family")

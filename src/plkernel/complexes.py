@@ -45,39 +45,31 @@ def _closure(simplices) -> tuple[frozenset[tuple[int, ...]], tuple[tuple[int, ..
     return frozenset(closed), tuple(sorted(maximal))
 
 
-def close_under_faces(simplices) -> frozenset[tuple[int, ...]]:
-    return _closure(simplices)[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrderedComplex:
-    """Abstract ordered simplicial complex with integer vertex ids."""
+    """Abstract ordered simplicial complex with integer vertex ids.  Its one
+    constructor, :meth:`from_maximal`, takes the vertices, the face closure
+    and the maximal simplices from one `_closure` pass, so the simplices
+    are sorted and closed under faces."""
 
     vertices: tuple[int, ...]
     simplices: frozenset[tuple[int, ...]]
-    labels: Mapping[int, Hashable] = field(default_factory=dict)
-    name: str = "K"
+    labels: Mapping[int, Hashable]
+    name: str
+    _maximal: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
-    @staticmethod
-    def from_maximal(maximal, labels=None, name="K") -> "OrderedComplex":
+    @classmethod
+    def from_maximal(cls, maximal, labels=None, name="K") -> "OrderedComplex":
         simplices, tops = _closure(maximal)
-        vertices = tuple(sorted({v for s in tops for v in s}))
-        k = OrderedComplex(vertices, simplices, dict(labels or {}), name)
-        # closed by construction, with the maximal simplices of its pass
-        k.__dict__["_closure_pass"] = True, tops
+        k = cls.__new__(cls)
+        k.__dict__.update(
+            vertices=tuple(sorted({v for s in tops for v in s})),
+            simplices=simplices,
+            labels=dict(labels or {}),
+            name=name,
+            _maximal=tops,
+        )
         return k
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        for s in self.simplices:
-            if tuple(sorted(s)) != s:
-                raise ComplexStructureError(f"simplex {s} not sorted by vertex order")
-            if not vset.issuperset(s):
-                v = next(v for v in s if v not in vset)
-                raise ComplexStructureError(f"simplex {s} references unknown vertex {v}")
-        for v in self.vertices:
-            if (v,) not in self.simplices:
-                raise ComplexStructureError(f"vertex {v} has no singleton simplex")
 
     @property
     def dimension(self) -> int:
@@ -87,24 +79,13 @@ class OrderedComplex:
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        return list(self._closure_pass[1])
-
-    @functools.cached_property
-    def _closure_pass(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-        """Face closure and the maximal simplices, from one `_closure` of
-        the simplices: the closure holds them all, so the complex is closed
-        iff it holds no more.  `from_maximal` hands both over."""
-        closure, maximal = _closure(self.simplices)
-        return len(closure) == len(self.simplices), maximal
+        return list(self._maximal)
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
-
-    def is_face_closed(self) -> bool:
-        return self._closure_pass[0]
 
 
 @dataclass(frozen=True)
@@ -227,13 +208,9 @@ class ValidityReport:
 
 
 def validate(k: EuclideanComplex) -> ValidityReport:
-    """Geometric validity: face closure, affine independence, and pairwise
-    common-face intersections.
-
-    Face closure holds by construction for a complex built from its
-    maximal simplices (`OrderedComplex.from_maximal`, so every reader and
-    builder), which hands its closure pass over; only a complex given its
-    simplex set directly runs `_closure` here.
+    """Geometric validity: affine independence and pairwise common-face
+    intersections; face closure holds by construction
+    (`OrderedComplex.from_maximal`).
 
     Affine independence and intersections are checked on maximal simplices
     only; both properties are inherited by faces.  Every test runs on the
@@ -261,8 +238,6 @@ def validate(k: EuclideanComplex) -> ValidityReport:
        (`polytope._clip_simplex`), which decides every rejection.
     """
     issues = []
-    if not k.base.is_face_closed():
-        issues.append("simplex set is not closed under faces")
     maximal = k.maximal_simplices()
     icoords = k.integer_coords
     functionals = {s: k.functionals(s) for s in maximal}

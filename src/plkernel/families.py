@@ -194,9 +194,7 @@ class PolyhedralFamily:
 
 def empty_family(base: EuclideanComplex, fiber_dim: int, name="empty") -> PolyhedralFamily:
     total = EuclideanComplex(
-        complexes.OrderedComplex((), frozenset(), {}, name),
-        base.ambient_dim + fiber_dim,
-        {},
+        complexes.OrderedComplex.from_maximal((), name=name), base.ambient_dim + fiber_dim, {}
     )
     return PolyhedralFamily(base, base, total, fiber_dim, {}, name)
 
@@ -337,9 +335,8 @@ class _ComplexAccumulator:
         first: dict = {}  # each point's id in the order seen, renumbered below
         seen = [[first.setdefault(p, len(first)) for p in s] for s in self.simplices]
         if not first:
-            return EuclideanComplex(
-                complexes.OrderedComplex((), frozenset(), {}, name), self.ambient, {}
-            )
+            empty = complexes.OrderedComplex.from_maximal((), name=name)
+            return EuclideanComplex(empty, self.ambient, {})
         hom = polytope._over_lcm(list(first))  # the complex's integer_coords
         order = sorted(range(len(hom)), key=hom.__getitem__)
         vid = {j: i for i, j in enumerate(order)}
@@ -823,10 +820,13 @@ def loads(text: str) -> PolyhedralFamily:
 def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> AffineSimplicialMap:
     """An affine-map file: `amap <name>`, then one `v <id> <rat> ...` line
     per vertex of the source, giving its image in the target's space."""
-    images = {}
+    images, header = {}, False
     vertices = set(source.base.vertices)
     for ln, parts in records(text):
         if parts[0] == "amap":
+            if header:
+                raise FamilyError(f"line {ln}: repeated header")
+            header = True
             continue
         if parts[0] != "v" or len(parts) < 2:
             raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
@@ -836,6 +836,10 @@ def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> 
         if vid not in vertices:
             raise FamilyError(f"line {ln}: vertex {vid} is not in the source")
         images[vid] = numbers(ln, parts[2:], FamilyError, complexes.parse_rational)
+        if len(images[vid]) != target.ambient_dim:
+            raise FamilyError(f"line {ln}: expected {target.ambient_dim} coordinates")
+    if not header:
+        raise FamilyError("missing amap header")
     return AffineSimplicialMap(source, target, images)
 
 

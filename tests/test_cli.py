@@ -159,29 +159,62 @@ def test_validate_vertex_in_no_simplex_exit_1(tmp_path, capsys):
     assert "ComplexStructureError" in err and "line 3: vertex 1 is in no simplex" in err
 
 
+def _run_map_command(tmp_path, capsys, command, amap_text):
+    """`pullback` of the roof family or `fiber` over 1/2, along the map of
+    the segment that amap_text gives; both targets lie in R^1."""
+    fam, src, amap = tmp_path / "w.fam", tmp_path / "seg.cplx", tmp_path / "f.amap"
+    families.dump(suite.lift_fixtures()[3], fam)
+    complexes.dump(families.standard_simplex_complex(1), src)
+    amap.write_text(amap_text)
+    argv = {
+        "pullback": ["pullback", str(fam), str(src), str(amap)],
+        "fiber": ["fiber", str(src), str(amap), "--at", "1/2"],
+    }[command]
+    return run_cli(argv, capsys)
+
+
 @pytest.mark.parametrize("command", ["pullback", "fiber"])
 @pytest.mark.parametrize(
     "images, message",
     [
         (["v 0 0", "v 0 1", "v 1 1"], "line 3: repeated vertex id 0"),
         (["v 0 0", "v 1 1", "v 7 1"], "line 4: vertex 7 is not in the source"),
+        (["v 0 0", "v 1 1 0"], "line 3: expected 1 coordinates"),
+        (["v 0", "v 1 1"], "line 2: expected 1 coordinates"),
     ],
 )
 def test_map_bad_vertex_line_exit_1(tmp_path, capsys, command, images, message):
-    # a second image of vertex 0 used to replace the first, and an image of
-    # a vertex the segment lacks used to join the images' denominator
-    fam, src, amap = tmp_path / "w.fam", tmp_path / "seg.cplx", tmp_path / "f.amap"
-    families.dump(suite.lift_fixtures()[3], fam)
-    complexes.dump(families.standard_simplex_complex(1), src)
-    amap.write_text("amap f\n" + "\n".join(images) + "\n")
-    argv = {
-        "pullback": ["pullback", str(fam), str(src), str(amap)],
-        "fiber": ["fiber", str(src), str(amap), "--at", "1/2"],
-    }[command]
-    code, out, err = run_cli(argv, capsys)
+    # a second image of vertex 0 used to replace the first, an image of
+    # a vertex the segment lacks used to join the images' denominator, and
+    # an image of the wrong length used to fail later, naming no line
+    code, out, err = _run_map_command(tmp_path, capsys, command, "amap f\n" + "\n".join(images) + "\n")
     assert code == 1
     assert out == ""
     assert "FamilyError" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["pullback", "fiber"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("v 0 0\nv 1 1\n", "missing amap header"), ("amap f\nv 0 0\namap g\nv 1 1\n", "line 3: repeated header")],
+    ids=["missing", "repeated"],
+)
+def test_map_reader_requires_one_header(tmp_path, capsys, command, text, message):
+    assert _run_map_command(tmp_path, capsys, command, text) == (1, "", f"error: FamilyError: {message}\n")
+
+
+def test_rmap_prints_the_vertex_map(capsys):
+    code, out, _ = run_cli(["rmap", "1", "2", "0,2"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["0 -> 0", "1 -> 2", "2 -> 3", "3 -> 5", "4 -> 7"]
+
+
+@pytest.mark.parametrize("eta, field", [("0,x", "x"), ("0,", ""), ("0,-1", "-1"), ("0,1/2", "1/2")])
+def test_rmap_bad_eta_field_exit_1(capsys, eta, field):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rmap", "1", "1", eta])
+    assert exc.value.code == 1
+    assert f"error: argument eta: not a non-negative integer: {field!r}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_1(capsys):
@@ -411,7 +444,7 @@ def test_pullback_along_wrong_dimension_map_exit_1(tmp_path, capsys, images):
     amap.write_text("amap f\n" + "\n".join(images) + "\n")
     code, _, err = run_cli(["pullback", str(fam), str(src), str(amap)], capsys)
     assert code == 1
-    assert "dimension" in err
+    assert "FamilyError: line 2: expected 2 coordinates" in err
 
 
 def test_subdivide_roundtrip(tmp_path, capsys):

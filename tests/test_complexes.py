@@ -44,67 +44,6 @@ def test_maximal_simplices_returns_a_fresh_list():
     assert k.base.maximal_simplices() is not k.base.maximal_simplices()
 
 
-def all_faces_present(simplices):
-    """Face closure by definition: every proper nonempty face is present."""
-    return all(
-        f in simplices
-        for s in simplices
-        for r in range(1, len(s))
-        for f in itertools.combinations(s, r)
-    )
-
-
-@st.composite
-def simplex_sets(draw):
-    """Random simplex sets on vertices 0..n-1 with every singleton present:
-    closures of random simplices, then one of: nothing removed, random
-    simplices removed, one codimension-2 face of a top simplex removed, or
-    a face removed together with its cofaces, the top simplex kept or not."""
-    kind = draw(st.sampled_from(("closed", "random", "codim-2", "cofaces")))
-    n = draw(st.integers(1 if kind in ("closed", "random") else 4, 6))
-
-    def simplex(least):
-        return st.lists(st.integers(0, n - 1), min_size=least, max_size=5, unique=True)
-
-    tops = draw(st.lists(simplex(1), min_size=1, max_size=4))
-    # a top simplex whose codimension-2 faces are not vertices
-    top = tuple(sorted(draw(simplex(4)))) if n >= 4 else ()
-    simplices = set(complexes.close_under_faces(tops + [top] * bool(top)))
-    simplices |= {(v,) for v in range(n)}
-    if kind == "random":
-        drop = draw(st.sets(st.sampled_from(sorted(simplices)), min_size=1))
-        simplices -= {s for s in drop if len(s) > 1}
-    elif kind in ("codim-2", "cofaces"):
-        face = tuple(sorted(draw(st.sets(st.sampled_from(top), min_size=len(top) - 2,
-                                         max_size=len(top) - 2))))
-        simplices.discard(face)
-        if kind == "cofaces":
-            keep_top = draw(st.booleans())
-            simplices -= {s for s in simplices if set(face) <= set(s) and (s != top or not keep_top)}
-    return frozenset(simplices), n
-
-
-@settings(max_examples=300, deadline=None)
-@given(simplex_sets())
-def test_is_face_closed_matches_all_faces(case):
-    simplices, n = case
-    k = complexes.OrderedComplex(tuple(range(n)), simplices)
-    assert k.is_face_closed() == all_faces_present(simplices)
-
-
-def test_is_face_closed_codimension_two():
-    tet = complexes.close_under_faces([(0, 1, 2, 3)])
-    k = complexes.OrderedComplex((0, 1, 2, 3), tet - {(0, 1)})
-    assert not k.is_face_closed()
-    # (0, 1) and every coface gone but the top: the top's facets are missing
-    cofaces = {s for s in tet if {0, 1} <= set(s)}
-    k = complexes.OrderedComplex((0, 1, 2, 3), tet - cofaces | {(0, 1, 2, 3)})
-    assert not k.is_face_closed()
-    # the top gone too: a closed complex, two triangles on the edge (2, 3)
-    k = complexes.OrderedComplex((0, 1, 2, 3), tet - cofaces)
-    assert k.is_face_closed()
-
-
 @st.composite
 def generator_lists(draw):
     """Vertex collections for `from_maximal` on vertices 0..7: mixed
@@ -132,25 +71,58 @@ def test_closure_matches_the_facet_oracle(generators):
     k = complexes.OrderedComplex.from_maximal(generators)
     assert k.simplices == closure
     assert k.maximal_simplices() == list(maximal)
-    assert k.is_face_closed()
     assert k.vertices == tuple(sorted(s[0] for s in closure if len(s) == 1))
-    plain = complexes.OrderedComplex(k.vertices, closure)
-    assert (plain.is_face_closed(), plain.maximal_simplices()) == (True, list(maximal))
 
 
-@settings(max_examples=300, deadline=None)
-@given(simplex_sets())
-@example((frozenset({(0,), (1,), (2,), (0, 1, 2)}), 3))  # a triangle without its edges
-@example((frozenset({(0,), (1,), (2,)}), 3))
-@example((frozenset(), 0))
-def test_plain_complex_matches_the_facet_oracle(case):
-    simplices, n = case
-    k = complexes.OrderedComplex(tuple(range(n)), simplices)
-    closure = facet_closure(simplices)
-    assert complexes._closure(simplices)[0] == closure
-    assert k.is_face_closed() == facet_pass(simplices)[0]
-    # maximal under inclusion, also when the set is not closed
-    assert k.maximal_simplices() == list(facet_pass(closure)[1])
+def test_from_maximal_is_the_one_constructor():
+    with pytest.raises(TypeError):
+        complexes.OrderedComplex((0,), frozenset({(0,)}))
+
+
+def _corpus_vertices():
+    """(complex, vertex) for every vertex of every suite corpus complex."""
+    return [(ec, v) for ec in suite.corpus() for v in ec.base.vertices]
+
+
+_UNSORTED = "complex K ambient=1\nv 0 0\nv 1 1\nv 2 2\ns 1 0\ns 0\ns 2 1\ns 0 1\n"
+_INTERVAL = families.standard_simplex_complex(1)
+
+# production builder -> the complexes it returns
+_BUILDERS = {
+    "build_R": lambda: [prism.build_R(p).complex for p in range(5)],
+    "build_K": lambda: [prism.build_K(p).complex for p in range(5)],
+    "sd": lambda: [complexes.barycentric_subdivide(k) for ec in suite.corpus() for k in (ec, ec.base)],
+    "star": lambda: [complexes.star(v, k) for ec, v in _corpus_vertices() for k in (ec, ec.base)],
+    "link": lambda: [complexes.link(v, k) for ec, v in _corpus_vertices() for k in (ec, ec.base)],
+    "join": lambda: [
+        complexes.join(ec.coords[v], complexes.link(v, ec), vertex_id=v) for ec, v in _corpus_vertices()
+    ],
+    "read": lambda: [complexes.loads(complexes.dumps(ec)) for ec in suite.corpus()]
+    + [complexes.loads(_UNSORTED)],
+    "product_complex": lambda: [
+        families.product_complex(a, b)[0]
+        for a, b in [(_INTERVAL, families.standard_simplex_complex(2)), (suite.circle_4(), _INTERVAL)]
+    ],
+    "empty_family": lambda: [families.empty_family(_INTERVAL, 1).total],
+    "pullback": lambda: [
+        families.pullback(families.identity_map(w.base), w).total for w in suite.lift_fixtures()[3:5]
+    ],
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_every_builder_returns_its_from_maximal_complex(builder):
+    for k in _BUILDERS[builder]():
+        base = k.base if isinstance(k, complexes.EuclideanComplex) else k
+        tops = base.maximal_simplices()
+        again = complexes.OrderedComplex.from_maximal(tops)
+        assert (base.simplices, base.vertices, tops) == (
+            again.simplices, again.vertices, again.maximal_simplices()
+        )
+        # sorted and closed, by the facet oracle
+        assert all(list(s) == sorted(s) for s in base.simplices)
+        assert facet_pass(base.simplices) == (True, tuple(tops))
+        assert base.vertices == tuple(sorted(s[0] for s in base.simplices if len(s) == 1))
 
 
 def test_loaded_complex_closes_once():
@@ -494,7 +466,7 @@ def test_local_certificate_matches_pair_path(kind, p, seed):
 
 
 def test_local_certificate_small_cases():
-    empty = complexes.EuclideanComplex(complexes.OrderedComplex((), frozenset()), 2, {})
+    empty = complexes.EuclideanComplex(complexes.OrderedComplex.from_maximal(()), 2, {})
     assert certificate_reports(empty) == (complexes.ValidityReport(True), [], [])
     point = complexes.EuclideanComplex.build([(0,)], {0: (F(1), F(2))})
     assert certificate_reports(point) == (complexes.ValidityReport(True), [False], [])
