@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict, text: str):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True, default=str))
     else:
         print(text)
@@ -93,22 +93,19 @@ def _rational_point(text: str):
 
 def cmd_validate(args):
     ec = _load(args.file, *_READERS)
-    if isinstance(ec, families.PolyhedralFamily):
-        rep = families.check_family(ec)
-        ok = rep.ok
-        witness = "; ".join(rep.issues)
-    elif isinstance(ec, EuclideanComplex):
-        rep = complexes.validate(ec)
-        ok = rep.ok
-        witness = "; ".join(rep.issues)
-    elif isinstance(ec, delta.DeltaSet):
+    if isinstance(ec, delta.DeltaSet):
         rep = delta.check_identities(ec)
-        ok = rep.ok
-        witness = "" if ok else str(rep.witness)
+        witness = "" if rep.ok else str(rep.witness)
     else:
-        rep = nerve.check_category(ec)
-        ok = rep.ok
-        witness = "; ".join(str(i) for i in rep.issues)
+        # called through their modules, which a tracer may rebind
+        if isinstance(ec, families.PolyhedralFamily):
+            rep = families.check_family(ec)
+        elif isinstance(ec, EuclideanComplex):
+            rep = complexes.validate(ec)
+        else:
+            rep = nerve.check_category(ec)
+        witness = "; ".join(map(str, rep.issues))
+    ok = rep.ok
     payload = {"command": "validate", "ok": ok, "witness": witness}
     if ok:
         _emit(args, payload, f"valid: {args.file}")
@@ -257,7 +254,7 @@ def cmd_nerve(args):
 def cmd_verify_suite(args):
     rows = suite.run_suite()
     ok = all(row_ok for _, row_ok, _ in rows)
-    if getattr(args, "json", False):
+    if args.json:
         table = [{"criterion": name, "ok": row_ok} for name, row_ok, _ in rows]
         print(json.dumps({"command": "verify-suite", "ok": ok, "rows": table}, sort_keys=True))
     else:
@@ -285,13 +282,15 @@ def build_parser() -> _Parser:
     p = _Parser(prog="plkernel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, report=False, **kw):
+        """A subcommand; one that prints a report can print it as JSON."""
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true", help="JSON report output")
+        if report:
+            sp.add_argument("--json", action="store_true", help="JSON report output")
         return sp
 
-    sp = add("validate", cmd_validate, help="check a complex or family")
+    sp = add("validate", cmd_validate, report=True, help="check a complex or family")
     sp.add_argument("file")
 
     sp = add("subdivide", cmd_subdivide, help="barycentric subdivision")
@@ -299,17 +298,17 @@ def build_parser() -> _Parser:
     sp.add_argument("-r", "--rounds", type=_count, default=1)
     sp.add_argument("-o", "--output")
 
-    sp = add("prism-r", cmd_prism_r, help="ordered prism triangulation")
+    sp = add("prism-r", cmd_prism_r, report=True, help="ordered prism triangulation")
     sp.add_argument("p", type=int)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
-    sp = add("prism-k", cmd_prism_k, help="chain triangulation of the prism")
+    sp = add("prism-k", cmd_prism_k, report=True, help="chain triangulation of the prism")
     sp.add_argument("p", type=int)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
-    sp = add("rmap", cmd_rmap, help="prism map induced by a monotone map")
+    sp = add("rmap", cmd_rmap, report=True, help="prism map induced by a monotone map")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("eta", type=_counts, help="comma-separated values of the monotone map")
@@ -325,7 +324,7 @@ def build_parser() -> _Parser:
     sp.add_argument("at", help="comma-separated rational coordinates")
     sp.add_argument("-o", "--output")
 
-    sp = add("fiber", cmd_fiber, help="regular-value fiber, checked to be a valid complex")
+    sp = add("fiber", cmd_fiber, report=True, help="regular-value fiber, checked to be a valid complex")
     sp.add_argument("source")
     sp.add_argument("map")
     sp.add_argument("--at", required=True, help="comma-separated rational coordinates")
@@ -337,16 +336,16 @@ def build_parser() -> _Parser:
     sp.add_argument("j", type=int)
     sp.add_argument("-o", "--output")
 
-    sp = add("homology", cmd_homology, help="integral homology report")
+    sp = add("homology", cmd_homology, report=True, help="integral homology report")
     sp.add_argument("file")
 
-    sp = add("nerve", cmd_nerve, help="nerve of a finite non-unital category")
+    sp = add("nerve", cmd_nerve, report=True, help="nerve of a finite non-unital category")
     sp.add_argument("file")
     sp.add_argument("--max-degree", type=int, default=3)
     sp.add_argument("--allow-partial", action="store_true")
     sp.add_argument("-o", "--output")
 
-    add("verify-suite", cmd_verify_suite, help="run every acceptance check")
+    add("verify-suite", cmd_verify_suite, report=True, help="run every acceptance check")
 
     sp = add("export-off", cmd_export_off, help="OFF mesh export (lossy decimals)")
     sp.add_argument("file")

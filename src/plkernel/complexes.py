@@ -19,7 +19,7 @@ from math import factorial
 from typing import Hashable, Mapping
 
 from . import polytope
-from .delta import DeltaSet, deletion_table, numbers, records
+from .delta import DeltaSet, ValidityReport, deletion_table, header, numbers, records
 from .linalg import Vec, as_vec
 
 
@@ -196,15 +196,6 @@ class EuclideanComplex:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    issues: tuple[str, ...] = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate(k: EuclideanComplex) -> ValidityReport:
@@ -554,21 +545,15 @@ def read(lines) -> EuclideanComplex:
     """The complex of a complex file's records, as `records` yields them;
     a family file hands over each section's records with their file line
     numbers."""
-    name, ambient = "K", None
+    ln, fields, rest = header(lines, "complex", ComplexStructureError)
+    key, _, value = fields[-1].partition("=")
+    if len(fields) < 3 or key != "ambient" or not value.isdecimal():
+        raise ComplexStructureError(f"line {ln}: bad header")
+    name, ambient = " ".join(fields[1:-1]), int(value)
     coords, vertex_lines = {}, {}
     maximal = []
-    for ln, parts in lines:
-        if parts[0] == "complex":
-            if ambient is not None:
-                raise ComplexStructureError(f"line {ln}: repeated header")
-            key, _, value = parts[-1].partition("=")
-            if len(parts) < 3 or key != "ambient" or not value.isdecimal():
-                raise ComplexStructureError(f"line {ln}: bad header")
-            name = " ".join(parts[1:-1])
-            ambient = int(value)
-        elif parts[0] == "v":
-            if ambient is None:
-                raise ComplexStructureError(f"line {ln}: vertex before header")
+    for ln, parts in rest:
+        if parts[0] == "v":
             if len(parts) < 2:
                 raise ComplexStructureError(f"line {ln}: vertex without id")
             (vid,) = numbers(ln, parts[1:2], ComplexStructureError)
@@ -591,8 +576,6 @@ def read(lines) -> EuclideanComplex:
             maximal.append(tuple(sorted(simplex)))
         else:
             raise ComplexStructureError(f"line {ln}: unknown record {parts[0]!r}")
-    if ambient is None:
-        raise ComplexStructureError("missing complex header")
     # dumps writes the vertices of simplices only, so a stray one would not
     # survive loads(dumps(k))
     used = {v for s in maximal for v in s}

@@ -169,7 +169,19 @@ class DeltaSet:
 @dataclass(frozen=True)
 class IdentityReport:
     ok: bool
-    witness: tuple | None = None  # (degree, generator, i, j)
+    witness: tuple | None = None  # the first failure, e.g. (degree, generator, i, j)
+
+    def __bool__(self):
+        return self.ok
+
+
+@dataclass(frozen=True)
+class ValidityReport:
+    """The verdict of a check that lists every issue it finds: complexes,
+    families and categories."""
+
+    ok: bool
+    issues: tuple = ()
 
     def __bool__(self):
         return self.ok
@@ -449,6 +461,25 @@ def records(text: str):
             yield ln, fields
 
 
+def header(lines, word: str, error):
+    """Split a file's records, as `records` yields them, into its header
+    and the rest: (the header's line number, its fields, the remaining
+    records).  The first record must be the header, and the rest yields
+    no second one: the header rule of every file format."""
+    lines = iter(lines)
+    ln, fields = next(lines, (0, ("",)))
+    if fields[0] != word:
+        raise error(f"missing {word} header")
+
+    def rest():
+        for n, parts in lines:
+            if parts[0] == word:
+                raise error(f"line {n}: repeated header")
+            yield n, parts
+
+    return ln, fields, rest()
+
+
 def numbers(ln, tokens, error, parse=int) -> tuple:
     """The number fields of line ln, each read by parse (int or a rational
     reader); a field that parse rejects is an error naming the line."""
@@ -492,16 +523,13 @@ def dumps(x: DeltaSet) -> str:
 
 
 def loads(text: str) -> DeltaSet:
-    name = None
+    error = DeltaStructureError
+    _, fields, rest = header(records(text), "dset", error)
+    name = " ".join(fields[1:]) or "X"
     gens: dict[int, dict] = {}  # degree -> {generator: None}, in file order
     faces = {}
-    error = DeltaStructureError
-    for ln, parts in records(text):
-        if parts[0] == "dset":
-            if name is not None:
-                raise error(f"line {ln}: repeated header")
-            name = " ".join(parts[1:]) or "X"
-        elif parts[0] == "g" and len(parts) == 3:
+    for ln, parts in rest:
+        if parts[0] == "g" and len(parts) == 3:
             row = gens.setdefault(numbers(ln, parts[1:2], error)[0], {})
             if parts[2] in row:
                 raise error(f"line {ln}: repeated generator {parts[2]!r} in degree {parts[1]}")
@@ -514,8 +542,6 @@ def loads(text: str) -> DeltaSet:
             faces[key] = parts[4]
         else:
             raise error(f"line {ln}: unexpected line {' '.join(parts)!r}")
-    if name is None:
-        raise error("missing dset header")
     return DeltaSet({k: tuple(v) for k, v in gens.items()}, faces, name)
 
 
@@ -531,25 +557,22 @@ def loads_morphism(text: str, sets: Mapping[str, DeltaSet]) -> DeltaMorphism:
     """A Δ-morphism file: `map <name> <source> <target>`, then one
     `m <degree> <generator> <image>` line per source generator, in the
     tokens of `dumps`; the Δ-sets are looked up by name in sets."""
-    src = tgt = None
+    ln, fields, rest = header(records(text), "map", DeltaStructureError)
+    if len(fields) != 4:
+        raise DeltaStructureError(f"line {ln}: bad header")
+    for name in fields[2:]:
+        if name not in sets:
+            raise DeltaStructureError(f"line {ln}: unknown Δ-set {name!r}")
+    src, tgt = sets[fields[2]], sets[fields[3]]
     raw_map = {}  # (degree, source token) -> (line number, image token)
-    for ln, parts in records(text):
-        if parts[0] == "map" and len(parts) == 4:
-            if src is not None:
-                raise DeltaStructureError(f"line {ln}: repeated header")
-            for name in parts[2:]:
-                if name not in sets:
-                    raise DeltaStructureError(f"line {ln}: unknown Δ-set {name!r}")
-            src, tgt = sets[parts[2]], sets[parts[3]]
-        elif parts[0] == "m" and len(parts) == 4:
+    for ln, parts in rest:
+        if parts[0] == "m" and len(parts) == 4:
             key = (numbers(ln, parts[1:2], DeltaStructureError)[0], parts[2])
             if key in raw_map:
                 raise DeltaStructureError(f"line {ln}: repeated image of {parts[2]!r} in degree {parts[1]}")
             raw_map[key] = ln, parts[3]
         else:
             raise DeltaStructureError(f"line {ln}: unexpected line {' '.join(parts)!r}")
-    if src is None:
-        raise DeltaStructureError("missing map header")
     src_tok, tgt_tok = ({k: {_token(g): g for g in x.gens(k)} for k in x.generators} for x in (src, tgt))
     mapping = {}
     for (k, t), (ln, u) in raw_map.items():

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from . import complexes, homology, linalg, lp, polytope
 from .complexes import ComplexStructureError, EuclideanComplex
-from .delta import numbers, records
+from .delta import ValidityReport, header, numbers, records
 from .linalg import Vec, as_vec
 
 
@@ -49,7 +49,7 @@ def horn_complex(p: int, j: int) -> EuclideanComplex:
     from .prism import delta_vertex
 
     if not 0 <= j <= p or p < 1:
-        raise ValueError("bad horn indices")
+        raise FamilyError("bad horn indices")
     full = tuple(range(p + 1))
     maximal = [full[:i] + full[i + 1 :] for i in range(p + 1) if i != j]
     coords = {i: delta_vertex(p, i) for i in range(p + 1)}
@@ -118,10 +118,15 @@ class AffineSimplicialMap:
 
 def _carrier(k: EuclideanComplex, hom) -> tuple[int, ...] | None:
     """The first maximal simplex of k whose hull holds every point, given
-    in homogeneous integer form; reads k's functionals."""
-    return next(
-        (t for t in k.maximal_simplices() if polytope.contains(k.functionals(t), hom)), None
-    )
+    in homogeneous integer form; reads k's functionals, so a dependent
+    simplex met before it is bad input."""
+    for t in k.maximal_simplices():
+        functionals = k.functionals(t)
+        if functionals is None:
+            raise FamilyError("simplex is not affinely independent")
+        if polytope.contains(functionals, hom):
+            return t
+    return None
 
 
 def _weights(k: EuclideanComplex, simplex, x):
@@ -199,15 +204,6 @@ def empty_family(base: EuclideanComplex, fiber_dim: int, name="empty") -> Polyhe
     return PolyhedralFamily(base, base, total, fiber_dim, {}, name)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    ok: bool
-    issues: tuple[str, ...] = ()
-
-    def __bool__(self):
-        return self.ok
-
-
 def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     """Every maximal simplex of `sub` lies in a maximal simplex of k, and
     the pieces inside each maximal simplex of k, of its dimension, fill it
@@ -225,7 +221,7 @@ def is_subdivision_of(sub: EuclideanComplex, k: EuclideanComplex) -> bool:
     return all(coverage[t] == 1 for t in kmax)
 
 
-def check_family(w: PolyhedralFamily) -> FamilyReport:
+def check_family(w: PolyhedralFamily) -> ValidityReport:
     issues = []
     if w.fiber_dim < 0:
         issues.append("fiber dimension is negative")
@@ -262,7 +258,7 @@ def check_family(w: PolyhedralFamily) -> FamilyReport:
         projected = [_base_part(w.total.integer_coords[v], w.base_dim) for v in s]
         if projects and not polytope.contains(w.subdivision.functionals(cell), projected):
             issues.append(f"projection of simplex {s} leaves its cell {cell}")
-    return FamilyReport(not issues, tuple(issues))
+    return ValidityReport(not issues, tuple(issues))
 
 
 def product_complex(a: EuclideanComplex, b: EuclideanComplex, name=None) -> tuple[EuclideanComplex, dict]:
@@ -608,11 +604,11 @@ def _verify_retraction(r: AffineSimplicialMap, horn: EuclideanComplex):
 def horn_fill_family(w: PolyhedralFamily, p: int, j: int, name=None) -> PolyhedralFamily:
     """Extend a family over Λ^p_j to Δ^p by pulling back along the stored
     retraction."""
-    if w.is_empty():
-        return empty_family(standard_simplex_complex(p), w.fiber_dim, name or "filled")
     r = horn_retraction(p, j)
     if w.base.base.simplices != r.target.base.simplices:
         raise FamilyError("family base is not the expected horn")
+    if w.is_empty():
+        return empty_family(standard_simplex_complex(p), w.fiber_dim, name or "filled")
     return pullback(r, w, name=name or f"fill({w.name})")
 
 
@@ -771,16 +767,18 @@ def dumps(w: PolyhedralFamily) -> str:
 
 
 def loads(text: str) -> PolyhedralFamily:
-    header = None
+    ln, fields, rest = header(records(text), "family", FamilyError)
+    key, _, fiber = fields[-1].partition("=")
+    if len(fields) < 3 or key != "fiber":
+        raise FamilyError(f"line {ln}: bad header")
+    if not fiber.isdecimal():
+        raise FamilyError(f"line {ln}: family header fiber={fiber} is not a non-negative integer")
+    name, fiber_dim = " ".join(fields[1:-1]), int(fiber)
     sections: dict[str, list] = {}  # section -> its records
     proj_lines = []  # (line number, the fields after `p`)
     current = None
-    for ln, parts in records(text):
-        if parts[0] == "family":
-            if header is not None:
-                raise FamilyError(f"line {ln}: repeated header")
-            header = parts
-        elif parts[0] == "begin" and len(parts) > 1:
+    for ln, parts in rest:
+        if parts[0] == "begin" and len(parts) > 1:
             current = parts[1]
             if current in sections:
                 raise FamilyError(f"line {ln}: repeated section {current}")
@@ -793,13 +791,6 @@ def loads(text: str) -> PolyhedralFamily:
             proj_lines.append((ln, parts[1:]))
         else:
             raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
-    if header is None or len(header) < 3 or not header[-1].startswith("fiber="):
-        raise FamilyError("missing family header")
-    name = " ".join(header[1:-1])
-    fiber = header[-1].split("=", 1)[1]
-    if not fiber.isdecimal():
-        raise FamilyError(f"family header fiber={fiber} is not a non-negative integer")
-    fiber_dim = int(fiber)
     try:
         base, sub, total = (complexes.read(sections[t]) for t in ("base", "subdivision", "total"))
     except KeyError as exc:
@@ -820,14 +811,9 @@ def loads(text: str) -> PolyhedralFamily:
 def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> AffineSimplicialMap:
     """An affine-map file: `amap <name>`, then one `v <id> <rat> ...` line
     per vertex of the source, giving its image in the target's space."""
-    images, header = {}, False
+    images = {}
     vertices = set(source.base.vertices)
-    for ln, parts in records(text):
-        if parts[0] == "amap":
-            if header:
-                raise FamilyError(f"line {ln}: repeated header")
-            header = True
-            continue
+    for ln, parts in header(records(text), "amap", FamilyError)[2]:
         if parts[0] != "v" or len(parts) < 2:
             raise FamilyError(f"line {ln}: unexpected line {' '.join(parts)!r}")
         (vid,) = numbers(ln, parts[1:2], FamilyError)
@@ -838,8 +824,6 @@ def loads_map(text: str, source: EuclideanComplex, target: EuclideanComplex) -> 
         images[vid] = numbers(ln, parts[2:], FamilyError, complexes.parse_rational)
         if len(images[vid]) != target.ambient_dim:
             raise FamilyError(f"line {ln}: expected {target.ambient_dim} coordinates")
-    if not header:
-        raise FamilyError("missing amap header")
     return AffineSimplicialMap(source, target, images)
 
 

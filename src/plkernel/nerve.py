@@ -20,10 +20,12 @@ from .delta import (
     DeltaMorphism,
     DeltaSet,
     IdentityReport,
+    ValidityReport,
     _token,
     check_identities,
     compose,
     genkey,
+    header,
     records,
 )
 from .homology import ChainComplex, HomologyProfile, _chains, homology
@@ -69,18 +71,9 @@ class FiniteNonUnitalCategory:
         return self.tgt[f] == self.src[g]
 
 
-@dataclass(frozen=True)
-class CategoryReport:
-    ok: bool
-    issues: tuple = ()  # (kind, witness)
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> CategoryReport:
+def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> ValidityReport:
     """Source/target bookkeeping of composites and associativity on all
-    composable triples; witnesses reported on failure.
+    composable triples; each issue is a (kind, witness) pair.
 
     With allow_partial=False, a composable pair missing from the table is
     a structural error; with allow_partial=True (truncated categories)
@@ -112,7 +105,7 @@ def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> C
             issues.append(("associativity-domain", (f, g, h)))
         elif not allow_partial and (left is None or right is None):
             raise CategoryStructureError(f"triple ({f}, {g}, {h}) has no composite")
-    return CategoryReport(not issues, tuple(issues))
+    return ValidityReport(not issues, tuple(issues))
 
 
 def nerve(c: FiniteNonUnitalCategory, max_degree: int = 3) -> DeltaSet:
@@ -454,14 +447,11 @@ def dumps(c: FiniteNonUnitalCategory) -> str:
 
 
 def loads(text: str) -> FiniteNonUnitalCategory:
-    name = None
+    _, fields, rest = header(records(text), "category", CategoryStructureError)
+    name = " ".join(fields[1:]) or "C"
     objects, src, tgt, comp = {}, {}, {}, {}
-    for ln, parts in records(text):
-        if parts[0] == "category":
-            if name is not None:
-                raise CategoryStructureError(f"line {ln}: repeated header")
-            name = " ".join(parts[1:]) or "C"
-        elif parts[0] == "obj" and len(parts) == 2:
+    for ln, parts in rest:
+        if parts[0] == "obj" and len(parts) == 2:
             if parts[1] in objects:
                 raise CategoryStructureError(f"line {ln}: repeated object {parts[1]!r}")
             objects[parts[1]] = None
@@ -476,8 +466,6 @@ def loads(text: str) -> FiniteNonUnitalCategory:
             comp[(f, g)] = h
         else:
             raise CategoryStructureError(f"line {ln}: unexpected line {' '.join(parts)!r}")
-    if name is None:
-        raise CategoryStructureError("missing category header")
     return FiniteNonUnitalCategory(tuple(objects), tuple(src), src, tgt, comp, name)
 
 

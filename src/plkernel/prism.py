@@ -24,7 +24,7 @@ from typing import Mapping
 
 from . import complexes, delta, simplicial
 from .complexes import EuclideanComplex
-from .delta import DeltaMorphism, DeltaSet
+from .delta import DeltaMorphism, DeltaSet, IdentityReport
 from .simplicial import SimplicialMorphism, SimplicialSetFP
 
 # the largest prism dimension built
@@ -230,15 +230,6 @@ def monotone_maps(p: int, q: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    ok: bool
-    witness: tuple | None = None  # (simplex, vertex, vertex, reason)
-
-    def __bool__(self):
-        return self.ok
-
-
 def prism_leq(la, lb) -> bool:
     """The prism order on vertex labels: bottoms by index, tops by
     inclusion, and a bottom below a top exactly when its vertex lies in
@@ -252,9 +243,10 @@ def prism_leq(la, lb) -> bool:
     return False
 
 
-def verify_R_ordering(p: int, leq=None) -> OrderingReport:
+def verify_R_ordering(p: int, leq=None) -> IdentityReport:
     """Check that the prism order is a linear order on every simplex of
-    R(p) and agrees with the vertex-id order used by the Δ-set."""
+    R(p) and agrees with the vertex-id order used by the Δ-set; the
+    witness is (simplex, vertex, vertex, reason)."""
     r = build_R(p)
     if leq is None:
         leq = prism_leq
@@ -262,10 +254,10 @@ def verify_R_ordering(p: int, leq=None) -> OrderingReport:
         for u, v in itertools.combinations(s, 2):  # u < v as ids
             la, lb = r.label(u), r.label(v)
             if not leq(la, lb):
-                return OrderingReport(False, (s, u, v, "id order not respected"))
+                return IdentityReport(False, (s, u, v, "id order not respected"))
             if leq(lb, la) and la != lb:
-                return OrderingReport(False, (s, u, v, "antisymmetry"))
-    return OrderingReport(True)
+                return IdentityReport(False, (s, u, v, "antisymmetry"))
+    return IdentityReport(True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ and the maximal simplices of `OrderedComplex` as they were computed before
 `facet_closure` the closure reached by adding facets until none is new.
 `probe_signature` is the combinatorial type of a simplicial map's fiber
 that `families.regular_fiber` compared at `probe_points` before it built
-one fiber and validated it."""
+one fiber and validated it.  `leibniz_det` and `determinantal_divisors`
+read the Smith invariant factors off the minors of a matrix, for
+`homology.smith_normal_form`."""
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 from plkernel import delta, families, homology, linalg, nerve, polytope, prism
 from plkernel.complexes import EuclideanComplex
@@ -338,3 +340,29 @@ def probe_points(target, lam):
             bf = [sum(x[j] for x in face) / len(face) for j in range(len(lam))]
             points.append(tuple(Fraction(2, 3) * x + Fraction(1, 3) * b for x, b in zip(lam, bf)))
     return points
+
+
+def leibniz_det(matrix) -> int:
+    """The determinant of a square integer matrix as a sum over permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def determinantal_divisors(matrix) -> list[int]:
+    """d_k, the gcd of all k×k minors, for k = 1 up to the rank: the product
+    of the first k Smith invariant factors."""
+    n, m = len(matrix), len(matrix[0])
+    out = []
+    for k in range(1, min(n, m) + 1):
+        d = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(m), k):
+                d = gcd(d, leibniz_det([[matrix[i][j] for j in cols] for i in rows]))
+        if not d:
+            break
+        out.append(d)
+    return out

@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plkernel import cli, complexes, delta, families, linalg, nerve, prism, suite
 
@@ -196,8 +202,13 @@ def test_map_bad_vertex_line_exit_1(tmp_path, capsys, command, images, message):
 @pytest.mark.parametrize("command", ["pullback", "fiber"])
 @pytest.mark.parametrize(
     "text, message",
-    [("v 0 0\nv 1 1\n", "missing amap header"), ("amap f\nv 0 0\namap g\nv 1 1\n", "line 3: repeated header")],
-    ids=["missing", "repeated"],
+    [
+        ("v 0 0\nv 1 1\n", "missing amap header"),
+        # a vertex line before the header used to be read as the map's
+        ("v 0 0\namap f\nv 1 1\n", "missing amap header"),
+        ("amap f\nv 0 0\namap g\nv 1 1\n", "line 3: repeated header"),
+    ],
+    ids=["missing", "late", "repeated"],
 )
 def test_map_reader_requires_one_header(tmp_path, capsys, command, text, message):
     assert _run_map_command(tmp_path, capsys, command, text) == (1, "", f"error: FamilyError: {message}\n")
@@ -330,8 +341,16 @@ def _family_lines():
         (lambda lines: lines + ["p 0 | 0"], "line 21: simplex (0,) is not maximal in the total"),
         # an error inside a section names the file's line
         (lambda lines: lines[:16] + ["v 0 7 7"] + lines[16:], "line 17: repeated vertex id 0"),
+        # ... and so does one in a section's header, on its own line
+        (lambda lines: lines[:8] + ["complex Delta^1 ambient=x"] + lines[9:], "line 9: bad header"),
+        (lambda lines: lines[:16] + ["complex B ambient=2"] + lines[16:], "line 17: repeated header"),
+        (lambda lines: lines[:14] + lines[15:], "missing complex header"),
+        (lambda lines: ["family product depth=1"] + lines[1:], "line 1: bad header"),
+        (lambda lines: ["family product fiber=-1"] + lines[1:],
+         "line 1: family header fiber=-1 is not a non-negative integer"),
     ],
-    ids=["section", "projection", "not-maximal", "line-in-section"],
+    ids=["section", "projection", "not-maximal", "line-in-section", "section-header", "section-repeated-header",
+         "section-missing-header", "header", "header-fiber"],
 )
 def test_validate_family_repeated_or_stray_record_exit_1(tmp_path, capsys, edit, message):
     path = tmp_path / "w.fam"
@@ -701,3 +720,164 @@ def test_fiber_that_is_not_a_complex_fails(tmp_path, capsys):
         code, out, _ = run_cli(["fiber", str(src), str(amap), "--at", "1/2"], capsys)
     assert code == 2
     assert out.startswith("certificate=fail")
+
+
+def _header_formats():
+    """format -> (its reader on text, a valid text, its error class)."""
+    seg = families.standard_simplex_complex(1)
+    x = complexes.delta_set_of(seg)
+    return {
+        "complex": (complexes.loads, complexes.dumps(seg), complexes.ComplexStructureError),
+        "dset": (delta.loads, delta.dumps(x), delta.DeltaStructureError),
+        "map": (
+            lambda t: delta.loads_morphism(t, {x.name: x}),
+            delta.dumps_morphism(delta.identity_morphism(x)),
+            delta.DeltaStructureError,
+        ),
+        "family": (families.loads, families.dumps(suite.lift_fixtures()[3]), families.FamilyError),
+        "amap": (lambda t: families.loads_map(t, seg, seg), "amap f\nv 0 0\nv 1 1\n", families.FamilyError),
+        "category": (nerve.loads, nerve.dumps(nerve.demo_cobordism_category()), nerve.CategoryStructureError),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["complex", "dset", "map", "family", "amap", "category"])
+@pytest.mark.parametrize("case", ["empty", "late", "repeated"])
+def test_every_format_takes_its_header_first_and_once(fmt, case):
+    read, text, error = _header_formats()[fmt]
+    read(text)
+    lines = text.splitlines()
+    word = lines[0].split()[0]
+    bad, message = {
+        "empty": ("# nothing but a comment\n", f"missing {word} header"),
+        "late": ("\n".join([lines[1], lines[0]] + lines[2:]), f"missing {word} header"),
+        "repeated": (text + lines[0] + "\n", f"line {len(lines) + 1}: repeated header"),
+    }[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(bad)
+
+
+@pytest.mark.parametrize(
+    "p, j, message",
+    [
+        ("9", "9", "FamilyError: horn retractions are stored for p <= 3 only"),
+        ("2", "7", "FamilyError: bad horn indices"),
+        ("2", "1", "FamilyError: family base is not the expected horn"),
+    ],
+    ids=["large-p", "bad-j", "other-horn"],
+)
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "non-empty"])
+def test_hornfill_checks_its_arguments_on_every_family(tmp_path, capsys, empty, p, j, message):
+    # an empty family used to be filled before any check ran
+    horn = families.horn_complex(2, 0)
+    w = families.empty_family(horn, 1) if empty else families.constant_family(horn, suite.segment_fiber())
+    path = tmp_path / "w.fam"
+    families.dump(w, path)
+    assert run_cli(["hornfill", str(path), p, j], capsys) == (1, "", f"error: {message}\n")
+
+
+def test_hornfill_of_an_empty_family_is_empty(tmp_path, capsys):
+    path = tmp_path / "w.fam"
+    families.dump(families.empty_family(families.horn_complex(2, 0), 1), path)
+    code, out, _ = run_cli(["hornfill", str(path), "2", "0"], capsys)
+    assert code == 0
+    filled = families.loads(out)
+    assert filled.is_empty() and filled.base == families.standard_simplex_complex(2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subdivide", "f"], ["pullback", "f", "g", "h"], ["slice", "f", "0"], ["hornfill", "f", "2", "0"],
+     ["export-off", "f"]],
+    ids=lambda argv: argv[0],
+)
+def test_json_only_on_commands_that_print_a_report(capsys, argv):
+    # these commands write a complex, family or mesh; --json was accepted
+    # and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--json"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+# every exit 1 names one of these; a bare KeyError, ValueError, IndexError
+# or TypeError would be an unguarded path
+_INPUT_ERRORS = (
+    "ComplexStructureError", "DeltaStructureError", "FamilyError",
+    "CategoryStructureError", "ChainComplexError", "FileKindError",
+)
+_REPLACEMENTS = (
+    "0", "1", "-1", "1/2", "1/0", "x", "|", "complex", "dset", "family", "category",
+    "v", "s", "g", "d", "p", "obj", "mor", "cmp", "begin", "end", "base", "total",
+    "ambient=1", "ambient=x", "fiber=1", "fiber=-1", "#",
+)
+
+
+@functools.cache
+def _mutation_seeds():
+    """(valid file text, the commands besides validate that read it, with
+    "{}" for the file) for every file kind."""
+    seeds = []
+    for k in suite.corpus():
+        seeds.append((complexes.dumps(k), (["homology", "{}"],)))
+        seeds.append((delta.dumps(complexes.delta_set_of(k)), (["homology", "{}"],)))
+    for w in suite.lift_fixtures():
+        seeds.append((families.dumps(w), (["slice", "{}", ",".join(["1/3"] * w.base.ambient_dim)],)))
+    seeds.append((nerve.dumps(nerve.demo_cobordism_category()), (["nerve", "{}", "--allow-partial"],)))
+    z3 = "category Z3\nobj pt\n" + "".join(f"mor z{a} pt pt\n" for a in range(3))
+    z3 += "".join(f"cmp z{a} z{b} z{(a + b) % 3}\n" for a in range(3) for b in range(3))
+    seeds.append((z3, (["nerve", "{}"],)))
+    return seeds
+
+
+def _mutate(text, edits):
+    lines = text.splitlines()
+    for op, i, j, k in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j % (len(lines) + 1), lines[i])
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:  # replace one token by a keyword, a number or a token of the file
+            tokens, pool = lines[i].split(), _REPLACEMENTS + tuple(text.split())
+            if tokens:
+                tokens[j % len(tokens)] = pool[k % len(pool)]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutants") / "mutant.txt")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "swap", "replace"]),
+            st.integers(0, 10**4), st.integers(0, 10**4), st.integers(0, 10**4),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+# the slant family with its base edge collapsed to a point: slice used to
+# exit 1 with a bare ValueError from the dependent base simplex
+@example(14, [("replace", 4, 2, 0)])
+def test_mutated_files_exit_1_with_their_own_error_class(mutant_path, which, edits):
+    seeds = _mutation_seeds()
+    text, commands = seeds[which % len(seeds)]
+    with open(mutant_path, "w", encoding="utf-8") as fh:
+        fh.write(_mutate(text, edits))
+    for template in (["validate", "{}"],) + commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.replace("{}", mutant_path) for a in template])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert re.match(f"error: ({'|'.join(_INPUT_ERRORS)}): ", err.getvalue()), err.getvalue()

@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import determinantal_divisors, leibniz_det
 from plkernel import complexes, delta, homology, prism, simplicial, suite
 
 
@@ -24,6 +26,36 @@ def test_snf_certifies_factorization():
     sf = homology.smith_normal_form(m)
     for i in range(len(sf.diagonal) - 1):
         assert sf.diagonal[i + 1] % sf.diagonal[i] == 0
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+_INTEGER_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=n, max_size=n
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INTEGER_MATRICES)
+@example([[0, 0, 4], [6, 0, 0]])  # row and column swaps
+@example([[2, 3]])  # a remainder re-pivots
+@example([[2, 0], [0, 3]])  # the divisibility fix
+@example([[4, 6, 0], [6, 9, 3], [-2, 0, 5], [0, 0, 0]])
+def test_snf_matches_the_determinantal_divisors(a):
+    sf = homology.smith_normal_form(a)
+    diag = sf.diagonal
+    assert all(x > 0 for x in diag)
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
+    assert [math.prod(diag[:k]) for k in range(1, len(diag) + 1)] == determinantal_divisors(a)
+    assert abs(leibniz_det(sf.u)) == 1 and abs(leibniz_det(sf.v)) == 1
+    d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(len(a[0]))] for i in range(len(a))]
+    assert _mat_mul(_mat_mul(sf.u, a), sf.v) == d == [list(r) for r in sf.d]
 
 
 def test_snf_wrong_certificate_raises(monkeypatch):
