@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import complexes, delta, families, homology, nerve, prism, suite
 from .complexes import EuclideanComplex
@@ -78,12 +77,8 @@ def _counts(text: str) -> tuple[int, ...]:
     return tuple(map(_count, text.split(",")))
 
 
-def _rational(text: str) -> Fraction:
-    return complexes.parse_rational(text)
-
-
 def _rational_point(text: str):
-    return tuple(_rational(t) for t in text.split(","))
+    return tuple(map(complexes.parse_rational, text.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,7 @@ def cmd_homology(args):
 
 def cmd_nerve(args):
     c = _load(args.file, "category")
-    rep = nerve.check_category(c, allow_partial=args.allow_partial)
+    rep = nerve.check_category(c)
     if not rep.ok:
         payload = {"command": "nerve", "ok": False, "issues": [str(i) for i in rep.issues]}
         _emit(args, payload, f"category axioms fail: {rep.issues[0]}")
@@ -299,18 +294,18 @@ def build_parser() -> _Parser:
     sp.add_argument("-o", "--output")
 
     sp = add("prism-r", cmd_prism_r, report=True, help="ordered prism triangulation")
-    sp.add_argument("p", type=int)
+    sp.add_argument("p", type=_count)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
     sp = add("prism-k", cmd_prism_k, report=True, help="chain triangulation of the prism")
-    sp.add_argument("p", type=int)
+    sp.add_argument("p", type=_count)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
     sp = add("rmap", cmd_rmap, report=True, help="prism map induced by a monotone map")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    sp.add_argument("p", type=_count)
+    sp.add_argument("q", type=_count)
     sp.add_argument("eta", type=_counts, help="comma-separated values of the monotone map")
 
     sp = add("pullback", cmd_pullback, help="base change of a family")
@@ -332,8 +327,8 @@ def build_parser() -> _Parser:
 
     sp = add("hornfill", cmd_hornfill, help="extend a family over a horn to the simplex")
     sp.add_argument("family")
-    sp.add_argument("p", type=int)
-    sp.add_argument("j", type=int)
+    sp.add_argument("p", type=_count)
+    sp.add_argument("j", type=_count)
     sp.add_argument("-o", "--output")
 
     sp = add("homology", cmd_homology, report=True, help="integral homology report")
@@ -341,8 +336,7 @@ def build_parser() -> _Parser:
 
     sp = add("nerve", cmd_nerve, report=True, help="nerve of a finite non-unital category")
     sp.add_argument("file")
-    sp.add_argument("--max-degree", type=int, default=3)
-    sp.add_argument("--allow-partial", action="store_true")
+    sp.add_argument("--max-degree", type=_count, default=3)
     sp.add_argument("-o", "--output")
 
     add("verify-suite", cmd_verify_suite, report=True, help="run every acceptance check")

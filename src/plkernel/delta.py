@@ -26,12 +26,6 @@ class DeltaStructureError(ValueError):
 _MISSING = object()
 
 
-def _raise_repeat(k: int, gs: tuple):
-    position = {g: n for n, g in enumerate(gs)}
-    g = next(g for n, g in enumerate(gs) if position[g] != n)
-    raise DeltaStructureError(f"generator {g!r} repeats in degree {k}")
-
-
 def _names_a_face(key, position: dict) -> bool:
     """Whether key is (k, g, i) with g a generator of degree k >= 1 and
     0 <= i <= k, given each degree's {generator: position}."""
@@ -64,12 +58,13 @@ class DeltaSet:
     is the position in gens(k-1) of d_i of gens(k)[n].
 
     ``DeltaSet(generators, faces, name)`` takes the faces as a mapping
-    (degree, gen, i) -> gen for input from outside.  It checks that no
-    generator repeats within a degree, that every face d_i of a degree-k
-    generator is a generator of degree k - 1, and that every key names
-    such a face, and builds the table from them.  Builders that compute
-    the table themselves use :meth:`from_table`.  ``faces`` is derived
-    from the table on first read.
+    (degree, gen, i) -> gen for input from outside.  It reads each face
+    once, writes its position in the degree below (-1 for a face that is
+    no generator there) and hands the table to :meth:`from_table`, which
+    makes every check on generators and positions; it checks itself only
+    that every face d_i is given and that every key names one.  Builders
+    that compute the table themselves call :meth:`from_table` directly.
+    ``faces`` is derived from the table on first read.
     """
 
     generators: Mapping[int, tuple]
@@ -80,30 +75,20 @@ class DeltaSet:
         self, generators: Mapping[int, tuple], faces: Mapping[tuple, Hashable], name: str = "X"
     ):
         gens = {k: tuple(v) for k, v in generators.items() if v}
-        position, table = {}, {}
-        for k in sorted(gens):
-            gs = gens[k]
-            if k < 0:
-                raise DeltaStructureError(f"negative degree {k}")
-            pos = position[k] = {g: n for n, g in enumerate(gs)}
-            if len(pos) < len(gs):
-                _raise_repeat(k, gs)
-            if k == 0:
-                continue
-            lower, ks = position.get(k - 1, {}), range(k + 1)
-            row = [lower.get(faces.get((k, g, i), _MISSING)) for g in gs for i in ks]
-            if None in row:
-                n, i = divmod(row.index(None), k + 1)
-                g = gs[n]
-                if (k, g, i) not in faces:
-                    raise DeltaStructureError(f"missing face d_{i} of {g!r} in degree {k}")
-                raise DeltaStructureError(f"face d_{i} of {g!r} is not a generator of degree {k-1}")
-            table[k] = tuple(row)
-        # every key read above is a distinct face, so any other key is stray
+        position = {k: {g: n for n, g in enumerate(gs)} for k, gs in gens.items()}
+        table = {}
+        for k in sorted(k for k in gens if k >= 1):
+            gs, lower, ks = gens[k], position.get(k - 1, {}), range(k + 1)
+            row = table[k] = [lower.get(faces.get((k, g, i), _MISSING), -1) for g in gs for i in ks]
+            if -1 in row:
+                n, i = divmod(row.index(-1), k + 1)
+                if (k, gs[n], i) not in faces:
+                    raise DeltaStructureError(f"missing face d_{i} of {gs[n]!r} in degree {k}")
+        self.__dict__.update(DeltaSet.from_table(gens, table, name).__dict__)
+        # from_table rejects repeats, so every key read above is a distinct face
         if sum(map(len, table.values())) != len(faces):
             key = next(key for key in faces if not _names_a_face(key, position))
             raise DeltaStructureError(f"face key {key!r} names no face of a generator")
-        self.__dict__.update(generators=gens, table=table, name=name)
 
     @classmethod
     def from_table(
@@ -121,7 +106,9 @@ class DeltaSet:
             if k < 0:
                 raise DeltaStructureError(f"negative degree {k}")
             if len(set(gs)) < len(gs):
-                _raise_repeat(k, gs)
+                position = {g: n for n, g in enumerate(gs)}
+                g = next(g for n, g in enumerate(gs) if position[g] != n)
+                raise DeltaStructureError(f"generator {g!r} repeats in degree {k}")
             if k == 0:
                 continue
             row = tuple(table.get(k, ()))

@@ -30,6 +30,7 @@ from . import complexes, homology, linalg, lp, polytope
 from .complexes import ComplexStructureError, EuclideanComplex
 from .delta import ValidityReport, header, numbers, records
 from .linalg import Vec, as_vec
+from .prism import delta_vertex
 
 
 class FamilyError(ValueError):
@@ -38,16 +39,12 @@ class FamilyError(ValueError):
 
 def standard_simplex_complex(p: int, name=None) -> EuclideanComplex:
     """Δ^p in the chart hull{0, e_1..e_p} ⊂ ℝ^p, as a one-simplex complex."""
-    from .prism import delta_vertex
-
     coords = {i: delta_vertex(p, i) for i in range(p + 1)}
     return EuclideanComplex.build([tuple(range(p + 1))], coords, name=name or f"Delta^{p}")
 
 
 def horn_complex(p: int, j: int) -> EuclideanComplex:
     """Λ^p_j: all facets of Δ^p except the one opposite vertex j."""
-    from .prism import delta_vertex
-
     if not 0 <= j <= p or p < 1:
         raise FamilyError("bad horn indices")
     full = tuple(range(p + 1))
@@ -443,8 +440,6 @@ def same_point_set(a: EuclideanComplex, b: EuclideanComplex) -> bool:
         return not a.base.vertices and not b.base.vertices
     if a.ambient_dim != b.ambient_dim or a.dimension != b.dimension:
         return False
-    from .prism import delta_vertex
-
     a_cells, b_cells = set(a.cells.values()), set(b.cells.values())
     if a_cells == b_cells:
         return True
@@ -541,8 +536,6 @@ def horn_retraction(p: int, j: int) -> AffineSimplicialMap:
     vertex maps to the exit point of the ray from q through it.  The
     construction verifies r|horn = id and image ⊆ horn.
     """
-    from .prism import delta_vertex
-
     if p > 3:
         raise FamilyError("horn retractions are stored for p <= 3 only")
     verts = [delta_vertex(p, i) for i in range(p + 1)]

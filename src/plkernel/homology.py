@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import complexes
 from .delta import DeltaSet, check_identities
 
 
@@ -422,6 +423,4 @@ def homology_of_delta_set(x: DeltaSet) -> HomologyProfile:
 
 
 def homology_of_complex(k) -> HomologyProfile:
-    from . import complexes
-
     return homology_of_delta_set(complexes.delta_set_of(k))

@@ -71,26 +71,20 @@ class FiniteNonUnitalCategory:
         return self.tgt[f] == self.src[g]
 
 
-def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> ValidityReport:
-    """Source/target bookkeeping of composites and associativity on all
-    composable triples; each issue is a (kind, witness) pair.
-
-    With allow_partial=False, a composable pair missing from the table is
-    a structural error; with allow_partial=True (truncated categories)
-    the checks quantify over defined composites only.
-    """
+def check_category(c: FiniteNonUnitalCategory) -> ValidityReport:
+    """Source/target bookkeeping of the composites the table defines, and
+    associativity on every triple whose two inner composites it defines;
+    each issue is a (kind, witness) pair.  The table may be a truncation,
+    so a composable pair without a composite is no issue, but a triple
+    with only one bracketing defined is an associativity-domain issue."""
     issues = []
     for f, g in itertools.product(c.morphisms, repeat=2):
+        h = c.comp.get((f, g))
+        if h is None:
+            continue
         if not c.composable(f, g):
-            if (f, g) in c.comp:
-                issues.append(("comp-on-noncomposable", (f, g)))
-            continue
-        if (f, g) not in c.comp:
-            if not allow_partial:
-                raise CategoryStructureError(f"composable pair ({f}, {g}) has no composite")
-            continue
-        h = c.comp[(f, g)]
-        if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+            issues.append(("comp-on-noncomposable", (f, g)))
+        elif c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             issues.append(("endpoint", (f, g, h)))
     for f, g, h in itertools.product(c.morphisms, repeat=3):
         fg = c.comp.get((f, g))
@@ -99,12 +93,10 @@ def check_category(c: FiniteNonUnitalCategory, allow_partial: bool = False) -> V
             continue
         left = c.comp.get((fg, h))
         right = c.comp.get((f, gh))
-        if left is not None and right is not None and left != right:
-            issues.append(("associativity", (f, g, h, left, right)))
-        elif allow_partial and (left is None) != (right is None):
+        if (left is None) != (right is None):
             issues.append(("associativity-domain", (f, g, h)))
-        elif not allow_partial and (left is None or right is None):
-            raise CategoryStructureError(f"triple ({f}, {g}, {h}) has no composite")
+        elif left != right:
+            issues.append(("associativity", (f, g, h, left, right)))
     return ValidityReport(not issues, tuple(issues))
 
 
@@ -242,7 +234,7 @@ def nerve_simplicial(c: SimplicialCategory, max_q: int = 3) -> BiDeltaSet:
     levels = {}
     for p in degrees:
         lev = c.level(p)
-        rep = check_category(lev, allow_partial=True)
+        rep = check_category(lev)
         if not rep:
             raise CategoryStructureError((p, rep.issues[0]))
         levels[p] = lev

@@ -20,7 +20,10 @@ and the maximal simplices of `OrderedComplex` as they were computed before
 that `families.regular_fiber` compared at `probe_points` before it built
 one fiber and validated it.  `leibniz_det` and `determinantal_divisors`
 read the Smith invariant factors off the minors of a matrix, for
-`homology.smith_normal_form`."""
+`homology.smith_normal_form`.  `two_mode_check_category` is
+`nerve.check_category` with the total-table mode it had beside the
+truncated one, and `validating_delta_set` the faces constructor of
+`DeltaSet` that checked repeats, degrees and faces itself."""
 
 import itertools
 from fractions import Fraction
@@ -366,3 +369,67 @@ def determinantal_divisors(matrix) -> list[int]:
             break
         out.append(d)
     return out
+
+
+def two_mode_check_category(c, truncated=False):
+    """nerve.check_category with its two semantics: a total table, where a
+    composable pair or triple without a composite raises, and a truncated
+    one (truncated=True), where the checks quantify over the defined
+    composites."""
+    issues = []
+    for f, g in itertools.product(c.morphisms, repeat=2):
+        if not c.composable(f, g):
+            if (f, g) in c.comp:
+                issues.append(("comp-on-noncomposable", (f, g)))
+            continue
+        if (f, g) not in c.comp:
+            if not truncated:
+                raise nerve.CategoryStructureError(f"composable pair ({f}, {g}) has no composite")
+            continue
+        h = c.comp[(f, g)]
+        if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+            issues.append(("endpoint", (f, g, h)))
+    for f, g, h in itertools.product(c.morphisms, repeat=3):
+        fg = c.comp.get((f, g))
+        gh = c.comp.get((g, h))
+        if fg is None or gh is None:
+            continue
+        left = c.comp.get((fg, h))
+        right = c.comp.get((f, gh))
+        if left is not None and right is not None and left != right:
+            issues.append(("associativity", (f, g, h, left, right)))
+        elif truncated and (left is None) != (right is None):
+            issues.append(("associativity-domain", (f, g, h)))
+        elif not truncated and (left is None or right is None):
+            raise nerve.CategoryStructureError(f"triple ({f}, {g}, {h}) has no composite")
+    return delta.ValidityReport(not issues, tuple(issues))
+
+
+def validating_delta_set(generators, faces, name="X"):
+    """The faces constructor of DeltaSet as it was when it made every check
+    itself, degree by degree, before it handed its table to from_table."""
+    gens = {k: tuple(v) for k, v in generators.items() if v}
+    position, table = {}, {}
+    for k in sorted(gens):
+        gs = gens[k]
+        if k < 0:
+            raise delta.DeltaStructureError(f"negative degree {k}")
+        pos = position[k] = {g: n for n, g in enumerate(gs)}
+        if len(pos) < len(gs):
+            g = next(g for n, g in enumerate(gs) if pos[g] != n)
+            raise delta.DeltaStructureError(f"generator {g!r} repeats in degree {k}")
+        if k == 0:
+            continue
+        lower, ks = position.get(k - 1, {}), range(k + 1)
+        row = [lower.get(faces.get((k, g, i), delta._MISSING)) for g in gs for i in ks]
+        if None in row:
+            n, i = divmod(row.index(None), k + 1)
+            g = gs[n]
+            if (k, g, i) not in faces:
+                raise delta.DeltaStructureError(f"missing face d_{i} of {g!r} in degree {k}")
+            raise delta.DeltaStructureError(f"face d_{i} of {g!r} is not a generator of degree {k-1}")
+        table[k] = tuple(row)
+    if sum(map(len, table.values())) != len(faces):
+        key = next(key for key in faces if not delta._names_a_face(key, position))
+        raise delta.DeltaStructureError(f"face key {key!r} names no face of a generator")
+    return delta.DeltaSet.from_table(gens, table, name)

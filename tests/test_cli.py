@@ -501,23 +501,36 @@ def test_slice_and_pullback(tmp_path, capsys):
     assert families.check_family(back).ok
 
 
-def test_nerve_requires_allow_partial_for_demo(tmp_path, capsys):
-    path = tmp_path / "cob.cat"
-    nerve.dump(nerve.demo_cobordism_category(), path)
-    code, _, err = run_cli(["nerve", str(path)], capsys)
-    assert code == 1
-    code, out, _ = run_cli(["nerve", str(path), "--allow-partial", "--max-degree", "2"], capsys)
-    assert code == 0
-    assert "(2, 23, 169)" in out
-
-
-@pytest.mark.parametrize("degree, code, text", [("0", 0, "nerve f-vector=(2,)"), ("-1", 1, "max_degree")])
+@pytest.mark.parametrize("degree, code, text", [("0", 0, "nerve f-vector=(2,)"), ("-1", 1, "--max-degree")])
 def test_nerve_max_degree_below_one(tmp_path, capsys, degree, code, text):
     path = tmp_path / "cob.cat"
     nerve.dump(nerve.demo_cobordism_category(), path)
-    got, out, err = run_cli(["nerve", str(path), "--allow-partial", "--max-degree", degree], capsys)
+    try:
+        got = cli.main(["nerve", str(path), "--max-degree", degree])
+    except SystemExit as exc:  # the parser rejects a negative degree
+        got = exc.code
+    out = capsys.readouterr()
     assert got == code
-    assert text in out + err
+    assert text in out.out + out.err
+
+
+_Z3 = "category Z3\nobj pt\n" + "".join(f"mor z{a} pt pt\n" for a in range(3))
+_Z3 += "".join(f"cmp z{a} z{b} z{(a + b) % 3}\n" for a in range(3) for b in range(3))
+_CHAIN3 = "category chain\nobj 0\nobj 1\nobj 2\nmor f 0 1\nmor g 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, f_vector",
+    [(nerve.dumps(nerve.demo_cobordism_category()), (2, 23, 169)), (_CHAIN3, (3, 2)), (_Z3, (1, 3, 9))],
+    ids=["demo", "truncated-chain", "Z3"],
+)
+def test_validate_and_nerve_agree_on_categories(tmp_path, capsys, text, f_vector):
+    # one semantics for category tables: a table may be a truncation, as
+    # the demo's drops every composite past LOOP_CAP
+    path = tmp_path / "c.cat"
+    path.write_text(text)
+    assert run_cli(["validate", str(path)], capsys)[0] == 0
+    assert run_cli(["nerve", str(path), "--max-degree", "2"], capsys)[:2] == (0, f"nerve f-vector={f_vector}\n")
 
 
 def test_export_off(tmp_path, capsys):
@@ -677,14 +690,23 @@ def test_bad_map_number_names_its_line(tmp_path, capsys, images, message):
 
 @pytest.mark.parametrize(
     "argv, option",
-    [(["subdivide", "-r", "-2"], "--rounds"), (["export-off", "--digits", "-1"], "--digits")],
-    ids=["rounds", "digits"],
+    [
+        (["subdivide", "{}", "-r", "-2"], "--rounds"),
+        (["export-off", "{}", "--digits", "-1"], "--digits"),
+        (["prism-r", "-1"], "argument p"),
+        (["prism-k", "-1", "--counts"], "argument p"),
+        (["rmap", "-1", "0", "0"], "argument p"),
+        (["rmap", "1", "-1", "0,0"], "argument q"),
+        (["hornfill", "{}", "-1", "0"], "argument p"),
+        (["hornfill", "{}", "2", "-1"], "argument j"),
+    ],
+    ids=["rounds", "digits", "prism-r-p", "prism-k-p", "rmap-p", "rmap-q", "hornfill-p", "hornfill-j"],
 )
 def test_negative_count_option_exit_1(tmp_path, capsys, argv, option):
     path = tmp_path / "seg.cplx"
     path.write_text(_SEGMENT)
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv[:1] + [str(path)] + argv[1:])
+        cli.main([str(path) if a == "{}" else a for a in argv])
     assert exc.value.code == 1
     assert option in capsys.readouterr().err
 
@@ -822,10 +844,8 @@ def _mutation_seeds():
         seeds.append((delta.dumps(complexes.delta_set_of(k)), (["homology", "{}"],)))
     for w in suite.lift_fixtures():
         seeds.append((families.dumps(w), (["slice", "{}", ",".join(["1/3"] * w.base.ambient_dim)],)))
-    seeds.append((nerve.dumps(nerve.demo_cobordism_category()), (["nerve", "{}", "--allow-partial"],)))
-    z3 = "category Z3\nobj pt\n" + "".join(f"mor z{a} pt pt\n" for a in range(3))
-    z3 += "".join(f"cmp z{a} z{b} z{(a + b) % 3}\n" for a in range(3) for b in range(3))
-    seeds.append((z3, (["nerve", "{}"],)))
+    seeds.append((nerve.dumps(nerve.demo_cobordism_category()), (["nerve", "{}"],)))
+    seeds.append((_Z3, (["nerve", "{}"],)))
     return seeds
 
 

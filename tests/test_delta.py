@@ -15,6 +15,7 @@ from oracles import (
     dict_morphism_check,
     dict_sd_delta,
     dict_weak_chain_delta_set,
+    validating_delta_set,
 )
 from plkernel import complexes, delta, homology, prism, suite
 
@@ -71,6 +72,52 @@ def test_stray_face_key_raises(key):
     faces = {(1, "e", 0): "a", key: "a", (1, "e", 1): "b"}
     with pytest.raises(delta.DeltaStructureError, match=re.escape(f"face key {key!r} names no face")):
         delta.DeltaSet({0: ("a", "b"), 1: ("e",)}, faces)
+
+
+@st.composite
+def face_inputs(draw):
+    """Generators in degrees 0..3, named apart across degrees, with every
+    face d_i drawn from the degree below (the face identities may fail);
+    sometimes with exactly one fault injected."""
+    top = draw(st.integers(0, 3))
+    gens = {k: [(k, n) for n in range(draw(st.integers(1, 3)))] for k in range(top + 1)}
+    faces = {
+        (k, g, i): draw(st.sampled_from(gens[k - 1]))
+        for k in range(1, top + 1) for g in gens[k] for i in range(k + 1)
+    }
+    fault = draw(st.sampled_from(
+        ["none", "repeat", "negative", "stray"] + (["missing", "degree", "unknown"] if top else [])
+    ))
+    if fault == "repeat":
+        gs = gens[draw(st.integers(0, top))]
+        gs.insert(draw(st.integers(0, len(gs))), draw(st.sampled_from(gs)))
+    elif fault == "negative":
+        gens[-1] = [(-1, 0)]
+    elif fault == "stray":
+        k = draw(st.integers(0, top))
+        faces[(k, draw(st.sampled_from(gens[k])), k + 1)] = gens[0][0]
+    elif fault != "none":
+        key = draw(st.sampled_from(sorted(faces)))
+        if fault == "missing":
+            del faces[key]
+        elif fault == "degree":
+            faces[key] = draw(st.sampled_from([*gens[key[0]], *gens.get(key[0] - 2, ())]))
+        else:
+            faces[key] = "nowhere"
+    return {k: tuple(gs) for k, gs in gens.items()}, faces
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_inputs())
+def test_faces_constructor_matches_the_validating_one(inputs):
+    gens, faces = inputs
+    try:
+        want = validating_delta_set(gens, faces, "X")
+    except delta.DeltaStructureError as exc:
+        with pytest.raises(delta.DeltaStructureError, match=f"^{re.escape(str(exc))}$"):
+            delta.DeltaSet(gens, faces, "X")
+    else:
+        assert delta.DeltaSet(gens, faces, "X") == want
 
 
 def test_repeated_face_line_raises():
