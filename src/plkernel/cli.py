@@ -72,6 +72,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _dimension(text: str) -> int:
+    """A prism dimension: a count of at most `prism.DIMENSION_CAP`."""
+    p = _count(text)
+    if p > prism.DIMENSION_CAP:
+        raise argparse.ArgumentTypeError(f"{p} outside the allowed range 0..{prism.DIMENSION_CAP}")
+    return p
+
+
 def _counts(text: str) -> tuple[int, ...]:
     """Comma-separated non-negative integers."""
     return tuple(map(_count, text.split(",")))
@@ -157,7 +165,10 @@ def cmd_prism_k(args):
 
 
 def cmd_rmap(args):
-    m = prism.build_R_map(args.eta, args.p, args.q)
+    try:
+        m = prism.build_R_map(args.eta, args.p, args.q)
+    except ValueError as exc:  # the parser bounds p and q, so eta is at fault
+        raise ValueError(f"argument eta: {exc}") from None
     if not m.to_delta_morphism().check():
         payload = {"command": "rmap", "ok": False}
         _emit(args, payload, "rmap: face equivariance fails")
@@ -294,18 +305,18 @@ def build_parser() -> _Parser:
     sp.add_argument("-o", "--output")
 
     sp = add("prism-r", cmd_prism_r, report=True, help="ordered prism triangulation")
-    sp.add_argument("p", type=_count)
+    sp.add_argument("p", type=_dimension)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
     sp = add("prism-k", cmd_prism_k, report=True, help="chain triangulation of the prism")
-    sp.add_argument("p", type=_count)
+    sp.add_argument("p", type=_dimension)
     sp.add_argument("--counts", action="store_true")
     sp.add_argument("-o", "--output")
 
     sp = add("rmap", cmd_rmap, report=True, help="prism map induced by a monotone map")
-    sp.add_argument("p", type=_count)
-    sp.add_argument("q", type=_count)
+    sp.add_argument("p", type=_dimension)
+    sp.add_argument("q", type=_dimension)
     sp.add_argument("eta", type=_counts, help="comma-separated values of the monotone map")
 
     sp = add("pullback", cmd_pullback, help="base change of a family")

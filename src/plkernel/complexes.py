@@ -163,7 +163,9 @@ class EuclideanComplex:
 
     def functionals(self, simplex):
         """The `polytope._integer_functionals` of a simplex of the complex,
-        or None when it is affinely dependent; computed once per simplex."""
+        or None when it is affinely dependent; computed once per simplex.
+        `validate` fills it for full-dimensional maximal simplices by
+        pivots across ridges (`_pivot_functionals`)."""
         table = self._functionals
         if simplex not in table:
             coords = self.integer_coords
@@ -206,9 +208,11 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     Affine independence and intersections are checked on maximal simplices
     only; both properties are inherited by faces.  Every test runs on the
     complex's homogeneous integer coordinates and reads each maximal
-    simplex's integer facet functionals, both held by the complex.  Pairwise
-    intersections are decided in three tiers, each exact and each in
-    plain Python:
+    simplex's integer facet functionals, both held by the complex.  Those
+    of full-dimensional simplices are pivoted across the ridges of the
+    certificate's ridge table (`_pivot_functionals`), the rest eliminated.
+    Pairwise intersections are decided in three tiers, each exact and each
+    in plain Python:
 
     1. a local certificate, for pure complexes of full dimension: matched
        interior ridges, boundary ridges on the hull, and one point covered
@@ -231,18 +235,64 @@ def validate(k: EuclideanComplex) -> ValidityReport:
     issues = []
     maximal = k.maximal_simplices()
     icoords = k.integer_coords
+    full = [s for s in maximal if len(s) == k.ambient_dim + 1]
+    ridges = _ridges(full)
+    _pivot_functionals(k, full, ridges)
     functionals = {s: k.functionals(s) for s in maximal}
     for s in maximal:
         if functionals[s] is None:
             issues.append(f"simplex {s} is not affinely independent")
     if not issues:
-        for a, b in _uncertified_pairs(maximal, icoords, functionals):
+        for a, b in _uncertified_pairs(maximal, icoords, functionals, ridges):
             if not _common_face(a, b, icoords, functionals[b]):
                 issues.append(
                     f"intersection not a common face: simplices {a} and {b}"
                 )
                 break
     return ValidityReport(not issues, tuple(issues))
+
+
+def _ridges(simplices) -> dict:
+    """Each ridge of the simplices -> its owners (s, i), s less vertex i
+    being the ridge."""
+    ridges: dict = {}
+    for s in simplices:
+        for i in range(len(s)):
+            ridges.setdefault(s[:i] + s[i + 1 :], []).append((s, i))
+    return ridges
+
+
+def _pivot_functionals(k, full, ridges):
+    """Put into k's table the functionals of its full-dimensional maximal
+    simplices `full`, whose ridge table is `ridges`: the first simplex of
+    each component of the ridge graph is eliminated (`k.functionals`), and
+    each neighbour across a ridge of a simplex with functionals is pivoted
+    (`polytope._pivot`) and checked (`polytope._verified`).  A dependent
+    simplex is not pivoted from; a simplex already in the table is kept."""
+    table, coords = k._functionals, k.integer_coords
+    seen = set()
+    for root in full:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            functionals = k.functionals(s)
+            if functionals is None:
+                continue
+            for i in range(len(s)):
+                for t, j in ridges[s[:i] + s[i + 1 :]]:
+                    if t in seen:
+                        continue
+                    seen.add(t)
+                    stack.append(t)
+                    if t not in table:
+                        hom = [coords[v] for v in t]
+                        rows = polytope._pivot(functionals[0], i, hom[j], j)
+                        if rows is not None:
+                            rows = polytope._verified(hom, rows, list(range(len(t))))
+                        table[t] = rows
 
 
 def _common_face(a, b, icoords, b_functionals) -> bool:
@@ -259,7 +309,7 @@ def _common_face(a, b, icoords, b_functionals) -> bool:
     return sorted(clipped) == sorted(units)
 
 
-def _certificate_failure(maximal, icoords, functionals):
+def _certificate_failure(maximal, icoords, functionals, ridges):
     """None when the top simplices provably triangulate the convex hull of
     their vertices, so that every pair meets in a common face; otherwise
     the simplices behind the first condition that fails: the three owners
@@ -268,7 +318,8 @@ def _certificate_failure(maximal, icoords, functionals):
     boundary ridge off the hull, or none when only the covering fails.
 
     Applies to pure complexes of full dimension d, whose facet functionals
-    are given; fails naming none otherwise.
+    and ridges -> owners table (`_ridges`) are given; fails naming none
+    otherwise.
     The local characterization of triangulations (De Loera, Rambau &
     Santos, *Triangulations*, 2010): every ridge lies in at
     most two top simplices, and in two only with the second one's
@@ -283,10 +334,6 @@ def _certificate_failure(maximal, icoords, functionals):
         return ()
 
     value = polytope._value
-    ridges: dict = {}
-    for s in maximal:
-        for i in range(len(s)):
-            ridges.setdefault(s[:i] + s[i + 1 :], []).append((s, i))
     points = [icoords[v] for v in {v for s in maximal for v in s}]
     hull_rows = set()
     for owners in ridges.values():
@@ -310,12 +357,14 @@ def _certificate_failure(maximal, icoords, functionals):
     return None if covering == 1 else ()
 
 
-def _uncertified_pairs(maximal, icoords, functionals):
+def _uncertified_pairs(maximal, icoords, functionals, ridges):
     """Yield, in the order of itertools.combinations, every pair of maximal
     simplices not certified to meet in a common face: none when the local
     certificate holds, else each pair whose integer bounding boxes meet
     and that no wall of either simplex separates.  A caller that stops at
-    its first rejection stops the scan at that pair.
+    its first rejection stops the scan at that pair.  `ridges` is the
+    ridges -> owners table of the full-dimensional simplices (`_ridges`),
+    which the certificate reads when they are all of the simplices.
 
     When the certificate fails, each simplex s it names is tried in turn:
     if the certificate holds for the other simplices, every bad pair
@@ -333,13 +382,14 @@ def _uncertified_pairs(maximal, icoords, functionals):
     axis, and every pair is listed."""
     suspects = ()
     if len({len(s) for s in maximal}) == 1:
-        suspects = _certificate_failure(maximal, icoords, functionals)
+        suspects = _certificate_failure(maximal, icoords, functionals, ridges)
         if suspects is None:
             return
     n = len(maximal)
     masks = [(1 << n) - (2 << i) for i in range(n)]
     for s in suspects:
-        if _certificate_failure([m for m in maximal if m != s], icoords, functionals) is None:
+        rest = [m for m in maximal if m != s]
+        if _certificate_failure(rest, icoords, functionals, _ridges(rest)) is None:
             k = maximal.index(s)
             masks = [1 << k if i < k else 0 for i in range(n)]
             masks[k] = (1 << n) - (2 << k)

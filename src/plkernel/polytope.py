@@ -23,7 +23,11 @@ Which side of a simplex's facet a point lies on is decided by one routine,
 `_integer_functionals`: the integer facet functionals and affine-hull
 equations of a simplex with homogeneous integer vertices.  A functional
 read at (E y, E), E > 0, has the sign of the affine functional at y, so
-points and simplices need not share a denominator.  Placing
+points and simplices need not share a denominator.  A full-dimensional
+simplex that shares a ridge with one whose functionals are known gets
+the same rows by one integer-preserving pivot across the ridge
+(`_pivot`), which `complexes.validate` walks over the ridge graph; both
+routes end in the one full sign-pattern check (`_verified`).  Placing
 triangulations, hull vertices, the separating walls of
 `complexes.validate`, the point-in-simplex test `contains` and the
 barycentric `weights` all read it; a volume is an integer determinant
@@ -469,12 +473,39 @@ def _integer_functionals(hom):
         out_off.append(-1)
         out_rows.append([-x for x in vec])
         out_off.append(-1)
-    # safety net for the fraction-free elimination: verify the defining
-    # sign pattern of every functional before it is used in a predicate
-    for vec, off in zip(out_rows, out_off):
+    return _verified(hom, out_rows, out_off)
+
+
+def _pivot(rows, i, w, j):
+    """The facet rows of a full-dimensional simplex, pivoted from the rows
+    of a neighbour that shares every vertex but the neighbour's i-th; the
+    homogeneous point w is new, at position j.  None when it is affinely
+    dependent.  With a = rows[i].w, w's row is ±rows[i] and each other row
+    ±primitive(a rows[k] - (rows[k].w) rows[i]), signed by a (Edmonds,
+    J. Res. NBS 71B, 1967): each is 0 at every vertex but its own and > 0
+    there, so it is elimination's row, a facet normal unique up to the
+    positive scalar `primitive` fixes.  `_verified` checks them."""
+    ri = rows[i]
+    a = _value(ri, w)
+    if a == 0:
+        return None
+    sign = 1 if a > 0 else -1
+    out = []
+    for k, r in enumerate(rows):
+        if k != i:
+            b = _value(r, w)
+            out.append([sign * c for c in primitive([a * x - b * y for x, y in zip(r, ri)])])
+    out.insert(j, [sign * c for c in ri])
+    return out
+
+
+def _verified(hom, rows, off):
+    """(rows, off), once every row is > 0 at its off vertex and 0 at every
+    other vertex of `hom`: the safety net of both routes to a simplex's
+    functionals, run before any predicate reads them."""
+    for vec, o in zip(rows, off):
         for j, p in enumerate(hom):
             val = _value(vec, p)
-            ok = val > 0 if j == off else val == 0
-            if not ok:
+            if not (val > 0 if j == o else val == 0):
                 raise ArithmeticError("functional verification failed")
-    return out_rows, out_off
+    return rows, off

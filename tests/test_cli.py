@@ -711,6 +711,44 @@ def test_negative_count_option_exit_1(tmp_path, capsys, argv, option):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["prism-r", "7"], "p"),
+        (["prism-k", "7", "--counts"], "p"),
+        (["rmap", "7", "7", "0,1,2,3,4,5,6,7"], "p"),
+        (["rmap", "1", "7", "0,7"], "q"),
+    ],
+    ids=["prism-r-p", "prism-k-p", "rmap-p", "rmap-q"],
+)
+def test_dimension_above_cap_exit_1_naming_the_argument(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: 7 outside the allowed range 0..{prism.DIMENSION_CAP}\n" in err
+    assert "ValueError" not in err
+
+
+def test_dimension_at_cap_stays_valid(capsys):
+    code, out, _ = run_cli(["rmap", "0", str(prism.DIMENSION_CAP), "6"], capsys)
+    assert code == 0 and out == "0 -> 6\n1 -> 13\n"
+
+
+@pytest.mark.parametrize(
+    "eta, message",
+    [
+        ("0,5", "image outside [0..2]"),
+        ("1,0", "map (1, 0) is not order-preserving"),
+        ("0", "map must list the p+1 = 2 vertex images"),
+    ],
+)
+def test_rmap_bad_image_names_eta(capsys, eta, message):
+    assert run_cli(["rmap", "1", "2", eta], capsys) == (
+        1, "", f"error: ValueError: argument eta: {message}\n"
+    )
+
+
 def test_zero_rounds_and_digits_stay_valid(tmp_path, capsys):
     path = tmp_path / "seg.cplx"
     path.write_text(_SEGMENT)

@@ -634,7 +634,7 @@ def test_streamed_scan_stops_at_witness(kind, p, seed):
             if walls:
                 frame = generator.gi_frame.f_locals
                 assert (frame["p"], frame["q"]) == (a, b)
-    maximal, icoords, functionals = fast[4]
+    maximal, icoords, functionals, _ = fast[4]
     if kind == "surface-overlap":
         # the box filter leaves pairs out before the witness, such as pairs
         # whose intervals on the first axis are disjoint
@@ -679,9 +679,9 @@ def walled_reference(p, q, icoords, p_functionals):
     )
 
 
-def reference_scan(maximal, icoords, functionals):
+def reference_scan(maximal, icoords, functionals, ridges):
     """Every pair in combinations order, kept when its boxes meet and no
-    wall of either simplex separates it."""
+    wall of either simplex separates it; the ridge table is not read."""
     boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
     return [
         (p, q)
@@ -772,7 +772,7 @@ def test_swept_scan_skips_most_box_tests():
     # sd² torus in ℝ⁵: 504 triangles, 126,756 pairs.  The walls run on
     # exactly the pairs whose integer boxes meet, and no pair is boxed
     k = moment_surface(suite.torus_7(), 911, 2)
-    maximal, icoords, functionals = scan_args(k)
+    maximal, icoords, functionals, _ = scan_args(k)
     assert len(maximal) * (len(maximal) - 1) // 2 == 126_756
     boxes = {s: polytope.bounding_box([icoords[v][:-1] for v in s]) for s in maximal}
     meeting = {
@@ -843,7 +843,7 @@ def test_suspect_scan_matches_all_pairs(extras, p, seed):
             k = glued(k, seed + i, apart=kind == "apart")
     k = unimodular_image(k, seed)
     args = scan_args(k)
-    maximal, icoords, functionals = args
+    maximal, icoords, functionals, _ = args
     pairs, reference = list(complexes._uncertified_pairs(*args)), reference_scan(*args)
     # the scan keeps the reference's order, and every reference pair it
     # leaves out meets in a common face
@@ -1042,3 +1042,173 @@ def test_complex_holds_its_integer_form(kind, seed):
             *(None if x is None else polytope.integer_simplex(x) for x in outs),
         )
         assert got == raw_intersect_simplices(k.points(a), sd.points(b), *outs)
+
+
+# -- facet functionals pivoted across ridges, against elimination ------------
+
+
+def ridge_owners(ec):
+    """Each ridge of ec's top simplices -> [(owner, owner's vertex off it)]."""
+    owners = {}
+    for s in ec.maximal_simplices():
+        for v in s:
+            owners.setdefault(tuple(u for u in s if u != v), []).append((s, v))
+    return owners
+
+
+def on_a_ridge(ec, seed, kind):
+    """ec with a seeded ridge r changed, relabelled and remapped again so
+    that a new vertex may come anywhere in its simplices' order.  With s
+    an owner of r and v its vertex off r:
+    "on-ridge": r is interior, and the other owner's vertex off r moves
+    into r's hyperplane, so that a pivot across r meets a = 0;
+    "flipped": r is a boundary ridge, and r joined to the midpoint of r's
+    centroid and v is a misoriented neighbour of s;
+    "three-owners": r is interior, and r joined to v reflected through
+    r's centroid is its third owner;
+    "equal-coords": r is a boundary ridge, joined to a new vertex id at
+    the coordinates of a vertex of s (dependent, or covering s)."""
+    rng = random.Random(seed)
+    owners = ridge_owners(ec)
+    interior = kind in ("on-ridge", "three-owners")
+    ridge = rng.choice(sorted(r for r, o in owners.items() if (len(o) == 2) == interior))
+    (s, v), *rest = owners[ridge]
+    coords, tops = dict(ec.coords), ec.maximal_simplices()
+    centre = [sum(c) / len(ridge) for c in zip(*(coords[u] for u in ridge))]
+    new = 1 + max(coords)
+    if kind == "on-ridge":
+        weights = [F(rng.randint(1, 3)) for _ in ridge]
+        weights[0] += 1 - sum(weights)
+        coords[rest[0][1]] = tuple(
+            sum(a * coords[u][c] for a, u in zip(weights, ridge)) for c in range(len(centre))
+        )
+    else:
+        if kind == "flipped":
+            coords[new] = tuple((c + x) / 2 for c, x in zip(centre, coords[v]))
+        elif kind == "three-owners":
+            coords[new] = tuple(2 * c - x for c, x in zip(centre, coords[v]))
+        else:
+            coords[new] = coords[rng.choice(s)]
+        tops = tops + [ridge + (new,)]
+    return unimodular_image(with_tops(ec, tops, coords), seed + 1)
+
+
+def apart(ec):
+    """ec and a translate of it on new vertex ids, clear of ec on the
+    first axis: two components of the ridge graph."""
+    shift = 1 + max(ec.base.vertices)
+    width = 1 + max(x[0] for x in ec.coords.values()) - min(x[0] for x in ec.coords.values())
+    coords = dict(ec.coords)
+    coords.update({v + shift: (x[0] + width,) + x[1:] for v, x in ec.coords.items()})
+    tops = ec.maximal_simplices()
+    return with_tops(ec, tops + [tuple(v + shift for v in s) for s in tops], coords)
+
+
+def pivot_complex(kind, p, seed):
+    if kind == "K":
+        return unimodular_image(prism.build_K(p).complex, seed)
+    ec = unimodular_image(prism.build_R(p).complex, seed, extra_dims=kind == "lower-dim")
+    if kind in ("on-ridge", "flipped", "three-owners", "equal-coords"):
+        return on_a_ridge(ec, seed, kind)
+    if kind in ("components", "doubled"):
+        return (apart if kind == "components" else doubled)(ec)
+    if kind == "non-pure":
+        return with_edge(ec, seed, overlap=seed % 2 == 0)
+    return ec
+
+
+def eliminations(k):
+    """validate(k) and its calls of `polytope._integer_functionals`."""
+    calls = []
+    eliminate = polytope._integer_functionals
+
+    def spy(hom):
+        calls.append(hom)
+        return eliminate(hom)
+
+    with mock.patch.object(polytope, "_integer_functionals", spy):
+        return complexes.validate(k), len(calls)
+
+
+PIVOT_KINDS = (
+    "R", "K", "on-ridge", "flipped", "three-owners", "components", "equal-coords", "doubled",
+    "non-pure", "lower-dim",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PIVOT_KINDS), st.integers(1, 4), st.integers(0, 2**32))
+@example("R", 4, 0)
+@example("K", 4, 0)
+@example("on-ridge", 3, 0)
+@example("flipped", 3, 0)
+@example("three-owners", 3, 0)
+@example("components", 2, 0)
+@example("equal-coords", 2, 0)
+@example("equal-coords", 2, 1)
+@example("non-pure", 3, 0)
+@example("non-pure", 3, 1)
+def test_pivoted_functionals_match_elimination(kind, p, seed):
+    """validate leaves each maximal simplex the functionals elimination
+    gives it, and reports what validate reports with every functional
+    eliminated."""
+    k = pivot_complex(kind, min(p, 3) if kind in ("components", "doubled") else p, seed)
+    report, calls = eliminations(k)
+    for s in k.maximal_simplices():
+        assert k.functionals(s) == polytope._integer_functionals([k.integer_coords[v] for v in s])
+    with mock.patch.object(complexes, "_pivot_functionals", lambda *args: None):
+        assert complexes.validate(with_tops(k, k.maximal_simplices())) == report
+    if kind in ("R", "K"):
+        assert report.ok and calls == 1
+    elif kind == "lower-dim":
+        assert calls == len(k.maximal_simplices())
+
+
+def test_pivot_meets_a_dependent_neighbour():
+    """Across the edge (1, 2), vertex 3 lies on the edge's line: the pivot
+    finds a = 0, and the flat triangle is reported dependent."""
+    k = complexes.EuclideanComplex.build(
+        [(0, 1, 2), (1, 2, 3)],
+        {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(0), F(2)), 3: (F(-1), F(3))},
+    )
+    pivots = []
+    pivot = polytope._pivot
+
+    def spy(*args):
+        pivots.append(pivot(*args))
+        return pivots[-1]
+
+    with mock.patch.object(polytope, "_pivot", spy):
+        report, calls = eliminations(k)
+    assert pivots == [None] and calls == 1
+    assert report.issues == ("simplex (1, 2, 3) is not affinely independent",)
+    assert k.functionals((1, 2, 3)) is None
+
+
+def test_validate_eliminates_once_per_component():
+    r4 = unimodular_image(prism.build_R(4).complex, 911)
+    assert eliminations(r4) == (complexes.ValidityReport(True), 1)
+    assert eliminations(apart(r4)) == (complexes.ValidityReport(True), 2)
+
+
+@pytest.mark.parametrize("fault", ["negated", "swapped", "summed"])
+def test_a_wrong_pivoted_row_raises(fault):
+    """The full sign-pattern check runs on every pivoted simplex: a pivot
+    that returns one wrong row stops validate with no verdict."""
+    pivot = polytope._pivot
+
+    def wrong(rows, i, w, j):
+        out = pivot(rows, i, w, j)
+        k = (j + 1) % len(out)
+        if fault == "negated":
+            out[j] = [-c for c in out[j]]
+        elif fault == "swapped":
+            out[j], out[k] = out[k], out[j]
+        else:
+            out[j] = [a + b for a, b in zip(out[j], out[k])]
+        return out
+
+    k = unimodular_image(prism.build_R(3).complex, 911)
+    with mock.patch.object(polytope, "_pivot", wrong):
+        with pytest.raises(ArithmeticError, match="functional verification failed"):
+            complexes.validate(k)
