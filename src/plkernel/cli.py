@@ -233,7 +233,8 @@ def cmd_homology(args):
     if isinstance(obj, EuclideanComplex):
         h = homology.homology_of_complex(obj)
     else:
-        h = homology.homology(homology.chains_of(obj))
+        homology.chains_of(obj)  # the face identities and ∂∂ = 0, or exit 1
+        h = homology.homology_of_delta_set(obj)
     payload = {
         "command": "homology",
         "groups": {str(k): [h.betti(k), list(h.torsion(k))] for k in sorted(h.groups)},

@@ -7,6 +7,18 @@ inputs are first shrunk by unit-pivot Gaussian reduction on the boundary
 matrices, which preserves homology exactly; the surviving small matrices
 go through a certified Smith normal form (U A V = D with unimodular U, V,
 checked by multiplication).
+
+There are two routes to `homology`.  Normalized chains and total
+complexes go there whole.  A Δ-set is first coreduced on its face table
+(`_coreduce`), and only its survivors, restricted to surviving faces, go
+on.  Coreduction is exact because each pair it removes is a unit pivot of
+`_reduce_matrix` whose correction term is zero: a cell whose one
+surviving face has coefficient ±1 (a coreduction), or a cell whose one
+surviving coface has coefficient ±1 (a collapse); what is left is the
+restriction of the chains to the survivors.  A vertex is taken as a seed
+only when no such pair is left, so the surviving d_1 is augmented (every
+column is v - w, or zero) and the seed splits off one free Z from H_0.
+A survivor with no surviving face or coface splits off one free Z alone.
 """
 
 from __future__ import annotations
@@ -197,6 +209,116 @@ def reduce_chain_complex(cc: ChainComplex) -> ChainComplex:
     # compact indices: the survivors, renumbered in order
     gens = {k: sorted(alive[k]) for k in range(top + 1)}
     return _chains(gens, lambda k, j: mats[k].cols.get(j, {}).items())
+
+
+# ---------------------------------------------------------------------------
+# coreduction on the face table
+# ---------------------------------------------------------------------------
+
+
+def _coreduce(x: DeltaSet) -> tuple[ChainComplex, list[int]]:
+    """Coreduction of the chains of x (Mrozek & Batko, *Discrete Comput.
+    Geom.* 41, 2009), read off its face table: the chains of the generators
+    that survive, restricted to surviving faces, and by degree the number
+    of free Z split off, one for each vertex taken as a seed and one for
+    each survivor left with no surviving face or coface.
+
+    Cells are numbered degree after degree.  A FIFO queue holds the cells
+    whose count of surviving faces or cofaces has fallen to one; a popped
+    cell goes with that face (a coreduction) or that coface (a collapse)
+    when their coefficient is ±1.  Only then is the pair a unit pivot with
+    no correction term.  When the queue is empty the lowest surviving
+    vertex is removed as a seed.
+    """
+    table = x.table
+    top = x.dimension
+    signs = [(-1) ** i for i in range(top + 1)]
+    start = [0]
+    for k in range(top + 1):
+        start.append(start[-1] + len(x.gens(k)))
+    total, nverts = start[-1], start[min(1, top + 1)]
+    # faces[z]: the cells with a nonzero coefficient in the boundary of z, d_0
+    # first; a cell whose faces repeat keeps its summed coefficients in mixed
+    faces: list = [()] * nverts
+    mixed: dict[int, dict[int, int]] = {}
+    cofaces: list[list[int]] = [[] for _ in range(total)]
+    for k in range(1, top + 1):
+        base, w = start[k - 1], k + 1
+        cells = zip(*[iter([h + base for h in table.get(k, ())])] * w)
+        for z, fs in enumerate(cells, start[k]):
+            if len(set(fs)) < w:
+                col: dict[int, int] = {}
+                for h, c in zip(fs, signs):
+                    col[h] = col.get(h, 0) + c
+                col = mixed[z] = {h: c for h, c in col.items() if c}
+                fs = tuple(col)
+            faces.append(fs)
+            for h in fs:
+                cofaces[h].append(z)
+    nfaces = [len(fs) for fs in faces]
+    ncofaces = [len(cs) for cs in cofaces]
+    alive = bytearray(b"\x01") * total
+    queue = [z for z in range(total) if nfaces[z] == 1 or ncofaces[z] == 1]
+    free = [0] * (top + 1)
+    head = vertex = 0
+    while True:
+        if head < len(queue):
+            z = queue[head]
+            head += 1
+            if not alive[z]:
+                continue
+            pair = ()
+            if nfaces[z] == 1:
+                for i, a in enumerate(faces[z]):
+                    if alive[a]:
+                        break
+                c = mixed[z][a] if z in mixed else signs[i]
+                if c == 1 or c == -1:
+                    pair = (a, z)
+            if not pair and ncofaces[z] == 1:
+                for b in cofaces[z]:
+                    if alive[b]:
+                        break
+                c = mixed[b][z] if b in mixed else signs[faces[b].index(z)]
+                if c == 1 or c == -1:
+                    pair = (z, b)
+            if not pair:
+                continue
+        else:
+            # every surviving d_1 column is now v - w on surviving vertices, or
+            # empty, so the augmentation splits one Z off at any vertex
+            while vertex < nverts and not alive[vertex]:
+                vertex += 1
+            if vertex == nverts:
+                break
+            free[0] += 1
+            pair = (vertex,)
+        for z in pair:
+            alive[z] = 0
+        for z in pair:
+            for h in faces[z]:
+                if alive[h]:
+                    ncofaces[h] -= 1
+                    if ncofaces[h] == 1:
+                        queue.append(h)
+            for b in cofaces[z]:
+                if alive[b]:
+                    nfaces[b] -= 1
+                    if nfaces[b] == 1:
+                        queue.append(b)
+
+    def terms(k, z):
+        col = mixed.get(z)
+        if col is None:
+            return [(h, c) for h, c in zip(faces[z], signs) if alive[h]]
+        return [(h, c) for h, c in col.items() if alive[h]]
+
+    survivors = {}
+    for k in range(top + 1):
+        cells = [z for z in range(start[k], start[k + 1]) if alive[z]]
+        survivors[k] = [z for z in cells if nfaces[z] or ncofaces[z]]
+        free[k] += len(cells) - len(survivors[k])
+    return _chains(survivors, terms), free
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +541,11 @@ def homology_of_simplicial(x) -> HomologyProfile:
 
 
 def homology_of_delta_set(x: DeltaSet) -> HomologyProfile:
-    return homology(chain_complex_of(x))
+    """Homology of the chains of x: `homology` of what `_coreduce` leaves,
+    plus the free Z it split off in each degree."""
+    cc, free = _coreduce(x)
+    groups = homology(cc).groups
+    return HomologyProfile({k: (betti + free[k], torsion) for k, (betti, torsion) in groups.items()})
 
 
 def homology_of_complex(k) -> HomologyProfile:

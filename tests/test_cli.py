@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plkernel import cli, complexes, delta, families, linalg, nerve, prism, suite
+from plkernel import cli, complexes, delta, families, homology, linalg, nerve, prism, suite
 
 
 def run_cli(argv, capsys):
@@ -47,6 +47,30 @@ def test_homology_dset(tmp_path, capsys):
     code, out, _ = run_cli(["homology", str(path)], capsys)
     assert code == 0
     assert out.strip() == "H_0 = Z, H_1 = Z^2, H_2 = Z"
+
+
+def test_homology_json_of_a_dset_matches_the_library(tmp_path, capsys):
+    loop = delta.DeltaSet({0: ("v",), 1: ("e",)}, {(1, "e", 0): "v", (1, "e", 1): "v"}, "loop")
+    named = {
+        "torus": complexes.delta_set_of(suite.torus_7()),
+        "rp2": complexes.delta_set_of(suite.projective_plane_6()),
+        "loop": loop,
+    }
+    for name, x in named.items():
+        delta.dump(x, tmp_path / f"{name}.dset")
+    nerve.dump(nerve.demo_cobordism_category(), tmp_path / "demo.cat")
+    demo = tmp_path / "demo.dset"
+    code, _, _ = run_cli(["nerve", str(tmp_path / "demo.cat"), "--max-degree", "4", "-o", str(demo)], capsys)
+    assert code == 0
+    for name in (*named, "demo"):
+        path = tmp_path / f"{name}.dset"
+        code, out, _ = run_cli(["homology", str(path), "--json"], capsys)
+        assert code == 0
+        h = homology.homology_of_delta_set(delta.load(path))
+        assert json.loads(out)["groups"] == {
+            str(k): [h.betti(k), list(h.torsion(k))] for k in sorted(h.groups)
+        }
+    assert json.loads(out)["groups"]["4"] == [3442, []]
 
 
 def test_validate_bad_complex_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import determinantal_divisors, leibniz_det
-from plkernel import complexes, delta, homology, prism, simplicial, suite
+from plkernel import complexes, delta, homology, nerve, prism, simplicial, suite
 
 
 def test_snf_diag_2_3():
@@ -273,3 +273,132 @@ def test_homology_invariant_under_subdivision(k):
     assert homology.homology_of_complex(complexes.barycentric_subdivide(k)) == h
     sd = prism.sd_delta(complexes.delta_set_of(k)).delta_set
     assert homology.homology_of_delta_set(sd) == h
+
+
+# ---------------------------------------------------------------------------
+# coreduction on the face table against the whole chain complex
+# ---------------------------------------------------------------------------
+
+
+def whole_complex_homology(x):
+    """The route without coreduction: every generator through `homology`."""
+    return homology.homology(homology.chain_complex_of(x))
+
+
+def assert_coreduction_exact(x):
+    """Coreduction gives the groups of the whole complex and leaves nothing
+    it could remove: no generator without a boundary or coboundary entry,
+    and no column or row whose one entry is ±1."""
+    h = homology.homology_of_delta_set(x)
+    assert h.groups == whole_complex_homology(x).groups
+    cc, free = homology._coreduce(x)
+    # every vertex goes in a pair or as a seed, one seed per component
+    assert cc.ranks.get(0, 0) == 0
+    assert sum(free[:1]) == h.betti(0)
+    for k in range(cc.top_degree + 1):
+        cols = cc.boundaries.get(k, {})
+        rows: dict[int, list[int]] = {}
+        for col in cc.boundaries.get(k + 1, {}).values():
+            for r, c in col.items():
+                rows.setdefault(r, []).append(c)
+        for n in range(cc.ranks[k]):
+            assert n in cols or n in rows
+            for entries in (list(cols.get(n, {}).values()), rows.get(n, [])):
+                assert entries not in ([1], [-1])
+    return h
+
+
+def disjoint_union(parts, points):
+    """The disjoint union of the Δ-sets parts and of `points` isolated
+    vertices."""
+    gens = {0: [("pt", n) for n in range(points)]}
+    faces = {}
+    for n, x in enumerate(parts):
+        for k, gs in x.generators.items():
+            gens.setdefault(k, []).extend((n, g) for g in gs)
+            for g in gs:
+                for i in range(k + 1 if k else 0):
+                    faces[(k, (n, g), i)] = (n, x.face(k, g, i))
+    return delta.DeltaSet(gens, faces)
+
+
+def z2_with_a_doubled_face():
+    """One vertex, loops a and b, and triangles t = (a, b, a) and u = (b, b, b):
+    ∂u = b and ∂t = 2a - b, so H_1 = Z/2 and the entry 2 of a in ∂t is
+    never a pivot, even once b is gone."""
+    faces = {(1, e, i): "v" for e in "ab" for i in range(2)}
+    faces.update({(2, "t", i): f for i, f in enumerate("aba")})
+    faces.update({(2, "u", i): "b" for i in range(3)})
+    return delta.DeltaSet({0: ("v",), 1: ("a", "b"), 2: ("t", "u")}, faces, "z2")
+
+
+def a_cancelled_face():
+    """One vertex, loops a and b, and triangles t = (a, a, b) and u = (b, b, b):
+    a cancels in ∂t = b, so a and, once b goes with t, u are cycles alone."""
+    faces = {(1, e, i): "v" for e in "ab" for i in range(2)}
+    faces.update({(2, "t", i): f for i, f in enumerate("aab")})
+    faces.update({(2, "u", i): "b" for i in range(3)})
+    return delta.DeltaSet({0: ("v",), 1: ("a", "b"), 2: ("t", "u")}, faces, "cancel")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(delta_sets(), max_size=3), st.integers(0, 2), st.booleans())
+@example([], 0, False)  # the empty Δ-set
+@example([z2_with_a_doubled_face()], 1, False)
+@example([z2_with_a_doubled_face()], 0, True)
+@example([a_cancelled_face(), z2_with_a_doubled_face()], 0, False)
+def test_coreduction_matches_the_whole_complex(parts, points, subdivide):
+    x = disjoint_union(parts, points)
+    if subdivide:
+        x = prism.sd_delta(x).delta_set
+    assert_coreduction_exact(x)
+
+
+@pytest.mark.parametrize("base", [suite.torus_7, suite.projective_plane_6], ids=["torus", "rp2"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_coreduction_of_subdivided_surfaces(base, depth):
+    x = complexes.delta_set_of(base())
+    for _ in range(depth):
+        x = prism.sd_delta(x).delta_set
+    h = assert_coreduction_exact(x)
+    assert h.torsion(1) == (() if base is suite.torus_7 else (2,))
+
+
+def group_category(n):
+    return nerve.FiniteNonUnitalCategory(
+        ("pt",), tuple(range(n)), dict.fromkeys(range(n), "pt"), dict.fromkeys(range(n), "pt"),
+        {(a, b): (a + b) % n for a in range(n) for b in range(n)}, f"Z/{n}",
+    )
+
+
+def chain_poset(m):
+    arrows = tuple(itertools.combinations(range(m), 2))
+    return nerve.FiniteNonUnitalCategory(
+        tuple(range(m)), arrows, {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
+        {((i, j), (j, k)): (i, k) for i, j, k in itertools.combinations(range(m), 3)}, "chain",
+    )
+
+
+@pytest.mark.parametrize(
+    "category, degree",
+    [(nerve.demo_cobordism_category, 4), (lambda: group_category(2), 4),
+     (lambda: group_category(3), 3), (lambda: group_category(4), 3), (lambda: chain_poset(5), 4)],
+    ids=["demo", "Z2", "Z3", "Z4", "chain5"],
+)
+def test_coreduction_of_nerves(category, degree):
+    assert_coreduction_exact(nerve.nerve(category(), max_degree=degree))
+
+
+def test_coreduction_leaves_few_survivors():
+    """FIFO order keeps at most 600 of the sd³ torus's 9,072 generators, and
+    R(4)'s Δ-set goes whole after one seed."""
+    x = complexes.delta_set_of(suite.torus_7())
+    for _ in range(3):
+        x = prism.sd_delta(x).delta_set
+    assert sum(map(len, x.generators.values())) == 9072
+    cc, free = homology._coreduce(x)
+    assert sum(cc.ranks.values()) <= 600
+    assert free == [1, 0, 0]
+    cc, free = homology._coreduce(complexes.delta_set_of(prism.build_R(4).complex))
+    assert sum(cc.ranks.values()) == 0
+    assert free == [1, 0, 0, 0, 0, 0]
